@@ -298,6 +298,10 @@ class CallDepthExceeded(ReconfigError):
         super().__init__(f"invocation exceeded the maximum traversal depth ({depth})")
 
 
+class InvariantViolation(ReconfigError):
+    """A state invariant failed to hold; the operation that broke it is refused."""
+
+
 class ScriptError(ReconfigError):
     def __init__(self, line: int, detail: str):
         super().__init__(f"script line {line}: {detail}")

@@ -1,22 +1,24 @@
 """Planner and builder: from a validated definition to a live architecture.
 
-Planning decides the module graph. Under the per-component granularity the
-corpus types needed by the definition are partitioned into:
+Planning decides the module graph in two steps, and building, adding and
+swapping all use both. Under the per-component granularity ``plan_public``
+first plans the public modules for whatever is not exported yet:
 
 * one shared module per group of ``file``-declared classes (reference closures
   that overlap are merged, so every type keeps a single defining module),
 * one interface module per distinct (signature, version), exporting the
   signature together with whatever its closure drags in that is not already
-  shared and not itself a declared signature,
-* one implementation module per component, exporting the private remainder of
-  the content closure.
+  shared and not itself a declared signature.
 
-Each component's info module then imports its content closure, its declared
-signatures, and the shared-file closure, wired to exactly those modules. Two
-components that exchange a type resolve it to one common module precisely
-when the type is interface-visible or file-declared; anything else stays a
-private copy per component, which is what makes undeclared exchange fail at
-invocation time.
+``plan_component`` then plans one component against them: an implementation
+module exporting the private remainder of the content closure, and imports of
+its content closure, its declared signatures, and the shared-file closure,
+wired to exactly those modules. Two components that exchange a type resolve it
+to one common module precisely when the type is interface-visible or
+file-declared; anything else stays a private copy per component, which is
+what makes undeclared exchange fail at invocation time. A built architecture
+keeps a ``ModuleLedger``, the plan of each live resource module with its kind
+and owner, which the runtime plans against.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -27,11 +29,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Mapping, Optional
 
-from .adl import AdlBinding, AdlDefinition, validate
+from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
 from .corpus import CorpusStore, TypeRef, VersionTag
-from .errors import InstantiationError, UnknownComponent, UnknownPort, VersionConflict
+from .errors import (
+    AmbiguousImport,
+    InstantiationError,
+    InvariantViolation,
+    UnknownComponent,
+    UnknownPort,
+    VersionConflict,
+)
 from .model import (
     BindingRecord,
     ComponentInstance,
@@ -67,6 +76,8 @@ def parse_granularity(text: str) -> Granularity:
 class ResourcePlan:
     label: str
     exports: tuple[Pair, ...]
+    kind: str                      # "shared", "itf" or "impl"
+    owner: Optional[str] = None    # the component an "impl" module serves
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,6 @@ class ModulePlan:
     resources: tuple[ResourcePlan, ...]
     infos: tuple[InfoPlan, ...]
     wiring: dict[tuple[str, str], str]      # (component, type name) -> module label
-    shared_types: frozenset[Pair]
-    itf_types: frozenset[Pair]
 
 
 def _pair_str(pair: Pair) -> str:
@@ -107,27 +116,95 @@ def _merge_imports(into: dict[str, VersionTag], pairs, where: str) -> None:
         into[name] = version
 
 
-def _shared_groups(definition: AdlDefinition, corpus: CorpusStore) -> list[tuple[tuple[Pair, ...], set[Pair]]]:
-    """Group file declarations by overlapping closures; one module per group."""
-    roots: list[Pair] = []
-    for comp in definition.components:
-        for fname, fver in comp.files:
-            pair = _resolve_pair(corpus, fname, fver)
-            if pair not in roots:
-                roots.append(pair)
+def signature_pairs(corpus: CorpusStore, interfaces) -> list[Pair]:
+    return [_resolve_pair(corpus, itf.signature, itf.version) for itf in interfaces]
+
+
+def file_pairs(corpus: CorpusStore, component: AdlComponent) -> list[Pair]:
+    return [_resolve_pair(corpus, name, version) for name, version in component.files]
+
+
+def plan_public(roots, signatures, corpus: CorpusStore,
+                public: Mapping[Pair, object]) -> list[ResourcePlan]:
+    """Plan shared and interface modules for what ``public`` does not export yet.
+
+    File roots whose reference closures overlap form one shared module, so
+    every type keeps a single defining module. Each signature then gets an
+    interface module exporting it together with whatever its closure drags in
+    that is not shared, not itself a signature and not already assigned;
+    assignment order is lexicographic, so a type referenced by two signatures
+    lands in exactly one module, deterministically.
+    """
     groups: list[tuple[set[Pair], set[Pair]]] = []
-    for root in sorted(roots, key=lambda p: (p[0], p[1].key)):
-        types = corpus.closure([TypeRef(*root)])
-        overlapping = [g for g in groups if g[1] & types]
+    for root in _sorted_pairs(set(roots)):
+        types = {p for p in corpus.closure([TypeRef(*root)]) if p not in public}
+        if not types:
+            continue
         merged_roots = {root}
-        merged_types = set(types)
-        for g in overlapping:
+        for g in [g for g in groups if g[1] & types]:
             merged_roots |= g[0]
-            merged_types |= g[1]
+            types |= g[1]
             groups.remove(g)
-        groups.append((merged_roots, merged_types))
-    return [(_sorted_pairs(r), t) for r, t in
-            sorted(groups, key=lambda g: _sorted_pairs(g[0]))]
+        groups.append((merged_roots, types))
+
+    resources: list[ResourcePlan] = []
+    shared: set[Pair] = set()
+    for group_roots, types in sorted(groups, key=lambda g: _sorted_pairs(g[0])):
+        label = f"shared({','.join(_pair_str(r) for r in _sorted_pairs(group_roots))})"
+        resources.append(ResourcePlan(label, _sorted_pairs(types), "shared"))
+        shared |= types
+
+    sig_set = set(signatures)
+    assigned: set[Pair] = set()
+    for sig in _sorted_pairs(sig_set):
+        if sig in shared or sig in public:
+            continue  # file declarations take precedence; no separate module
+        exports = {sig} | {p for p in corpus.closure([TypeRef(*sig)])
+                           if p not in shared and p not in sig_set
+                           and p not in assigned and p not in public}
+        assigned |= exports
+        resources.append(ResourcePlan(f"itf({_pair_str(sig)})", _sorted_pairs(exports), "itf"))
+    return resources
+
+
+def component_imports(component: AdlComponent, corpus: CorpusStore) -> dict[str, VersionTag]:
+    """What a component's info module imports: the closures of its content and
+    ``file`` declarations, and its declared signatures."""
+    imports: dict[str, VersionTag] = {}
+    content = _resolve_pair(corpus, *component.content)
+    _merge_imports(imports, corpus.closure([TypeRef(*content)]), component.name)
+    _merge_imports(imports, signature_pairs(corpus, component.interfaces), component.name)
+    for pair in file_pairs(corpus, component):
+        _merge_imports(imports, corpus.closure([TypeRef(*pair)]), component.name)
+    return imports
+
+
+def plan_component(component: AdlComponent, corpus: CorpusStore, public: Mapping[Pair, object]
+                   ) -> tuple[Optional[ResourcePlan], dict[str, tuple[VersionTag, object]]]:
+    """Plan one component against the public modules already decided.
+
+    Returns the private implementation module (None when nothing is private)
+    and each import's version and provider: ``public[pair]`` where the pair is
+    public, else the implementation module. Signatures and file closures are
+    always public, so the private part is the rest of the content closure.
+    """
+    imports = component_imports(component, corpus)
+    private = _sorted_pairs(p for p in imports.items() if p not in public)
+    impl = None
+    if private:
+        content = component.content[0]
+        impl = ResourcePlan(f"impl({component.name}:{content}@{imports[content]})",
+                            private, "impl", component.name)
+    return impl, {name: (version, public.get((name, version), impl))
+                  for name, version in imports.items()}
+
+
+def _info_plan(owner: str, imports: dict[str, tuple[VersionTag, ResourcePlan]],
+               wiring: dict[tuple[str, str], str]) -> InfoPlan:
+    for name, (_, provider) in imports.items():
+        wiring[(owner, name)] = provider.label
+    return InfoPlan(owner, _sorted_pairs((n, v) for n, (v, _) in imports.items()),
+                    tuple(sorted({provider.label for _, provider in imports.values()})))
 
 
 def plan_modules(definition: AdlDefinition, granularity: Granularity,
@@ -137,121 +214,44 @@ def plan_modules(definition: AdlDefinition, granularity: Granularity,
     if diags:
         raise ValueError(f"definition has {len(diags)} diagnostics; first: {diags[0].render()}")
 
-    sig_pairs: list[Pair] = []
-    comp_sigs: dict[str, list[Pair]] = {}
-
-    def collect_sigs(owner: str, interfaces) -> None:
-        pairs = []
-        for itf in interfaces:
-            pair = _resolve_pair(corpus, itf.signature, itf.version)
-            pairs.append(pair)
-            if pair not in sig_pairs:
-                sig_pairs.append(pair)
-        comp_sigs[owner] = pairs
-
-    collect_sigs(definition.name, definition.interfaces)
-    for comp in definition.components:
-        collect_sigs(comp.name, comp.interfaces)
-
     if granularity is Granularity.SINGLE_LOADER:
-        return _plan_single(definition, corpus, comp_sigs)
+        return _plan_single(definition, corpus)
 
-    groups = _shared_groups(definition, corpus)
-    shared_types: set[Pair] = set()
-    for _, types in groups:
-        shared_types |= types
-
-    # Interface modules: assignment order is lexicographic, so a type referenced
-    # by two signatures lands in exactly one module, deterministically.
-    sig_set = set(sig_pairs)
-    itf_exports: dict[Pair, set[Pair]] = {}
-    assigned: set[Pair] = set()
-    for sig in _sorted_pairs(sig_pairs):
-        if sig in shared_types:
-            continue  # file declarations take precedence; no separate module
-        closure = corpus.closure([TypeRef(*sig)])
-        exports = {sig} | (closure - shared_types - sig_set - assigned)
-        assigned |= exports
-        itf_exports[sig] = exports
-    itf_types = set(assigned)
-
-    resources: list[ResourcePlan] = []
-    for roots, types in groups:
-        label = f"shared({','.join(_pair_str(r) for r in roots)})"
-        resources.append(ResourcePlan(label, _sorted_pairs(types)))
-    for sig, exports in itf_exports.items():
-        resources.append(ResourcePlan(f"itf({_pair_str(sig)})", _sorted_pairs(exports)))
-
-    pair_label: dict[Pair, str] = {}
-    for rp in resources:
-        for pair in rp.exports:
-            pair_label[pair] = rp.label
+    roots = [pair for comp in definition.components for pair in file_pairs(corpus, comp)]
+    sigs = signature_pairs(corpus, definition.interfaces)
+    for comp in definition.components:
+        sigs += signature_pairs(corpus, comp.interfaces)
+    resources = plan_public(roots, sigs, corpus, {})
+    public = {pair: rp for rp in resources for pair in rp.exports}
 
     infos: list[InfoPlan] = []
     wiring: dict[tuple[str, str], str] = {}
-
     for comp in definition.components:
-        content_pair = _resolve_pair(corpus, *comp.content)
-        content_closure = corpus.closure([TypeRef(*content_pair)])
-        impl_exports = content_closure - shared_types - itf_types
-        impl_label = f"impl({comp.name}:{_pair_str(content_pair)})"
-        if impl_exports:
-            resources.append(ResourcePlan(impl_label, _sorted_pairs(impl_exports)))
-
-        imports: dict[str, VersionTag] = {}
-        _merge_imports(imports, content_closure, comp.name)
-        _merge_imports(imports, comp_sigs[comp.name], comp.name)
-        for fname, fver in comp.files:
-            file_pair = _resolve_pair(corpus, fname, fver)
-            _merge_imports(imports, corpus.closure([TypeRef(*file_pair)]), comp.name)
-
-        providers: set[str] = set()
-        for name, version in imports.items():
-            pair = (name, version)
-            label = impl_label if pair in impl_exports else pair_label[pair]
-            wiring[(comp.name, name)] = label
-            providers.add(label)
-        infos.append(InfoPlan(comp.name, _sorted_pairs(imports.items()),
-                              tuple(sorted(providers))))
+        impl, imports = plan_component(comp, corpus, public)
+        if impl is not None:
+            resources.append(impl)
+        infos.append(_info_plan(comp.name, imports, wiring))
 
     if definition.interfaces:
-        imports = {}
-        _merge_imports(imports, comp_sigs[definition.name], definition.name)
-        providers = set()
-        for name, version in imports.items():
-            label = pair_label[(name, version)]
-            wiring[(definition.name, name)] = label
-            providers.add(label)
-        infos.append(InfoPlan(definition.name, _sorted_pairs(imports.items()),
-                              tuple(sorted(providers))))
+        root_sigs: dict[str, VersionTag] = {}
+        _merge_imports(root_sigs, signature_pairs(corpus, definition.interfaces), definition.name)
+        infos.append(_info_plan(definition.name, {n: (v, public[(n, v)])
+                                                  for n, v in root_sigs.items()}, wiring))
 
     resources.sort(key=lambda rp: rp.label)
-    return ModulePlan(Granularity.PER_COMPONENT, tuple(resources), tuple(infos),
-                      wiring, frozenset(shared_types), frozenset(itf_types))
+    return ModulePlan(Granularity.PER_COMPONENT, tuple(resources), tuple(infos), wiring)
 
 
-def _plan_single(definition: AdlDefinition, corpus: CorpusStore,
-                 comp_sigs: dict[str, list[Pair]]) -> ModulePlan:
+def _plan_single(definition: AdlDefinition, corpus: CorpusStore) -> ModulePlan:
     needed: dict[str, VersionTag] = {}
     for comp in definition.components:
-        content_pair = _resolve_pair(corpus, *comp.content)
-        _merge_imports(needed, corpus.closure([TypeRef(*content_pair)]), comp.name)
-        _merge_imports(needed, comp_sigs[comp.name], comp.name)
-        for fname, fver in comp.files:
-            pair = _resolve_pair(corpus, fname, fver)
-            _merge_imports(needed, corpus.closure([TypeRef(*pair)]), comp.name)
-    _merge_imports(needed, comp_sigs[definition.name], definition.name)
-
+        _merge_imports(needed, component_imports(comp, corpus).items(), comp.name)
+    _merge_imports(needed, signature_pairs(corpus, definition.interfaces), definition.name)
     pairs = _sorted_pairs(needed.items())
-    resources = (ResourcePlan("all", pairs),)
-    infos = (InfoPlan(definition.name, pairs, ("all",)),)
-    wiring = {}
     owners = [c.name for c in definition.components] + [definition.name]
-    for owner in owners:
-        for name, _ in pairs:
-            wiring[(owner, name)] = "all"
-    return ModulePlan(Granularity.SINGLE_LOADER, resources, infos, wiring,
-                      frozenset(), frozenset())
+    return ModulePlan(Granularity.SINGLE_LOADER, (ResourcePlan("all", pairs, "shared"),),
+                      (InfoPlan(definition.name, pairs, ("all",)),),
+                      {(owner, name): "all" for owner in owners for name, _ in pairs})
 
 
 def render_plan(plan: ModulePlan) -> str:
@@ -266,33 +266,55 @@ def render_plan(plan: ModulePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ArchitectureInstance:
-    """A built architecture: component tree, bindings, and its module graph."""
+class ModuleLedger:
+    """The plan every live resource module of an architecture was created from.
 
-    def __init__(self, definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
-                 corpus: CorpusStore, label_ids: dict[str, ModuleId],
-                 info_ids: dict[str, ModuleId], components: dict[str, ComponentInstance],
-                 root: ComponentInstance, bindings: list[BindingRecord]):
+    ``public`` maps each pair a shared or interface module exports to that
+    module; an implementation module serves its owner alone and stays out of
+    it, so planning against the ledger never picks another component's copy.
+    """
+
+    def __init__(self):
+        self.entries: dict[ModuleId, ResourcePlan] = {}
+        self.public: dict[Pair, ModuleId] = {}
+
+    def record(self, module: ModuleId, plan: ResourcePlan) -> None:
+        self.entries[module] = plan
+        if plan.kind != "impl":
+            self.public.update(dict.fromkeys(plan.exports, module))
+
+    def refuse_private(self, pairs: set[Pair]) -> None:
+        """Raise ``AmbiguousImport`` if implementation modules hold one of ``pairs``.
+
+        Making such a pair public would leave its holders on private copies, a
+        sharing relation no one-step plan gives; the holders are the candidates.
+        """
+        if not pairs:
+            return
+        held = [(pair, mid) for mid, plan in self.entries.items() if plan.kind == "impl"
+                for pair in pairs.intersection(plan.exports)]
+        if held:
+            first = _sorted_pairs(pair for pair, _ in held)[0]
+            raise AmbiguousImport(*first, sorted(mid for pair, mid in held if pair == first))
+
+
+class ArchitectureInstance:
+    """A built architecture: component tree, bindings, and its module ledger."""
+
+    def __init__(self, definition: AdlDefinition, granularity: Granularity,
+                 mgr: ModuleManager, corpus: CorpusStore, ledger: ModuleLedger,
+                 components: dict[str, ComponentInstance], root: ComponentInstance,
+                 bindings: list[BindingRecord]):
         self.definition = definition
-        self.granularity = plan.granularity
-        self.plan = plan
+        self.granularity = granularity
         self.mgr = mgr
         self.corpus = corpus
-        self.label_ids = dict(label_ids)
-        self.label_exports: dict[str, set[Pair]] = {
-            rp.label: set(rp.exports) for rp in plan.resources
-        }
-        self.info_ids = dict(info_ids)
+        self.ledger = ledger
+        # Each primitive's planner input, kept current by add, swap and remove.
+        self.sources: dict[str, AdlComponent] = {c.name: c for c in definition.components}
         self.components = dict(components)
         self.root = root
         self.bindings = bindings
-        self.shared_types = set(plan.shared_types)
-        self.itf_types = set(plan.itf_types)
-        self.private_labels: dict[str, list[str]] = {}
-        for rp in plan.resources:
-            if rp.label.startswith("impl("):
-                owner = rp.label[len("impl("):].split(":", 1)[0]
-                self.private_labels.setdefault(owner, []).append(rp.label)
         self.trace: list = []
         self.swaps: list = []
         self.in_call = False
@@ -378,13 +400,15 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
     created: list[ModuleId] = []
     location = f"definition {definition.name}"
     try:
+        ledger = ModuleLedger()
         label_ids: dict[str, ModuleId] = {}
         for rp in plan.resources:
             location = f"module {rp.label}"
             mid = mgr.create_resource_module(
                 [ExportDecl(n, v) for n, v in rp.exports], corpus)
-            label_ids[rp.label] = mid
             created.append(mid)
+            label_ids[rp.label] = mid
+            ledger.record(mid, rp)
 
         info_ids: dict[str, ModuleId] = {}
         for ip in plan.infos:
@@ -392,27 +416,26 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
             mid = mgr.create_info_module(
                 [ImportDecl(n, v) for n, v in ip.imports],
                 providers=[label_ids[label] for label in ip.providers])
-            info = mgr.module(mid)
-            assert isinstance(info, InfoModule)
-            for name, pid in info.wiring.items():
-                # Sharing correctness: the live wiring must match the plan preview.
-                assert label_ids[plan.wiring[(ip.component, name)]] == pid
-            info_ids[ip.component] = mid
             created.append(mid)
+            for name, pid in mgr.module(mid).wiring.items():
+                planned = plan.wiring[(ip.component, name)]
+                if label_ids[planned] != pid:
+                    raise InvariantViolation(
+                        f"{ip.component} resolves {name} to {pid}, the plan to {planned}")
+            info_ids[ip.component] = mid
 
         single = plan.granularity is Granularity.SINGLE_LOADER
         components: dict[str, ComponentInstance] = {}
         for comp in definition.components:
             location = f"component {comp.name} ({comp.line}:{comp.col})"
             info_id = info_ids[definition.name] if single else info_ids[comp.name]
-            ports = _port_specs(corpus, comp.interfaces)
-            content_pair = _resolve_pair(corpus, *comp.content)
-            content = mgr.load_type(info_id, content_pair[0])
+            ports = port_specs(corpus, comp.interfaces)
+            content = mgr.load_type(info_id, comp.content[0])
             components[comp.name] = new_primitive(mgr, comp.name, ports, content, info_id)
 
         location = f"definition {definition.name}"
         root_info = info_ids.get(definition.name)
-        root = new_composite(mgr, definition.name, _port_specs(corpus, definition.interfaces),
+        root = new_composite(mgr, definition.name, port_specs(corpus, definition.interfaces),
                              [components[c.name] for c in definition.components],
                              info_module=root_info)
         components[definition.name] = root
@@ -421,8 +444,8 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         for b in definition.bindings:
             location = f"binding {b} ({b.line}:{b.col})"
             _apply_binding(mgr, root, components, b, bindings)
-        return ArchitectureInstance(definition, plan, mgr, corpus, label_ids,
-                                    info_ids, components, root, bindings)
+        return ArchitectureInstance(definition, plan.granularity, mgr, corpus, ledger,
+                                    components, root, bindings)
     except Exception as exc:
         for mid in reversed(created):
             mgr.remove_module(mid, force=True)
@@ -431,12 +454,9 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         raise InstantiationError(location, exc) from exc
 
 
-def _port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:
-    specs = []
-    for itf in interfaces:
-        name, version = _resolve_pair(corpus, itf.signature, itf.version)
-        specs.append(PortSpec(itf.name, itf.role, name, version))
-    return specs
+def port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:
+    return [PortSpec(itf.name, itf.role, *pair)
+            for itf, pair in zip(interfaces, signature_pairs(corpus, interfaces))]
 
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,

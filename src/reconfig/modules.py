@@ -137,10 +137,6 @@ class ResourceModule:
         self._defined[name] = dt
         return dt
 
-    @property
-    def defined_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._defined))
-
 
 class InfoModule:
     """Per-component delegating module: imports, no cache, no definitions."""
@@ -296,25 +292,36 @@ class ModuleManager:
         self._emit(EventKind.REMOVED, module_id)
         return RemovalReport(module_id, tuple(dependents))
 
-    def rewire_import(self, via: ModuleId, drop: str, add: ImportDecl,
-                      provider: ModuleId) -> None:
-        """Replace one import of an info module with a pinned provider.
+    def rewire_import(self, via: ModuleId, drop: Iterable[str],
+                      add: Iterable[tuple[ImportDecl, ModuleId]]) -> None:
+        """Drop some imports of an info module and add others, each pinned to a provider.
 
-        Used by implementation swap: only the named entry changes, the rest of
-        the wiring (interface and shared modules) is untouched.
+        Used by implementation swap. Every entry is validated before anything
+        changes, so the move is all or nothing; entries not named stay as
+        they are.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):
             raise UnknownModule(via)
-        if drop not in info.imports:
-            raise NotImported(drop)
-        target = self.module(provider)
-        if not isinstance(target, ResourceModule) or not target.exports_pair(add.name, add.version):
-            raise UnresolvableExport(add.name, add.version)
-        del info.imports[drop]
-        info.wiring.pop(drop, None)
-        info.imports[add.name] = add.version
-        info.wiring[add.name] = provider
+        drop, add = set(drop), list(add)
+        missing = sorted(drop - info.imports.keys())
+        if missing:
+            raise NotImported(missing[0])
+        kept = {n: v for n, v in info.imports.items() if n not in drop}
+        for decl, provider in add:
+            target = self.module(provider)
+            if not (isinstance(target, ResourceModule)
+                    and target.exports_pair(decl.name, decl.version)):
+                raise UnresolvableExport(decl.name, decl.version)
+            if decl.name in kept:
+                raise ConflictingImports(decl.name, kept[decl.name], decl.version)
+            kept[decl.name] = decl.version
+        for name in drop:
+            del info.imports[name]
+            info.wiring.pop(name, None)
+        for decl, provider in add:
+            info.imports[decl.name] = decl.version
+            info.wiring[decl.name] = provider
 
     def subscribe(self, listener: Callable[[ModuleEvent], None]) -> Subscription:
         token = self._next_token

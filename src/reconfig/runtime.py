@@ -17,16 +17,20 @@ value of the declared return type, constructed in its own context. That is
 enough to exercise every identity and context phenomenon while staying
 deterministic.
 
-Implementation swap replaces a primitive's content with a new version behind
-untouched interface modules: a fresh resource module is created, only the
-content entry of the component's wiring moves, and the old defined type (and
-its module) live on for as long as anything references them.
+Add and swap run the factory's planner against the architecture's module
+ledger. Add refuses, with ``AmbiguousImport``, to make public a type that other
+components hold in private modules. Swap re-plans only the swapped component:
+its info module moves to exactly the imports a fresh plan of the new content
+gives, so the whole private closure follows the new content into one fresh
+module while interface and shared modules stay untouched. The old defined
+types (and their module) live on for as long as anything references them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .adl import AdlComponent
@@ -37,6 +41,7 @@ from .errors import (
     ContentNotAClass,
     DuplicateComponent,
     GranularityForbidsSwap,
+    InvariantViolation,
     MissingMethod,
     NotAPrimitive,
     NotFound,
@@ -49,17 +54,18 @@ from .errors import (
 from .factory import (
     ArchitectureInstance,
     Granularity,
-    _merge_imports,
-    _pair_str,
-    _resolve_pair,
-    _sorted_pairs,
+    ResourcePlan,
+    file_pairs,
+    plan_component,
+    plan_public,
+    port_specs,
+    signature_pairs,
 )
 from .model import (
     BindingRecord,
     ComponentInstance,
     ComponentKind,
     InterfacePort,
-    PortSpec,
     Role,
     add_child,
     bind,
@@ -236,7 +242,8 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
         return _call_server(arch, ctx, target, method, list(args), 1)
     finally:
         arch.in_call = False
-        assert ctx.depth == 0, "execution context must balance"
+        if ctx.depth != 0:
+            raise InvariantViolation(f"execution context left {ctx.depth} module(s) pushed")
 
 
 def make_value(arch: ArchitectureInstance, owner: ComponentInstance, type_name: str) -> Value:
@@ -256,9 +263,11 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
                         corpus: CorpusStore) -> SwapRecord:
     """Replace a primitive's content with another version, live.
 
-    Interface and shared modules are untouched, so every existing binding
-    stays type-safe; the old content type and its module persist, letting the
-    two versions coexist until the old module is removed explicitly.
+    The info module moves in one validated step to the imports a fresh plan
+    of the new content gives. Interface and shared modules are untouched, so
+    every binding stays type-safe, which is checked before the swap commits;
+    the old content type and its module persist, letting the two versions
+    coexist until the old module is removed explicitly.
     """
     _guard_reconfig(arch, "swap")
     comp = arch.component(component)
@@ -279,27 +288,39 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
             if (method.name, method.params) not in implemented:
                 raise MissingMethod(port.signature, method.name)
 
-    exports = corpus.closure([TypeRef(name, tag)]) - arch.shared_types - arch.itf_types
-    new_mid = arch.mgr.create_resource_module(
-        [ExportDecl(n, v) for n, v in _sorted_pairs(exports)], corpus)
+    source = replace(arch.sources[component], content=(name, tag))
+    impl, planned = plan_component(source, corpus, arch.ledger.public)
+    new_mid = None
+    if impl is not None:
+        new_mid = arch.mgr.create_resource_module(
+            [ExportDecl(n, v) for n, v in impl.exports], corpus)
+    info = arch.mgr.module(comp.info_module)
+    before = {n: (v, info.wiring.get(n)) for n, v in info.imports.items()}
+    after = {n: (v, new_mid if p is impl else p) for n, (v, p) in planned.items()}
+    moved_out = [(ImportDecl(n, v), pid) for n, (v, pid) in before.items()
+                 if after.get(n) != (v, pid)]
+    moved_in = [(ImportDecl(n, v), pid) for n, (v, pid) in after.items()
+                if before.get(n) != (v, pid)]
     old = comp.content
     try:
-        arch.mgr.rewire_import(comp.info_module, drop=old.name,
-                               add=ImportDecl(name, tag), provider=new_mid)
+        arch.mgr.rewire_import(info.id, [d.name for d, _ in moved_out], moved_in)
+        comp.content = arch.mgr.load_type(info.id, name)
+        broken = [desc for desc, chk in arch.binding_checks() if not chk.ok]
+        if broken:
+            arch.mgr.rewire_import(info.id, [d.name for d, _ in moved_in], moved_out)
+            raise InvariantViolation(f"swap would break bindings: {broken}")
     except Exception:
-        arch.mgr.remove_module(new_mid, force=True)
+        comp.content = old
+        if new_mid is not None:
+            arch.mgr.remove_module(new_mid, force=True)
         raise
-    comp.content = arch.mgr.load_type(comp.info_module, name)
 
-    label = f"swap{len(arch.swaps)}({component}:{_pair_str((name, tag))})"
-    arch.label_ids[label] = new_mid
-    arch.label_exports[label] = set(exports)
-    arch.private_labels.setdefault(component, []).append(label)
-    record = SwapRecord(component, old, comp.content, new_mid)
+    if new_mid is not None:
+        arch.ledger.record(new_mid, impl)
+    arch.sources[component] = source
+    record = SwapRecord(component, old, comp.content, comp.content.defined_by)
     arch.swaps.append(record)
     _event(arch, SWAP, component, str(old), str(comp.content))
-    broken = [desc for desc, chk in arch.binding_checks() if not chk.ok]
-    assert not broken, f"swap must leave bindings intact: {broken}"
     return record
 
 
@@ -347,90 +368,39 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
                   corpus: CorpusStore) -> ComponentInstance:
     """Add a primitive described by an ADL fragment to the root composite.
 
-    Module planning follows the same precedence as the factory: already
-    planned modules are reused for any type they export, new interface and
-    shared modules are created for unseen signatures and file declarations,
-    and the private remainder of the content closure gets a fresh
-    implementation module. Failure rolls every created module back.
+    Public modules are planned for the fragment's files and signatures that
+    the ledger does not export yet, then the component against them. A new
+    public type already held in implementation modules raises
+    ``AmbiguousImport`` before anything is created; any later failure rolls
+    every created module back.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     if component.name in arch.components:
         raise DuplicateComponent(component.name)
 
-    pair_label: dict[tuple[str, VersionTag], str] = {}
-    for label, exports in arch.label_exports.items():
-        for pair in exports:
-            pair_label[pair] = label
-
-    new_resources: list[tuple[str, set]] = []
-    exported_now = set(pair_label)
-
-    file_pairs = [_resolve_pair(corpus, n, v) for n, v in component.files]
-    new_shared_types: set = set()
-    for pair in _sorted_pairs(set(file_pairs)):
-        if pair in pair_label or pair in {p for _, e in new_resources for p in e}:
-            continue
-        exports = {pair} | (corpus.closure([TypeRef(*pair)]) - exported_now)
-        label = f"shared({_pair_str(pair)})"
-        new_resources.append((label, exports))
-        exported_now |= exports
-        new_shared_types |= exports
-
-    sig_pairs = [_resolve_pair(corpus, itf.signature, itf.version)
-                 for itf in component.interfaces]
-    new_itf_types: set = set()
-    for pair in _sorted_pairs(set(sig_pairs)):
-        if pair in exported_now:
-            continue
-        exports = {pair} | (corpus.closure([TypeRef(*pair)]) - exported_now)
-        label = f"itf({_pair_str(pair)})"
-        new_resources.append((label, exports))
-        exported_now |= exports
-        new_itf_types |= exports
-
-    content_pair = _resolve_pair(corpus, *component.content)
-    content_closure = corpus.closure([TypeRef(*content_pair)])
-    impl_exports = (content_closure - arch.shared_types - new_shared_types
-                    - arch.itf_types - new_itf_types)
-    impl_label = f"impl({component.name}:{_pair_str(content_pair)})"
-    if impl_exports:
-        new_resources.append((impl_label, impl_exports))
-
-    imports: dict[str, VersionTag] = {}
-    _merge_imports(imports, content_closure, component.name)
-    _merge_imports(imports, sig_pairs, component.name)
-    for pair in file_pairs:
-        _merge_imports(imports, corpus.closure([TypeRef(*pair)]), component.name)
+    ledger = arch.ledger
+    new_public = plan_public(file_pairs(corpus, component),
+                             signature_pairs(corpus, component.interfaces), corpus, ledger.public)
+    new_index = {pair: rp for rp in new_public for pair in rp.exports}
+    ledger.refuse_private(set(new_index))
+    impl, planned = plan_component(component, corpus, ChainMap(new_index, ledger.public))
+    plans = new_public + ([impl] if impl is not None else [])
 
     created: list[ModuleId] = []
-    new_label_ids: dict[str, ModuleId] = {}
     try:
-        for label, exports in new_resources:
-            mid = arch.mgr.create_resource_module(
-                [ExportDecl(n, v) for n, v in _sorted_pairs(exports)], corpus)
-            new_label_ids[label] = mid
-            created.append(mid)
-
-        def label_of(pair) -> str:
-            if pair in impl_exports:
-                return impl_label
-            for label, exports in new_resources:
-                if pair in exports:
-                    return label
-            return pair_label[pair]
-
-        providers = sorted({label_of((n, v)) for n, v in imports.items()})
-        provider_ids = [new_label_ids.get(label) or arch.label_ids[label]
-                        for label in providers]
+        for rp in plans:
+            created.append(arch.mgr.create_resource_module(
+                [ExportDecl(n, v) for n, v in rp.exports], corpus))
+        ids = {rp.label: mid for rp, mid in zip(plans, created)}
+        imports = {n: (v, ids[p.label] if isinstance(p, ResourcePlan) else p)
+                   for n, (v, p) in planned.items()}
         info_id = arch.mgr.create_info_module(
-            [ImportDecl(n, v) for n, v in _sorted_pairs(imports.items())],
-            providers=provider_ids)
+            [ImportDecl(n, v) for n, (v, _) in imports.items()],
+            providers={pid for _, pid in imports.values()})
         created.append(info_id)
-
-        ports = [PortSpec(itf.name, itf.role, *_resolve_pair(corpus, itf.signature, itf.version))
-                 for itf in component.interfaces]
-        content = arch.mgr.load_type(info_id, content_pair[0])
-        inst = new_primitive(arch.mgr, component.name, ports, content, info_id)
+        content = arch.mgr.load_type(info_id, component.content[0])
+        inst = new_primitive(arch.mgr, component.name,
+                             port_specs(corpus, component.interfaces), content, info_id)
     except Exception:
         for mid in reversed(created):
             arch.mgr.remove_module(mid, force=True)
@@ -438,35 +408,30 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
-    arch.info_ids[component.name] = info_id
-    arch.label_ids.update(new_label_ids)
-    for label, exports in new_resources:
-        arch.label_exports[label] = set(exports)
-    arch.shared_types |= new_shared_types
-    arch.itf_types |= new_itf_types
-    if impl_exports:
-        arch.private_labels.setdefault(component.name, []).append(impl_label)
+    arch.sources[component.name] = component
+    for rp, mid in zip(plans, created):
+        ledger.record(mid, rp)
     return inst
 
 
 def remove_component(arch: ArchitectureInstance, name: str) -> None:
     """Remove a primitive from the root, refusing while bindings cross it.
 
-    The component's info module and private implementation modules go away;
-    interface and shared modules stay, they may serve other components.
+    The component's info module and the implementation modules the ledger
+    records it as owning go away; interface and shared modules stay, they may
+    serve other components.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     comp = arch.component(name)
     if comp is arch.root or comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
     remove_child(arch.root, comp)
-    info_id = arch.info_ids.pop(name)
-    arch.mgr.remove_module(info_id, force=False)
-    for label in arch.private_labels.pop(name, []):
-        mid = arch.label_ids.pop(label)
-        arch.label_exports.pop(label, None)
+    arch.mgr.remove_module(comp.info_module, force=False)
+    for mid in [mid for mid, rp in arch.ledger.entries.items() if rp.owner == name]:
         arch.mgr.remove_module(mid, force=False)
+        del arch.ledger.entries[mid]
     del arch.components[name]
+    del arch.sources[name]
 
 
 def bench_interception(arch: ArchitectureInstance, n: int,

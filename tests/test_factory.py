@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from reconfig.adl import parse_adl, validate
@@ -301,7 +303,8 @@ def test_plan_invariants_hold_on_random_architectures():
                 providers = [label for label in ip.providers if pair in exports[label]]
                 assert len(providers) == 1
                 assert plan.wiring[(ip.component, pair[0])] == providers[0]
-        for pair in plan.shared_types:
+        shared_types = {p for rp in plan.resources if rp.kind == "shared" for p in rp.exports}
+        for pair in shared_types:
             owners = [label for label, exp in exports.items() if pair in exp]
             assert owners and all(label.startswith("shared(") for label in owners)
         for b in definition.bindings:
@@ -317,3 +320,14 @@ def test_failed_instantiation_reports_the_adl_location(hello):
     with pytest.raises(InstantiationError) as exc:
         instantiate(definition, plan, ModuleManager(), _sabotaged(hello, ("ServerImpl", "2.0")))
     assert "impl(server:ServerImpl@2.0)" in str(exc.value)
+
+
+def test_wiring_that_departs_from_the_plan_fails_instantiation(hello):
+    plan = plan_modules(_definition(), Granularity.PER_COMPONENT, hello)
+    wiring = dict(plan.wiring)
+    wiring[("client", "Service")] = wiring[("client", "ClientImpl")]
+    mgr = ModuleManager()
+    with pytest.raises(InstantiationError) as exc:
+        instantiate(_definition(), replace(plan, wiring=wiring), mgr, hello)
+    assert exc.value.code == "InvariantViolation"
+    assert mgr.live_ids() == frozenset()

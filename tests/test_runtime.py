@@ -3,14 +3,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconfig.adl import parse_adl, parse_component_fragment, validate
 from reconfig.corpus import CorpusStore, MethodSig, TypeDef, TypeKind, TypeRef, VersionTag, load_corpus
 from reconfig.errors import (
+    AmbiguousImport,
     ArityError,
     ContentNotAClass,
     CrossBindingExists,
     GranularityForbidsSwap,
+    InvariantViolation,
     MissingMethod,
     NotAPrimitive,
     ReconfigDuringCall,
@@ -19,7 +23,8 @@ from reconfig.errors import (
     UnknownMethod,
     UnresolvableExport,
 )
-from reconfig.factory import Granularity, instantiate, plan_modules
+from reconfig.factory import Granularity, instantiate, plan_component, plan_modules
+from reconfig.model import BindingCheck
 from reconfig.modules import ModuleManager, replay_live_set, same_type
 from reconfig import runtime
 
@@ -426,3 +431,148 @@ def test_bench_rejects_zero_calls():
     arch, _, _ = build_architecture("chain3.fractal.xml", "chain")
     with pytest.raises(ValueError):
         runtime.bench_interception(arch, 0)
+
+
+# --- one planner against the module ledger ------------------------------------------
+
+def _corpus_of(*typedefs: TypeDef) -> CorpusStore:
+    return CorpusStore(corpus_path("hello"), {(td.name, td.version): td for td in typedefs})
+
+
+def _cls(name: str, version: str, *refs: tuple[str, str]) -> TypeDef:
+    return TypeDef(name, V(version), TypeKind.CLASS,
+                   tuple(TypeRef(n, V(v)) for n, v in refs), ())
+
+
+def _component_xml(name: str, content: str, files=(), sigs=()) -> str:
+    ports = "".join(f'<interface name="p{i}" role="server" signature="{sig}" version="1.0"/>'
+                    for i, sig in enumerate(sigs))
+    declared = "".join(f'<file name="{f}" version="1.0"/>' for f in files)
+    return (f'<component name="{name}">{ports}<content class="{content}" version="1.0"/>'
+            f'{declared}</component>')
+
+
+def _definition_xml(components: list[str]) -> str:
+    return f'<definition name="D" version="1.0">{"".join(components)}</definition>'
+
+
+def _private_a_corpus() -> CorpusStore:
+    return _corpus_of(_cls("A", "1.0"), _cls("AImpl", "1.0", ("A", "1.0")),
+                      _cls("BImpl", "1.0"))
+
+
+def test_add_refuses_a_file_that_other_components_hold_privately():
+    corpus = _private_a_corpus()
+    arch = _build_text(_definition_xml([_component_xml("a", "AImpl"),
+                                        _component_xml("z", "AImpl")]), corpus)
+    private = sorted(arch.mgr.module(arch.component(c).info_module).wiring["A"] for c in "az")
+    assert private[0] != private[1]
+    before, live = arch.report(), arch.mgr.live_ids()
+    with pytest.raises(AmbiguousImport) as exc:
+        runtime.add_component(arch, parse_component_fragment(
+            _component_xml("b", "BImpl", files=["A"])), corpus)
+    assert exc.value.name == "A" and list(exc.value.candidates) == private
+    assert arch.report() == before and arch.mgr.live_ids() == live
+
+
+def test_refused_add_leaves_the_private_holder_removable():
+    corpus = _private_a_corpus()
+    arch = _build_text(_definition_xml([_component_xml("a", "AImpl")]), corpus)
+    with pytest.raises(AmbiguousImport):
+        runtime.add_component(arch, parse_component_fragment(
+            _component_xml("b", "BImpl", files=["A"])), corpus)
+    runtime.remove_component(arch, "a")
+    assert "a" not in arch.components
+    assert arch.mgr.live_ids() == replay_live_set(arch.mgr.events)
+
+
+def test_swap_rewires_the_whole_private_closure():
+    corpus = _corpus_of(_cls("Helper", "1.0"), _cls("Helper", "2.0"),
+                        _cls("Impl", "1.0", ("Helper", "1.0")),
+                        _cls("Impl", "2.0", ("Helper", "2.0")))
+    arch = _build_text(_definition_xml([_component_xml("c", "Impl")]), corpus)
+    comp = arch.component("c")
+    assert runtime.make_value(arch, comp, "Helper").rt_type.defined_by == comp.content.defined_by
+
+    record = runtime.swap_implementation(arch, "c", ("Impl", "2.0"), corpus)
+    helper = runtime.make_value(arch, comp, "Helper").rt_type
+    assert helper.defined_by == record.new_module
+    assert str(helper.definition.version) == "2.0"
+    _, fresh = plan_component(arch.sources["c"], corpus, arch.ledger.public)
+    info = arch.mgr.module(comp.info_module)
+    assert info.imports == {name: version for name, (version, _) in fresh.items()}
+    assert set(info.wiring.values()) == {record.new_module}
+
+
+@st.composite
+def _sharing_cases(draw):
+    """A corpus with private helper chains, plus 2-5 components (the last one is added)."""
+    commons = [f"T{i}" for i in range(draw(st.integers(1, 4)))]
+    tds = [_cls(t, "1.0", *[(u, "1.0") for u in commons[i + 1:] if draw(st.booleans())])
+           for i, t in enumerate(commons)]
+    helpers: list[str] = []
+    for k in range(draw(st.integers(1, 3))):
+        chain = [f"H{k}_{j}" for j in range(draw(st.integers(0, 3)))]
+        for j, h in enumerate(chain):
+            refs = chain[j + 1:j + 2] or draw(st.lists(st.sampled_from(commons), max_size=1))
+            tds.append(_cls(h, "1.0", *[(r, "1.0") for r in refs]))
+        refs = chain[:1] + draw(st.lists(st.sampled_from(commons), max_size=2, unique=True))
+        tds.append(_cls(f"Impl{k}", "1.0", *[(r, "1.0") for r in refs]))
+        helpers += chain
+    sigs = [f"S{i}" for i in range(draw(st.integers(0, 2)))]
+    for sig in sigs:
+        refs = draw(st.lists(st.sampled_from(commons + helpers), max_size=2, unique=True))
+        tds.append(TypeDef(sig, V("1.0"), TypeKind.INTERFACE,
+                           tuple(TypeRef(r, V("1.0")) for r in refs), ()))
+    impls = sorted({td.name for td in tds if td.name.startswith("Impl")})
+    comps = []
+    for i in range(draw(st.integers(2, 5))):
+        files = draw(st.lists(st.sampled_from(commons + helpers), max_size=2, unique=True))
+        ports = draw(st.lists(st.sampled_from(sigs), max_size=2, unique=True)) if sigs else []
+        comps.append(_component_xml(f"c{i}", draw(st.sampled_from(impls)), files, ports))
+    return _corpus_of(*tds), comps
+
+
+def _sharing(arch) -> dict[tuple[str, str, str], bool]:
+    """For each pair of components and each name both import: one module or not?"""
+    wirings = {name: arch.mgr.module(comp.info_module).wiring
+               for name, comp in arch.components.items() if comp is not arch.root}
+    return {(x, y, t): wx[t] == wirings[y][t]
+            for x, wx in wirings.items() for y in wirings if x < y
+            for t in wx if t in wirings[y]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sharing_cases())
+def test_build_then_add_shares_like_a_one_step_build(case):
+    corpus, comps = case
+    whole = _build_text(_definition_xml(comps), corpus)
+    arch = _build_text(_definition_xml(comps[:-1]), corpus)
+    before = arch.report()
+    try:
+        runtime.add_component(arch, parse_component_fragment(comps[-1]), corpus)
+    except AmbiguousImport:
+        assert arch.report() == before
+        return
+    assert _sharing(arch) == _sharing(whole)
+
+
+# --- state checks that survive python -O ------------------------------------------
+
+def test_unbalanced_execution_context_is_an_invariant_violation(monkeypatch):
+    arch, _, _ = build_architecture("hello.fractal.xml", "hello")
+    monkeypatch.setattr(runtime.ExecutionContext, "pop", lambda self: self.current)
+    with pytest.raises(InvariantViolation):
+        runtime.invoke(arch, "HelloWorld", "r", "run")
+    assert not arch.in_call
+
+
+def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    before, live = arch.report(), arch.mgr.live_ids()
+    broken = BindingCheck(False, TypeMismatch("Service", "m1", "m2"))
+    monkeypatch.setattr(arch, "binding_checks", lambda: [("client.s -> server.s", broken)])
+    with pytest.raises(InvariantViolation):
+        runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    assert arch.report() == before and arch.mgr.live_ids() == live
+    assert not arch.swaps
