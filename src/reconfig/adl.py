@@ -8,12 +8,24 @@ prolog, no DTD, and no nested components. Leaf elements must be self-closing.
 Everything outside this subset is rejected with a position, which keeps the
 parser honest under fuzzing: any input either yields a well-formed definition
 or a diagnostic error, never a crash.
+
+The scanner moves by spans: compiled patterns match whitespace and comments,
+names and attribute values. A line and column are worked out only where an
+element starts or an error is raised, by counting the newlines in the span
+consumed since the last position worked out. One child-element loop, driven by
+the table of the children each container allows, reads both ``<definition>``
+and ``<component>``; one leaf branch reads ``interface``, ``content``,
+``file`` and ``binding``. ``AdlDefinition.check_invariants`` is the structure
+check ``parse_adl`` runs; it and ``validate`` resolve binding endpoints
+through the definition's port index.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .corpus import CorpusStore, TypeKind, TypeRef, VersionTag, is_type_name
@@ -21,6 +33,10 @@ from .errors import AmbiguousVersion, NotFound, ParseError, UnknownAttribute, Un
 from .model import Role
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
+_SPACE_OR_COMMENT_RE = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.DOTALL)
+_NAME_RE = re.compile(r"[\w.-]+")
+_VALUE_RE = re.compile(r'[^"<&\n]*')
 
 _KNOWN_ATTRS = {
     "definition": {"name", "version"},
@@ -29,6 +45,12 @@ _KNOWN_ATTRS = {
     "content": {"class", "version"},
     "file": {"name", "version"},
     "binding": {"client", "server"},
+}
+
+#: The child elements each container allows.
+_CHILDREN = {
+    "definition": ("interface", "component", "binding"),
+    "component": ("interface", "content", "file"),
 }
 
 
@@ -72,300 +94,261 @@ class AdlDefinition:
     components: tuple[AdlComponent, ...]
     bindings: tuple[AdlBinding, ...]
 
+    @cached_property
+    def _components(self) -> dict[str, AdlComponent]:
+        """Component name -> the first component of that name."""
+        return {c.name: c for c in reversed(self.components)}
+
+    @cached_property
+    def _ports(self) -> dict[str, dict[str, AdlInterface]]:
+        """Owner ('this' for the definition) -> port name -> its first port of that name."""
+        owners = {name: comp.interfaces for name, comp in self._components.items()}
+        owners["this"] = self.interfaces
+        return {owner: {i.name: i for i in reversed(ports)} for owner, ports in owners.items()}
+
     def component(self, name: str) -> Optional[AdlComponent]:
-        for comp in self.components:
-            if comp.name == name:
-                return comp
-        return None
+        return self._components.get(name)
+
+    def port(self, endpoint: tuple[str, str]) -> Optional[AdlInterface]:
+        """The port a binding endpoint ``(component or 'this', port)`` names."""
+        owner, port = endpoint
+        return self._ports.get(owner, {}).get(port)
 
     def check_invariants(self) -> None:
-        """Re-assert the structural invariants the parser enforces."""
-        names = [c.name for c in self.components]
-        assert len(names) == len(set(names)), "component names must be unique"
-        assert self.name not in names, "definition name must not collide with a component"
+        """Raise ParseError unless component names are unique and differ from
+        the definition's, and every binding joins two declared ports."""
+        seen: set[str] = set()
+        for comp in self.components:
+            if comp.name in seen:
+                raise ParseError(comp.line, comp.col, f"unique component name, {comp.name} repeats")
+            seen.add(comp.name)
+        if self.name in seen:
+            raise ParseError(1, 1, f"definition name {self.name} distinct from its components")
         for b in self.bindings:
-            for comp, port in (b.client, b.server):
-                holder = self.interfaces if comp == "this" else \
-                    (self.component(comp).interfaces if self.component(comp) else None)
-                assert holder is not None, f"binding names unknown component {comp}"
-                assert any(i.name == port for i in holder), f"binding names unknown port {port}"
+            for owner, port in (b.client, b.server):
+                if self.port((owner, port)) is not None:
+                    continue
+                if owner != "this" and owner not in seen:
+                    raise ParseError(b.line, b.col, f"binding over declared component, "
+                                                    f"{owner} is not one")
+                raise ParseError(b.line, b.col,
+                                 f"binding over declared port, {owner}.{port} is not one")
 
 
-class _Scanner:
-    """Character scanner with line/column tracking."""
+@dataclass
+class _Tag:
+    """An opening tag's attributes and position, with the checks on their values."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+    attrs: dict[str, str]
+    closed: bool
+    line: int
+    col: int
 
     def error(self, expected: str) -> ParseError:
         return ParseError(self.line, self.col, expected)
 
+    def require(self, name: str) -> str:
+        if name not in self.attrs:
+            raise self.error(f"attribute {name}")
+        return self.attrs[name]
+
+    def identifier(self, name: str, what: str) -> str:
+        value = self.require(name)
+        if not _IDENT_RE.match(value):
+            raise self.error(f"{what} identifier, not {value!r}")
+        return value
+
+    def version(self) -> VersionTag:
+        value = self.require("version")
+        try:
+            return VersionTag(value)
+        except ValueError:
+            raise self.error(f"version like 1.0, not {value!r}") from None
+
+    def typed(self, name: str, what: str) -> tuple[str, Optional[VersionTag]]:
+        """A type name attribute plus the optional ``version``."""
+        value = self.require(name)
+        if not is_type_name(value):
+            raise self.error(f"{what} type name, not {value!r}")
+        return value, (self.version() if "version" in self.attrs else None)
+
+    def endpoint(self, name: str) -> tuple[str, str]:
+        value = self.require(name)
+        parts = value.split(".")
+        if len(parts) != 2 or not all(parts):
+            raise self.error(f"binding endpoint 'component.port', not {value!r}")
+        return parts[0], parts[1]
+
+
+class _Scanner:
+    """Span scanner: it moves a position over matched spans and works out a
+    line and column only where an element starts or an error is raised."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self._mark, self._line = 0, 1  # the last position located, and its line
+
+    def where(self, pos: Optional[int] = None) -> tuple[int, int]:
+        """Line and column of ``pos`` (default: here).
+
+        Positions are located in text order, so each call counts only the
+        newlines in the span consumed since the previous one.
+        """
+        pos = self.pos if pos is None else pos
+        self._line += self.text.count("\n", self._mark, pos)
+        self._mark = pos
+        return self._line, pos - self.text.rfind("\n", 0, pos)
+
+    def error(self, expected: str) -> ParseError:
+        return ParseError(*self.where(), expected)
+
     def skip_space_and_comments(self) -> None:
-        while not self.at_end():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("comment terminator '-->'")
-                while self.pos < end + 3:
-                    self.advance()
-            else:
-                return
+        self.pos = _SPACE_OR_COMMENT_RE.match(self.text, self.pos).end()
+        if self.text.startswith("<!--", self.pos):
+            raise self.error("comment terminator '-->'")
 
     def expect(self, literal: str) -> None:
-        for ch in literal:
-            if self.at_end() or self.peek() != ch:
-                raise self.error(repr(literal))
-            self.advance()
+        """Consume ``literal``, or fail where the text first departs from it."""
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return
+        got = self.text[self.pos:self.pos + len(literal)]
+        self.pos += len(os.path.commonprefix([literal, got]))
+        raise self.error(repr(literal))
 
     def read_name(self) -> str:
-        start = self.pos
-        while not self.at_end() and (self.peek().isalnum() or self.peek() in "._-"):
-            self.advance()
-        if self.pos == start:
+        m = _NAME_RE.match(self.text, self.pos)
+        if m is None:
             raise self.error("a name")
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
-    def read_attrs(self, tag: str, tag_line: int, tag_col: int) -> tuple[dict[str, str], bool]:
-        """Read attributes up to '>' or '/>'; returns (attrs, self_closing)."""
+    def read_tag(self, tag: str, line: int, col: int) -> _Tag:
+        """Read the attributes of ``<tag`` up to '>' or '/>'."""
         attrs: dict[str, str] = {}
         while True:
-            saw_space = False
-            while not self.at_end() and self.peek() in " \t\r\n":
-                saw_space = True
-                self.advance()
-            if self.at_end():
+            start = self.pos
+            self.pos = _SPACE_RE.match(self.text, start).end()
+            if self.pos == len(self.text):
                 raise self.error("'>'")
-            if self.peek() == ">":
-                self.advance()
-                return attrs, False
-            if self.text.startswith("/>", self.pos):
-                self.advance()
-                self.advance()
-                return attrs, True
-            if not saw_space:
+            for end, closed in ((">", False), ("/>", True)):
+                if self.text.startswith(end, self.pos):
+                    self.pos += len(end)
+                    return _Tag(attrs, closed, line, col)
+            if self.pos == start:
                 raise self.error("whitespace before attribute")
-            line, col = self.line, self.col
+            at = self.pos
             name = self.read_name()
             if name not in _KNOWN_ATTRS[tag]:
-                raise UnknownAttribute(line, col, name)
+                raise UnknownAttribute(*self.where(at), name)
             if name in attrs:
-                raise ParseError(line, col, f"attribute {name} given once")
+                raise ParseError(*self.where(at), f"attribute {name} given once")
             self.expect("=")
             self.expect('"')
-            start = self.pos
-            while not self.at_end() and self.peek() not in '"<&\n':
-                self.advance()
-            if self.at_end() or self.peek() != '"':
+            value = _VALUE_RE.match(self.text, self.pos).group()
+            self.pos += len(value)
+            if not self.text.startswith('"', self.pos):
                 raise self.error("closing quote")
-            value = self.text[start:self.pos]
-            self.advance()
+            self.pos += 1
             attrs[name] = value
 
+    def read_root(self, root: str):
+        """Read a whole document made of one ``root`` element."""
+        self.skip_space_and_comments()
+        line, col = self.where()
+        self.expect("<")
+        tag = self.read_name()
+        if tag != root:
+            raise UnknownElement(line, col, tag)
+        element = _CONTAINERS[root](self, self.read_tag(root, line, col))
+        self.skip_space_and_comments()
+        if self.pos != len(self.text):
+            raise self.error("end of input")
+        return element
 
-def _require(attrs: dict[str, str], name: str, line: int, col: int) -> str:
-    if name not in attrs:
-        raise ParseError(line, col, f"attribute {name}")
-    return attrs[name]
-
-
-def _identifier(value: str, line: int, col: int, what: str) -> str:
-    if not _IDENT_RE.match(value):
-        raise ParseError(line, col, f"{what} identifier, not {value!r}")
-    return value
-
-
-def _type_name(value: str, line: int, col: int, what: str) -> str:
-    if not is_type_name(value):
-        raise ParseError(line, col, f"{what} type name, not {value!r}")
-    return value
-
-
-def _version(value: str, line: int, col: int) -> VersionTag:
-    try:
-        return VersionTag(value)
-    except ValueError:
-        raise ParseError(line, col, f"version like 1.0, not {value!r}")
-
-
-def _endpoint(value: str, line: int, col: int) -> tuple[str, str]:
-    parts = value.split(".")
-    if len(parts) != 2 or not all(parts):
-        raise ParseError(line, col, f"binding endpoint 'component.port', not {value!r}")
-    return parts[0], parts[1]
-
-
-def _parse_interface(sc: _Scanner, line: int, col: int) -> AdlInterface:
-    attrs, closed = sc.read_attrs("interface", line, col)
-    if not closed:
-        raise ParseError(line, col, "self-closing <interface .../>")
-    name = _identifier(_require(attrs, "name", line, col), line, col, "port name")
-    role_text = _require(attrs, "role", line, col)
-    if role_text not in ("client", "server"):
-        raise ParseError(line, col, f"role client or server, not {role_text!r}")
-    signature = _type_name(_require(attrs, "signature", line, col), line, col, "signature")
-    version = _version(attrs["version"], line, col) if "version" in attrs else None
-    return AdlInterface(name, Role(role_text), signature, version, line, col)
+    def read_children(self, container: str) -> dict[str, list]:
+        """Read child elements up to ``</container>``, grouped by tag in document order."""
+        found: dict[str, list] = {tag: [] for tag in _CHILDREN[container]}
+        while True:
+            self.skip_space_and_comments()
+            line, col = self.where()
+            self.expect("<")
+            if self.text.startswith("/", self.pos):
+                self.expect("/" + container)
+                self.skip_space_and_comments()
+                self.expect(">")
+                return found
+            tag = self.read_name()
+            if tag not in found:
+                if tag in _KNOWN_ATTRS:
+                    raise ParseError(line, col, f"element allowed inside <{container}>, not <{tag}>")
+                raise UnknownElement(line, col, tag)
+            if tag == "content" and found["content"]:
+                raise ParseError(line, col, "a single <content> per component")
+            element = self.read_tag(tag, line, col)
+            if tag in _CONTAINERS:
+                found[tag].append(_CONTAINERS[tag](self, element))
+                continue
+            if not element.closed:
+                raise element.error(f"self-closing <{tag} .../>")
+            found[tag].append(_LEAVES[tag](element))
 
 
-def _parse_component(sc: _Scanner, line: int, col: int) -> AdlComponent:
-    attrs, closed = sc.read_attrs("component", line, col)
-    if closed:
-        raise ParseError(line, col, "<component> with a <content> child")
-    name = _identifier(_require(attrs, "name", line, col), line, col, "component name")
+def _interface(el: _Tag) -> AdlInterface:
+    name = el.identifier("name", "port name")
+    role = el.require("role")
+    if role not in ("client", "server"):
+        raise el.error(f"role client or server, not {role!r}")
+    signature, version = el.typed("signature", "signature")
+    return AdlInterface(name, Role(role), signature, version, el.line, el.col)
+
+
+_LEAVES = {
+    "interface": _interface,
+    "content": lambda el: el.typed("class", "content class"),
+    "file": lambda el: el.typed("name", "file name"),
+    "binding": lambda el: AdlBinding(el.endpoint("client"), el.endpoint("server"),
+                                     el.line, el.col),
+}
+
+
+def _definition(sc: _Scanner, el: _Tag) -> AdlDefinition:
+    if el.closed:
+        raise el.error("paired <definition>...</definition>")
+    name = el.identifier("name", "definition name")
+    version = el.version()
+    children = sc.read_children("definition")
+    return AdlDefinition(name, version, tuple(children["interface"]),
+                         tuple(children["component"]), tuple(children["binding"]))
+
+
+def _component(sc: _Scanner, el: _Tag) -> AdlComponent:
+    if el.closed:
+        raise el.error("<component> with a <content> child")
+    name = el.identifier("name", "component name")
     if name == "this":
-        raise ParseError(line, col, "component name other than reserved 'this'")
-    interfaces: list[AdlInterface] = []
-    content: Optional[tuple[str, Optional[VersionTag]]] = None
-    files: list[tuple[str, Optional[VersionTag]]] = []
-    while True:
-        sc.skip_space_and_comments()
-        eline, ecol = sc.line, sc.col
-        sc.expect("<")
-        if sc.peek() == "/":
-            sc.expect("/component")
-            sc.skip_space_and_comments()
-            sc.expect(">")
-            break
-        tag = sc.read_name()
-        if tag == "interface":
-            interfaces.append(_parse_interface(sc, eline, ecol))
-        elif tag == "content":
-            if content is not None:
-                raise ParseError(eline, ecol, "a single <content> per component")
-            cattrs, cclosed = sc.read_attrs("content", eline, ecol)
-            if not cclosed:
-                raise ParseError(eline, ecol, "self-closing <content .../>")
-            cls = _type_name(_require(cattrs, "class", eline, ecol), eline, ecol, "content class")
-            cver = _version(cattrs["version"], eline, ecol) if "version" in cattrs else None
-            content = (cls, cver)
-        elif tag == "file":
-            fattrs, fclosed = sc.read_attrs("file", eline, ecol)
-            if not fclosed:
-                raise ParseError(eline, ecol, "self-closing <file .../>")
-            fname = _type_name(_require(fattrs, "name", eline, ecol), eline, ecol, "file name")
-            fver = _version(fattrs["version"], eline, ecol) if "version" in fattrs else None
-            files.append((fname, fver))
-        elif tag in _KNOWN_ATTRS:
-            raise ParseError(eline, ecol, f"element allowed inside <component>, not <{tag}>")
-        else:
-            raise UnknownElement(eline, ecol, tag)
-    if content is None:
-        raise ParseError(line, col, "<content> inside <component>")
-    return AdlComponent(name, tuple(interfaces), content, tuple(files), line, col)
+        raise el.error("component name other than reserved 'this'")
+    children = sc.read_children("component")
+    if not children["content"]:
+        raise el.error("<content> inside <component>")
+    return AdlComponent(name, tuple(children["interface"]), children["content"][0],
+                        tuple(children["file"]), el.line, el.col)
+
+
+_CONTAINERS = {"definition": _definition, "component": _component}
 
 
 def parse_adl(text: str) -> AdlDefinition:
     """Parse ADL text into a definition or raise a positioned AdlError."""
-    sc = _Scanner(text)
-    sc.skip_space_and_comments()
-    dline, dcol = sc.line, sc.col
-    sc.expect("<")
-    tag = sc.read_name()
-    if tag != "definition":
-        raise UnknownElement(dline, dcol, tag)
-    attrs, closed = sc.read_attrs("definition", dline, dcol)
-    if closed:
-        raise ParseError(dline, dcol, "paired <definition>...</definition>")
-    def_name = _identifier(_require(attrs, "name", dline, dcol), dline, dcol, "definition name")
-    def_version = _version(_require(attrs, "version", dline, dcol), dline, dcol)
-
-    interfaces: list[AdlInterface] = []
-    components: list[AdlComponent] = []
-    bindings: list[AdlBinding] = []
-    while True:
-        sc.skip_space_and_comments()
-        eline, ecol = sc.line, sc.col
-        sc.expect("<")
-        if sc.peek() == "/":
-            sc.expect("/definition")
-            sc.skip_space_and_comments()
-            sc.expect(">")
-            break
-        tag = sc.read_name()
-        if tag == "interface":
-            interfaces.append(_parse_interface(sc, eline, ecol))
-        elif tag == "component":
-            components.append(_parse_component(sc, eline, ecol))
-        elif tag == "binding":
-            battrs, bclosed = sc.read_attrs("binding", eline, ecol)
-            if not bclosed:
-                raise ParseError(eline, ecol, "self-closing <binding .../>")
-            client = _endpoint(_require(battrs, "client", eline, ecol), eline, ecol)
-            server = _endpoint(_require(battrs, "server", eline, ecol), eline, ecol)
-            bindings.append(AdlBinding(client, server, eline, ecol))
-        elif tag in _KNOWN_ATTRS:
-            raise ParseError(eline, ecol, f"element allowed inside <definition>, not <{tag}>")
-        else:
-            raise UnknownElement(eline, ecol, tag)
-    sc.skip_space_and_comments()
-    if not sc.at_end():
-        raise sc.error("end of input")
-
-    definition = AdlDefinition(def_name, def_version, tuple(interfaces),
-                               tuple(components), tuple(bindings))
-    _check_structure(definition)
+    definition = _Scanner(text).read_root("definition")
+    definition.check_invariants()
     return definition
 
 
 def parse_component_fragment(text: str) -> AdlComponent:
     """Parse a standalone ``<component>...</component>`` element."""
-    sc = _Scanner(text)
-    sc.skip_space_and_comments()
-    line, col = sc.line, sc.col
-    sc.expect("<")
-    tag = sc.read_name()
-    if tag != "component":
-        raise UnknownElement(line, col, tag)
-    component = _parse_component(sc, line, col)
-    sc.skip_space_and_comments()
-    if not sc.at_end():
-        raise sc.error("end of input")
-    return component
-
-
-def _check_structure(definition: AdlDefinition) -> None:
-    seen: set[str] = set()
-    for comp in definition.components:
-        if comp.name in seen:
-            raise ParseError(comp.line, comp.col, f"unique component name, {comp.name} repeats")
-        seen.add(comp.name)
-    if definition.name in seen:
-        raise ParseError(1, 1, f"definition name {definition.name} distinct from its components")
-    for b in definition.bindings:
-        for comp_name, port_name in (b.client, b.server):
-            if comp_name == "this":
-                ports = definition.interfaces
-            else:
-                comp = definition.component(comp_name)
-                if comp is None:
-                    raise ParseError(b.line, b.col, f"binding over declared component, "
-                                                    f"{comp_name} is not one")
-                ports = comp.interfaces
-            if not any(i.name == port_name for i in ports):
-                raise ParseError(b.line, b.col,
-                                 f"binding over declared port, {comp_name}.{port_name} is not one")
+    return _Scanner(text).read_root("component")
 
 
 def render_adl(definition: AdlDefinition) -> str:
@@ -457,18 +440,9 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
             except (NotFound, AmbiguousVersion) as exc:
                 diags.append(_diag("UnresolvableFile", comp.line, comp.col, str(exc)))
 
-    def port_of(endpoint: tuple[str, str]) -> Optional[AdlInterface]:
-        comp_name, port_name = endpoint
-        ports = definition.interfaces if comp_name == "this" else \
-            definition.component(comp_name).interfaces
-        for itf in ports:
-            if itf.name == port_name:
-                return itf
-        return None
-
     bound_clients: set[tuple[str, str]] = set()
     for b in definition.bindings:
-        cport, sport = port_of(b.client), port_of(b.server)
+        cport, sport = definition.port(b.client), definition.port(b.server)
         # Client attr: a child's client port, or an exported server port of 'this'.
         want_client = Role.SERVER if b.client[0] == "this" else Role.CLIENT
         want_server = Role.CLIENT if b.server[0] == "this" else Role.SERVER

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .adl import parse_adl, validate
 from .corpus import load_corpus
-from .errors import AdlError, ReconfigError, ScriptError, VersionConflict
+from .errors import ReconfigError, VersionConflict
 from .factory import instantiate, parse_granularity, plan_modules, render_plan
 from .modules import ModuleManager
 from .runtime import bench_interception, serialize_trace
@@ -82,7 +82,7 @@ def _load_inputs(args):
 def cmd_check(args) -> int:
     try:
         definition, corpus = _load_inputs(args)
-    except (OSError, AdlError, ReconfigError) as exc:
+    except (OSError, ReconfigError) as exc:
         return _fail(str(exc))
     diagnostics = validate(definition, corpus)
     for diag in diagnostics:
@@ -94,9 +94,7 @@ def cmd_plan(args) -> int:
     try:
         definition, corpus = _load_inputs(args)
         granularity = parse_granularity(args.granularity)
-    except NotImplementedError as exc:
-        return _fail(str(exc))
-    except (OSError, AdlError, ReconfigError) as exc:
+    except (NotImplementedError, OSError, ReconfigError) as exc:
         return _fail(str(exc))
     diagnostics = validate(definition, corpus)
     if diagnostics:
@@ -127,11 +125,7 @@ def cmd_run(args) -> int:
     try:
         arch, corpus = _build(args)
         commands = parse_script(Path(args.script).read_text(encoding="utf-8"))
-    except NotImplementedError as exc:
-        return _fail(str(exc))
-    except ScriptError as exc:
-        return _fail(str(exc))
-    except (OSError, AdlError, ReconfigError) as exc:
+    except (NotImplementedError, OSError, ReconfigError) as exc:
         return _fail(str(exc))
     result = run_script(arch, corpus, commands)
     for line in result.output:
@@ -149,7 +143,7 @@ def cmd_bench(args) -> int:
     try:
         arch, _ = _build(args)
         report = bench_interception(arch, args.n)
-    except (OSError, ValueError, AdlError, ReconfigError) as exc:
+    except (OSError, ValueError, ReconfigError) as exc:
         return _fail(str(exc))
     print(report.render())
     return 0

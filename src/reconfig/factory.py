@@ -380,12 +380,13 @@ class ArchitectureInstance:
                 exports = ", ".join(f"{n}@{v}" for n, v in sorted(
                     mod.exports.items(), key=lambda kv: (kv[0], kv[1].key)))
                 lines.append(f"module {mid} resource exports=[{exports}]")
-            else:
-                assert isinstance(mod, InfoModule)
+            elif isinstance(mod, InfoModule):
                 imports = ", ".join(f"{n}@{v}" for n, v in sorted(
                     mod.imports.items(), key=lambda kv: (kv[0], kv[1].key)))
                 wired = ", ".join(f"{n}->{mod.wiring[n]}" for n in sorted(mod.wiring))
                 lines.append(f"module {mid} info imports=[{imports}] wiring=[{wired}]")
+            else:
+                raise InvariantViolation(f"module {mid} is neither a resource nor an info module")
         return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .corpus import TypeKind, VersionTag
+from .corpus import TypeDef, TypeKind, VersionTag
 from .errors import (
     AlreadyBound,
     ContainmentCycle,
@@ -135,24 +135,28 @@ def _check_signature_kinds(mgr: ModuleManager, inst: ComponentInstance) -> None:
             raise SignatureNotInterface(port.signature)
 
 
+def check_conformance(mgr: ModuleManager, inst: ComponentInstance, content: TypeDef) -> None:
+    """Raise MissingMethod unless ``content`` implements every server port's methods.
+
+    A method matches on name and parameter type names; the interfaces are the
+    definitions loaded through the component's own info module.
+    """
+    implemented = {(m.name, m.params) for m in content.methods}
+    for port in inst.server_ports():
+        sig = mgr.load_type(inst.info_module, port.signature)
+        for method in sig.definition.methods:
+            if (method.name, method.params) not in implemented:
+                raise MissingMethod(port.signature, method.name)
+
+
 def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
                   content: DefinedType, info_module: ModuleId) -> ComponentInstance:
-    """Create a primitive component around a content class.
-
-    Every server port's interface methods must be implemented by the content
-    (same method name, same parameter type names); the conformance check uses
-    the definitions loaded through the component's own info module.
-    """
+    """Create a primitive component around a content class that conforms to its ports."""
     if content.definition.kind is not TypeKind.CLASS:
         raise ContentNotAClass(content.name)
     inst = ComponentInstance(name, ComponentKind.PRIMITIVE, ports, content, info_module)
     _check_signature_kinds(mgr, inst)
-    implemented = {(m.name, m.params) for m in content.definition.methods}
-    for port in inst.server_ports():
-        sig = mgr.load_type(info_module, port.signature)
-        for method in sig.definition.methods:
-            if (method.name, method.params) not in implemented:
-                raise MissingMethod(port.signature, method.name)
+    check_conformance(mgr, inst, content.definition)
     return inst
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ConflictingExports,
     ConflictingImports,
     InUse,
+    InvariantViolation,
     MissingImport,
     NotImported,
     UnknownModule,
@@ -266,7 +267,8 @@ class ModuleManager:
         if provider_id is None:
             raise NotImported(name)
         provider = self.module(provider_id)
-        assert isinstance(provider, ResourceModule)
+        if not isinstance(provider, ResourceModule):
+            raise InvariantViolation(f"{via} wires {name} to {provider_id}, not a resource module")
         return provider.define(name)
 
     def dependents_of(self, module_id: ModuleId) -> list[ModuleId]:
@@ -283,9 +285,10 @@ class ModuleManager:
         dependents = self.dependents_of(module_id)
         if dependents and not force:
             raise InUse(module_id, dependents)
-        for dep_id in dependents:
-            dep = self._modules[dep_id]
-            assert isinstance(dep, InfoModule)
+        deps = [self._modules[dep_id] for dep_id in dependents]
+        if not all(isinstance(dep, InfoModule) for dep in deps):
+            raise InvariantViolation(f"a dependent of {module_id} is not an info module")
+        for dep in deps:
             for name in [n for n, pid in dep.wiring.items() if pid == module_id]:
                 del dep.wiring[name]
         del self._modules[module_id]

@@ -42,7 +42,6 @@ from .errors import (
     DuplicateComponent,
     GranularityForbidsSwap,
     InvariantViolation,
-    MissingMethod,
     NotAPrimitive,
     NotFound,
     ReconfigDuringCall,
@@ -70,6 +69,7 @@ from .model import (
     add_child,
     bind,
     check_binding,
+    check_conformance,
     new_primitive,
     remove_child,
     unbind,
@@ -274,19 +274,14 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     if comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(component)
     name, version = new_content
-    tag = version if isinstance(version, VersionTag) else VersionTag(str(version))
     try:
+        tag = version if isinstance(version, VersionTag) else VersionTag(str(version))
         new_td = corpus.lookup(TypeRef(name, tag))
-    except NotFound:
-        raise UnresolvableExport(name, tag) from None
+    except (ValueError, NotFound):  # a malformed name or version names no export either
+        raise UnresolvableExport(name, version) from None
     if new_td.kind is not TypeKind.CLASS:
         raise ContentNotAClass(name)
-    implemented = {(m.name, m.params) for m in new_td.methods}
-    for port in comp.server_ports():
-        sig = arch.mgr.load_type(comp.info_module, port.signature)
-        for method in sig.definition.methods:
-            if (method.name, method.params) not in implemented:
-                raise MissingMethod(port.signature, method.name)
+    check_conformance(arch.mgr, comp, new_td)
 
     source = replace(arch.sources[component], content=(name, tag))
     impl, planned = plan_component(source, corpus, arch.ledger.public)

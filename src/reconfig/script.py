@@ -136,15 +136,15 @@ def run_script(arch: ArchitectureInstance, corpus: CorpusStore,
             output.append(f"line {cmd.line}: {outcome}" if outcome == "ok"
                           else f"line {cmd.line}: error {outcome}")
             pending = (cmd, outcome)
+        elif pending is None:
+            raise ScriptError(cmd.line, f"{cmd.kind} must follow a command")
         elif cmd.kind == "expect-ok":
-            assert pending is not None
             if pending[1] != "ok":
                 return ScriptResult(False, output,
                                     f"line {cmd.line}: expected ok, got {pending[1]} "
                                     f"(command at line {pending[0].line})")
             pending = None
         else:  # expect-error CODE
-            assert pending is not None
             want = cmd.args[0]
             if pending[1] == "ok" or pending[1] != want:
                 return ScriptResult(False, output,

@@ -101,6 +101,28 @@ def test_structural_invariants_are_parse_errors():
                   '</definition>')
 
 
+def test_check_invariants_raises_parse_errors_on_a_built_definition():
+    comp = AdlComponent("c", (AdlInterface("p", Role.SERVER, "Service", None),),
+                        ("Impl", None), (), 4, 9)
+    dangling = AdlDefinition("X", V("1.0"), (), (comp,),
+                             (AdlBinding(("c", "q"), ("c", "p"), 7, 5),))
+    with pytest.raises(ParseError) as exc:
+        dangling.check_invariants()
+    assert (exc.value.line, exc.value.col) == (7, 5) and "c.q" in exc.value.detail
+    with pytest.raises(ParseError, match="unique component name"):
+        AdlDefinition("X", V("1.0"), (), (comp, comp), ()).check_invariants()
+
+
+def test_endpoints_resolve_to_the_first_port_of_a_name():
+    d = parse_adl('<definition name="X" version="1.0"><component name="a">'
+                  '<interface name="p" role="server" signature="Service"/>'
+                  '<interface name="p" role="client" signature="Request"/>'
+                  '<content class="K"/></component></definition>')
+    assert d.port(("a", "p")) is d.components[0].interfaces[0]
+    assert d.port(("a", "q")) is None and d.port(("b", "p")) is None
+    assert d.component("a") is d.components[0] and d.component("b") is None
+
+
 def test_component_fragment_parser():
     comp = parse_component_fragment(
         '<component name="extra">'

@@ -6,9 +6,9 @@ import pytest
 
 from reconfig.cli import main
 from reconfig.errors import ScriptError
-from reconfig.script import parse_script
+from reconfig.script import Command, parse_script, run_script
 
-from conftest import adl_path, corpus_path, script_path
+from conftest import adl_path, build_architecture, corpus_path, script_path
 
 HELLO = str(adl_path("hello.fractal.xml"))
 HELLO_CORPUS = str(corpus_path("hello"))
@@ -169,6 +169,24 @@ def test_run_unasserted_error_fails(capsys, tmp_path):
     code, out = _run(capsys, "run", HELLO, str(script), "--corpus", HELLO_CORPUS)
     assert code == 1
     assert "unexpected error UnknownMethod" in out
+
+
+def test_swap_to_a_malformed_target_is_an_expectable_error(capsys, tmp_path):
+    script = tmp_path / "malformed.script"
+    script.write_text("swap server ServerImpl x.y\nexpect-error UnresolvableExport\n"
+                      "swap server Server-Impl 2.0\nexpect-error UnresolvableExport\n")
+    code, out = _run(capsys, "run", HELLO, str(script), "--corpus", HELLO_CORPUS)
+    assert code == 0
+    assert out.splitlines() == ["line 1: error UnresolvableExport",
+                                "line 3: error UnresolvableExport",
+                                "PASS all assertions hold"]
+
+
+def test_run_script_refuses_an_expectation_with_no_command():
+    arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
+    for kind, args in (("expect-ok", ()), ("expect-error", ("NotFound",))):
+        with pytest.raises(ScriptError, match="must follow a command"):
+            run_script(arch, corpus, [Command(1, kind, args, kind)])
 
 
 def test_script_grammar_errors():

@@ -6,7 +6,7 @@ import pytest
 
 from reconfig.adl import parse_adl, validate
 from reconfig.corpus import CorpusStore, TypeDef, TypeKind, TypeRef, VersionTag, load_corpus
-from reconfig.errors import InstantiationError, VersionConflict
+from reconfig.errors import InstantiationError, InvariantViolation, VersionConflict
 from reconfig.factory import (
     Granularity,
     instantiate,
@@ -14,7 +14,7 @@ from reconfig.factory import (
     plan_modules,
     render_plan,
 )
-from reconfig.modules import EventKind, ModuleManager, replay_live_set
+from reconfig.modules import EventKind, ModuleId, ModuleManager, replay_live_set
 
 from conftest import adl_path, corpus_path
 
@@ -331,3 +331,13 @@ def test_wiring_that_departs_from_the_plan_fails_instantiation(hello):
         instantiate(_definition(), replace(plan, wiring=wiring), mgr, hello)
     assert exc.value.code == "InvariantViolation"
     assert mgr.live_ids() == frozenset()
+
+
+def test_report_refuses_a_module_of_unknown_kind(hello, monkeypatch):
+    definition = _definition()
+    mgr = ModuleManager()
+    arch = instantiate(definition, plan_modules(definition, Granularity.PER_COMPONENT, hello),
+                       mgr, hello)
+    monkeypatch.setitem(mgr._modules, ModuleId(10_000), object())
+    with pytest.raises(InvariantViolation):
+        arch.report()

@@ -10,6 +10,7 @@ from reconfig.errors import (
     ConflictingExports,
     ConflictingImports,
     InUse,
+    InvariantViolation,
     MissingImport,
     NotImported,
     UnknownModule,
@@ -142,6 +143,28 @@ def test_load_type_requires_an_info_module_and_a_wired_name(hello):
         mgr.load_type(info, "Request")
     with pytest.raises(UnknownModule):
         mgr.load_type(res, "Service")
+
+
+def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
+    mgr = ModuleManager()
+    mgr.create_resource_module([_export("Service", "1.0")], hello)
+    info = mgr.create_info_module([_import("Service", "1.0")])
+    other = mgr.create_info_module([_import("Service", "1.0")])
+    mgr.module(info).wiring["Service"] = other
+    with pytest.raises(InvariantViolation):
+        mgr.load_type(info, "Service")
+
+
+def test_removal_with_a_non_info_dependent_is_refused_untouched(hello, monkeypatch):
+    mgr = ModuleManager()
+    itf = mgr.create_resource_module([_export("Service", "1.0")], hello)
+    info = mgr.create_info_module([_import("Service", "1.0")])
+    other = mgr.create_resource_module([_export("Request", "1.0")], hello)
+    monkeypatch.setattr(mgr, "dependents_of", lambda module_id: [info, other])
+    with pytest.raises(InvariantViolation):
+        mgr.remove_module(itf, force=True)
+    assert itf in mgr.live_ids()
+    assert mgr.module(info).wiring == {"Service": itf}
 
 
 def test_remove_unreferenced_module(hello):

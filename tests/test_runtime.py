@@ -119,6 +119,15 @@ def test_values_created_before_a_swap_still_pass_unchanged_wirings():
     assert all(chk.ok for _, chk in arch.binding_checks())
 
 
+def test_swap_to_a_malformed_version_or_class_name_is_unresolvable():
+    arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
+    before, live = arch.report(), arch.mgr.live_ids()
+    for target in (("ServerImpl", "x.y"), ("Server-Impl", "2.0")):
+        with pytest.raises(UnresolvableExport):
+            runtime.swap_implementation(arch, "server", target, corpus)
+    assert arch.report() == before and arch.mgr.live_ids() == live
+
+
 def test_swap_error_cases_leave_no_trace():
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
     before = arch.report()
