@@ -282,7 +282,8 @@ class _Scanner:
             tag = self.read_name()
             if tag not in found:
                 if tag in _KNOWN_ATTRS:
-                    raise ParseError(line, col, f"element allowed inside <{container}>, not <{tag}>")
+                    raise ParseError(line, col,
+                                     f"element allowed inside <{container}>, not <{tag}>")
                 raise UnknownElement(line, col, tag)
             if tag == "content" and found["content"]:
                 raise ParseError(line, col, "a single <content> per component")
