@@ -406,7 +406,8 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
     Diagnostics come out in document order: ports first (duplicates, signature
     resolution, interface-kindness), then component content and shared files,
     then bindings (role discipline, endpoint signature and version agreement,
-    duplicate client bindings).
+    duplicate client bindings). A definition built in code whose binding names
+    an undeclared port raises the ``ParseError`` that parsing its text would.
     """
     diags: list[Diagnostic] = []
 
@@ -444,6 +445,8 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
     bound_clients: set[tuple[str, str]] = set()
     for b in definition.bindings:
         cport, sport = definition.port(b.client), definition.port(b.server)
+        if cport is None or sport is None:
+            definition.check_invariants()
         # Client attr: a child's client port, or an exported server port of 'this'.
         want_client = Role.SERVER if b.client[0] == "this" else Role.CLIENT
         want_server = Role.CLIENT if b.server[0] == "this" else Role.SERVER

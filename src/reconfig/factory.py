@@ -18,7 +18,8 @@ to one common module precisely when the type is interface-visible or
 file-declared; anything else stays a private copy per component, which is
 what makes undeclared exchange fail at invocation time. A built architecture
 keeps a ``ModuleLedger``, the plan of each live resource module with its kind
-and owner, which the runtime plans against.
+and owner, which the runtime plans against. Its links live on the ports; its
+``bindings`` is a view read off them, not a list kept beside them.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -299,22 +300,19 @@ class ModuleLedger:
 
 
 class ArchitectureInstance:
-    """A built architecture: component tree, bindings, and its module ledger."""
+    """A built architecture: component tree and module ledger; its links live on the ports."""
 
     def __init__(self, definition: AdlDefinition, granularity: Granularity,
-                 mgr: ModuleManager, corpus: CorpusStore, ledger: ModuleLedger,
-                 components: dict[str, ComponentInstance], root: ComponentInstance,
-                 bindings: list[BindingRecord]):
+                 mgr: ModuleManager, ledger: ModuleLedger,
+                 components: dict[str, ComponentInstance], root: ComponentInstance):
         self.definition = definition
         self.granularity = granularity
         self.mgr = mgr
-        self.corpus = corpus
         self.ledger = ledger
         # Each primitive's planner input, kept current by add, swap and remove.
         self.sources: dict[str, AdlComponent] = {c.name: c for c in definition.components}
         self.components = dict(components)
         self.root = root
-        self.bindings = bindings
         self.trace: list = []
         self.swaps: list = []
         self.in_call = False
@@ -339,20 +337,30 @@ class ArchitectureInstance:
             raise UnknownPort(comp_name, port_name)
         return port
 
+    def _links(self):
+        """Each live link as (kind, label, from port, to port): bindings, then the root's
+        export routes (``route-in``), then ``route-out``; components by name, ports in order."""
+        routes_out = []
+        for comp in sorted(self.components.values(), key=lambda c: c.name):
+            for port in comp.interfaces:  # only client ports hold a binding or an outbound route
+                if port.binding is not None:
+                    yield "binding", str(port.binding), port, port.binding.server
+                if port.outbound_route is not None:
+                    routes_out.append(("route-out", f"{port} -> this.{port.outbound_route.name}",
+                                       port, port.outbound_route))
+        for name, target in sorted(self.root.export_routes.items()):
+            yield "route-in", f"this.{name} -> {target}", self.root.port(name), target
+        yield from routes_out
+
+    @property
+    def bindings(self) -> list[BindingRecord]:
+        """The live bindings, read off the client ports."""
+        return [port.binding for kind, _, port, _ in self._links() if kind == "binding"]
+
     def binding_checks(self):
         """Re-evaluate every live binding and route against current modules."""
-        results = []
-        for rec in self.bindings:
-            results.append((str(rec), check_binding(self.mgr, rec.client, rec.server)))
-        for name, target in sorted(self.root.export_routes.items()):
-            outer = self.root.port(name)
-            results.append((f"this.{name} -> {target}", check_route(self.mgr, outer, target)))
-        for comp in sorted(self.components.values(), key=lambda c: c.name):
-            for port in comp.client_ports():
-                if port.outbound_route is not None:
-                    results.append((f"{port} -> this.{port.outbound_route.name}",
-                                    check_route(self.mgr, port, port.outbound_route)))
-        return results
+        return [(label, (check_binding if kind == "binding" else check_route)(self.mgr, a, b))
+                for kind, label, a, b in self._links()]
 
     def report(self) -> str:
         """Stable full-state dump used for before/after comparisons."""
@@ -366,14 +374,9 @@ class ArchitectureInstance:
                 bound = str(port.binding.server) if port.binding is not None else "-"
                 lines.append(f"  port {port.name} role={port.role.value} "
                              f"signature={port.signature}@{port.version} bound={bound}")
-        for rec in sorted(self.bindings, key=str):
-            lines.append(f"binding {rec}")
-        for name in sorted(self.root.export_routes):
-            lines.append(f"route-in this.{name} -> {self.root.export_routes[name]}")
-        for comp in sorted(self.components.values(), key=lambda c: c.name):
-            for port in comp.client_ports():
-                if port.outbound_route is not None:
-                    lines.append(f"route-out {port} -> this.{port.outbound_route.name}")
+        links = [(kind, label) for kind, label, _, _ in self._links()]
+        lines += sorted(f"{kind} {label}" for kind, label in links if kind == "binding")
+        lines += [f"{kind} {label}" for kind, label in links if kind != "binding"]
         for mid in sorted(self.mgr.live_ids()):
             mod = self.mgr.module(mid)
             if isinstance(mod, ResourceModule):
@@ -441,12 +444,10 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
                              info_module=root_info)
         components[definition.name] = root
 
-        bindings: list[BindingRecord] = []
         for b in definition.bindings:
             location = f"binding {b} ({b.line}:{b.col})"
-            _apply_binding(mgr, root, components, b, bindings)
-        return ArchitectureInstance(definition, plan.granularity, mgr, corpus, ledger,
-                                    components, root, bindings)
+            _apply_binding(mgr, root, components, b)
+        return ArchitectureInstance(definition, plan.granularity, mgr, ledger, components, root)
     except Exception as exc:
         for mid in reversed(created):
             mgr.remove_module(mid, force=True)
@@ -461,8 +462,7 @@ def port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:
 
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,
-                   components: dict[str, ComponentInstance], b: AdlBinding,
-                   bindings: list[BindingRecord]) -> None:
+                   components: dict[str, ComponentInstance], b: AdlBinding) -> None:
     if b.client[0] == "this":
         outer = root.port(b.client[1])
         inner = components[b.server[0]].port(b.server[1])
@@ -480,4 +480,4 @@ def _apply_binding(mgr: ModuleManager, root: ComponentInstance,
     else:
         client = components[b.client[0]].port(b.client[1])
         server = components[b.server[0]].port(b.server[1])
-        bindings.append(bind(mgr, client, server))
+        bind(mgr, client, server)

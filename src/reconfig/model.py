@@ -6,6 +6,9 @@ module); a composite encapsulates children and may share a child with other
 composites, so containment is a DAG, never a tree. Binding a client port to a
 server port is only legal when both ends resolve the signature to the *same*
 defined type, i.e. the same (name, defining module) pair.
+
+Links live on the ports alone (a client port's binding or outbound route, a
+composite's export routes); any list of bindings is a view read off them.
 """
 
 from __future__ import annotations
@@ -75,12 +78,11 @@ class InterfacePort:
 
 
 class BindingRecord:
-    """A live primitive binding from a client port to a server port."""
+    """A primitive binding of a client to a server port, live while the client holds it."""
 
     def __init__(self, client: InterfacePort, server: InterfacePort):
         self.client = client
         self.server = server
-        self.live = True
 
     def __str__(self) -> str:
         return f"{self.client} -> {self.server}"
@@ -236,11 +238,10 @@ def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
 
 
 def unbind(record: BindingRecord) -> None:
-    if not record.live or record.client.binding is not record:
+    if record.client.binding is not record:
         raise UnknownBinding()
     record.client.binding = None
     record.server.inbound.remove(record)
-    record.live = False
 
 
 def add_child(composite: ComponentInstance, child: ComponentInstance) -> None:

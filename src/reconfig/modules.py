@@ -190,12 +190,12 @@ class ModuleManager:
             raise UnknownModule(module_id)
         return mod
 
+    # Ids only increase and are never reused, so the registry is in id order.
     def resource_modules(self) -> list[ResourceModule]:
-        return [m for _, m in sorted(self._modules.items())
-                if isinstance(m, ResourceModule)]
+        return [m for m in self._modules.values() if isinstance(m, ResourceModule)]
 
     def info_modules(self) -> list[InfoModule]:
-        return [m for _, m in sorted(self._modules.items()) if isinstance(m, InfoModule)]
+        return [m for m in self._modules.values() if isinstance(m, InfoModule)]
 
     # -- transitions ----------------------------------------------------------
 

@@ -180,9 +180,8 @@ def _receiver_check(arch: ArchitectureInstance, comp: ComponentInstance,
 
 
 def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
-                 port: InterfacePort, method_name: str, args: Sequence[Value],
-                 depth: int) -> Optional[Value]:
-    if depth > MAX_CALL_DEPTH:
+                 port: InterfacePort, method_name: str, args: Sequence[Value]) -> Optional[Value]:
+    if ctx.depth >= MAX_CALL_DEPTH:
         raise CallDepthExceeded(MAX_CALL_DEPTH)
     comp = port.owner
     ctx.push(comp.info_module)
@@ -201,7 +200,7 @@ def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
             inner = comp.export_routes.get(port.name)
             if inner is None:
                 raise UnboundInterface(comp.name, port.name)
-            return _call_server(arch, ctx, inner, method_name, args, depth + 1)
+            return _call_server(arch, ctx, inner, method_name, args)
 
         for cport in comp.client_ports():
             target = _client_target(cport)
@@ -211,7 +210,7 @@ def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
             fwd = fwd_sig.definition.methods[0]
             fwd_args = [Value(arch.mgr.load_type(comp.info_module, p), f"{comp.name}:{p}")
                         for p in fwd.params]
-            _call_server(arch, ctx, target, fwd.name, fwd_args, depth + 1)
+            _call_server(arch, ctx, target, fwd.name, fwd_args)
 
         if method.returns == "void":
             return None
@@ -239,7 +238,7 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
         target = arch.find_port(f"{component}.{port}")
         if target.role is Role.CLIENT:
             target = _client_target(target)
-        return _call_server(arch, ctx, target, method, list(args), 1)
+        return _call_server(arch, ctx, target, method, list(args))
     finally:
         arch.in_call = False
         if ctx.depth != 0:
@@ -331,32 +330,24 @@ def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> Bi
     result = check_binding(arch.mgr, cport, sport)
     if not result.ok:
         raise result.mismatch
-    old = cport.binding
-    if old is not None:
-        unbind(old)
-        arch.bindings.remove(old)
-    record = bind(arch.mgr, cport, sport)
-    arch.bindings.append(record)
-    return record
+    if cport.binding is not None:
+        unbind(cport.binding)
+    return bind(arch.mgr, cport, sport)
 
 
 def bind_ports(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:
     if arch.in_call:
         raise ReconfigDuringCall()
-    record = bind(arch.mgr, arch.find_port(client_spec), arch.find_port(server_spec))
-    arch.bindings.append(record)
-    return record
+    return bind(arch.mgr, arch.find_port(client_spec), arch.find_port(server_spec))
 
 
 def unbind_port(arch: ArchitectureInstance, client_spec: str) -> None:
     if arch.in_call:
         raise ReconfigDuringCall()
     cport = arch.find_port(client_spec)
-    record = cport.binding
-    if record is None:
+    if cport.binding is None:
         raise UnboundInterface(cport.owner.name, cport.name)
-    unbind(record)
-    arch.bindings.remove(record)
+    unbind(cport.binding)
 
 
 def add_component(arch: ArchitectureInstance, component: AdlComponent,

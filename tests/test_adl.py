@@ -113,6 +113,23 @@ def test_check_invariants_raises_parse_errors_on_a_built_definition():
         AdlDefinition("X", V("1.0"), (), (comp, comp), ()).check_invariants()
 
 
+def test_validate_raises_the_parse_error_for_a_built_binding_over_undeclared_ports():
+    corpus = load_corpus(corpus_path("hello"))
+    text = ('<definition name="X" version="1.0">\n'
+            '<binding client="a.p" server="b.q"/></definition>')
+    with pytest.raises(ParseError) as parsed:
+        parse_adl(text)
+    built = AdlDefinition("X", V("1.0"), (), (), (AdlBinding(("a", "p"), ("b", "q"), 2, 1),))
+    with pytest.raises(ParseError) as checked:
+        validate(built, corpus)
+    assert (checked.value.line, checked.value.col, checked.value.detail) == \
+        (parsed.value.line, parsed.value.col, parsed.value.detail)
+    # a binding built without a position gets the same error class
+    with pytest.raises(ParseError, match="a is not one"):
+        validate(AdlDefinition("X", V("1.0"), (), (), (AdlBinding(("a", "p"), ("b", "q")),)),
+                 corpus)
+
+
 def test_endpoints_resolve_to_the_first_port_of_a_name():
     d = parse_adl('<definition name="X" version="1.0"><component name="a">'
                   '<interface name="p" role="server" signature="Service"/>'

@@ -182,6 +182,17 @@ def test_swap_to_a_malformed_target_is_an_expectable_error(capsys, tmp_path):
                                 "PASS all assertions hold"]
 
 
+def test_a_call_cycle_is_an_expectable_call_depth_error(capsys, tmp_path):
+    script = tmp_path / "cycle.script"
+    script.write_text("unbind n2.out\nexpect-ok\nbind n2.out n1.in\nexpect-ok\n"
+                      "invoke Chain.head next\nexpect-error CallDepthExceeded\n")
+    code, out = _run(capsys, "run", str(adl_path("chain3.fractal.xml")), str(script),
+                     "--corpus", str(corpus_path("chain")))
+    assert code == 0
+    assert out.splitlines() == ["line 1: ok", "line 3: ok", "line 5: error CallDepthExceeded",
+                                "PASS all assertions hold"]
+
+
 def test_run_script_refuses_an_expectation_with_no_command():
     arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
     for kind, args in (("expect-ok", ()), ("expect-error", ("NotFound",))):

@@ -11,6 +11,7 @@ from reconfig.corpus import CorpusStore, MethodSig, TypeDef, TypeKind, TypeRef, 
 from reconfig.errors import (
     AmbiguousImport,
     ArityError,
+    CallDepthExceeded,
     ContentNotAClass,
     CrossBindingExists,
     GranularityForbidsSwap,
@@ -18,13 +19,15 @@ from reconfig.errors import (
     MissingMethod,
     NotAPrimitive,
     ReconfigDuringCall,
+    ReconfigError,
     TypeMismatch,
     UnboundInterface,
+    UnknownBinding,
     UnknownMethod,
     UnresolvableExport,
 )
 from reconfig.factory import Granularity, instantiate, plan_component, plan_modules
-from reconfig.model import BindingCheck
+from reconfig.model import BindingCheck, bind, unbind
 from reconfig.modules import ModuleManager, replay_live_set, same_type
 from reconfig import runtime
 
@@ -585,3 +588,89 @@ def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert arch.report() == before and arch.mgr.live_ids() == live
     assert not arch.swaps
+
+
+# --- links live on the ports --------------------------------------------------------
+
+def test_a_library_unbind_leaves_no_dead_binding_in_any_view():
+    arch, _, _ = build_architecture("hello.fractal.xml", "hello")
+    record = arch.bindings[0]
+    unbind(record)
+    assert arch.bindings == []
+    assert [desc for desc, _ in arch.binding_checks()] == ["this.r -> client.r"]
+    with pytest.raises(UnknownBinding):
+        unbind(record)
+    runtime.bind_ports(arch, "client.s", "server.s")
+    assert [line for line in arch.report().splitlines() if line.startswith("binding ")] == \
+        ["binding client.s -> server.s"]
+
+
+def _link_fixture(name: str):
+    if name == "chain3":
+        return build_architecture("chain3.fractal.xml", "chain")[0]
+    if name == "two_servers":
+        return _build_text(_two_servers_text(), load_corpus(corpus_path("hello")))
+    return _build_text('<definition name="Out" version="1.0">'
+                       '<interface name="q" role="client" signature="Push" version="1.0"/>'
+                       '<component name="a">'
+                       '<interface name="p" role="client" signature="Push" version="1.0"/>'
+                       '<interface name="i" role="server" signature="Push" version="1.0"/>'
+                       '<content class="NodeImpl" version="1.0"/></component>'
+                       '<component name="b">'
+                       '<interface name="p" role="client" signature="Push" version="1.0"/>'
+                       '<interface name="i" role="server" signature="Push" version="1.0"/>'
+                       '<content class="NodeImpl" version="1.0"/></component>'
+                       '<binding client="a.p" server="this.q"/>'
+                       '</definition>', _exchange_corpus("Message", itf_refs_message=True))
+
+
+_LINK_OPS = ("bind_ports", "unbind_port", "rebind", "bind", "unbind")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["chain3", "two_servers", "route_out"]),
+       st.lists(st.tuples(st.sampled_from(_LINK_OPS), st.integers(0, 15), st.integers(0, 15)),
+                max_size=20))
+def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture, ops):
+    arch = _link_fixture(fixture)
+    ports = [port for comp in arch.components.values() for port in comp.interfaces]
+    records = list(arch.bindings)  # every record ever made, so unbind also meets stale ones
+    for kind, i, j in ops:
+        a, b = ports[i % len(ports)], ports[j % len(ports)]
+        try:
+            if kind == "bind":
+                records.append(bind(arch.mgr, a, b))
+            elif kind == "unbind":
+                if records:
+                    unbind(records[i % len(records)])
+            elif kind == "unbind_port":
+                runtime.unbind_port(arch, str(a))
+            else:
+                records.append(getattr(runtime, kind)(arch, str(a), str(b)))
+        except ReconfigError:
+            pass
+        comps = sorted(arch.components.values(), key=lambda c: c.name)
+        live = [p.binding for c in comps for p in c.client_ports() if p.binding is not None]
+        assert arch.bindings == live
+        assert sorted(id(r) for c in comps for p in c.server_ports() for r in p.inbound) == \
+            sorted(id(r) for r in live)
+        assert sorted(line for line in arch.report().splitlines()
+                      if line.startswith("binding ")) == sorted(f"binding {r}" for r in live)
+        routes = len(arch.root.export_routes) + sum(
+            p.outbound_route is not None for c in comps for p in c.interfaces)
+        checks = [desc for desc, _ in arch.binding_checks()]
+        assert len(checks) == len(live) + routes
+        assert checks[:len(live)] == [str(r) for r in live]
+
+
+def test_a_cyclic_chain_stops_at_the_call_depth_cap():
+    arch, _, _ = build_architecture("chain3.fractal.xml", "chain")
+    runtime.unbind_port(arch, "n2.out")
+    runtime.bind_ports(arch, "n2.out", "n1.in")
+    before = arch.report()
+    with pytest.raises(CallDepthExceeded):
+        runtime.invoke(arch, "Chain", "head", "next")
+    kinds = [event.kind for event in arch.trace]
+    assert kinds.count(runtime.ENTER) == kinds.count(runtime.EXIT) == 64
+    assert not arch.in_call
+    assert arch.report() == before
