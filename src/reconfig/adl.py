@@ -123,7 +123,9 @@ class AdlDefinition:
                 raise ParseError(comp.line, comp.col, f"unique component name, {comp.name} repeats")
             seen.add(comp.name)
         if self.name in seen:
-            raise ParseError(1, 1, f"definition name {self.name} distinct from its components")
+            clash = self.component(self.name)
+            raise ParseError(clash.line, clash.col,
+                             f"definition name {self.name} distinct from its components")
         for b in self.bindings:
             for owner, port in (b.client, b.server):
                 if self.port((owner, port)) is not None:

@@ -16,10 +16,10 @@ its content closure, its declared signatures, and the shared-file closure,
 wired to exactly those modules. Two components that exchange a type resolve it
 to one common module precisely when the type is interface-visible or
 file-declared; anything else stays a private copy per component, which is
-what makes undeclared exchange fail at invocation time. A built architecture
-keeps a ``ModuleLedger``, the plan of each live resource module with its kind
-and owner, which the runtime plans against. Its links live on the ports; its
-``bindings`` is a view read off them, not a list kept beside them.
+what makes undeclared exchange fail at invocation time. Each primitive of a
+built architecture owns its planner input and implementation modules; the
+architecture keeps the index of public modules the runtime plans against. Its
+links live on the ports; its ``bindings`` is a view read off them.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -267,50 +267,19 @@ def render_plan(plan: ModulePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ModuleLedger:
-    """The plan every live resource module of an architecture was created from.
+class ArchitectureInstance:
+    """A built architecture: component tree and public-module index; its links live on the ports.
 
     ``public`` maps each pair a shared or interface module exports to that
-    module; an implementation module serves its owner alone and stays out of
-    it, so planning against the ledger never picks another component's copy.
+    module. An implementation module is in its owner's ``impl_modules`` only,
+    so planning against ``public`` never picks another component's copy.
     """
 
-    def __init__(self):
-        self.entries: dict[ModuleId, ResourcePlan] = {}
-        self.public: dict[Pair, ModuleId] = {}
-
-    def record(self, module: ModuleId, plan: ResourcePlan) -> None:
-        self.entries[module] = plan
-        if plan.kind != "impl":
-            self.public.update(dict.fromkeys(plan.exports, module))
-
-    def refuse_private(self, pairs: set[Pair]) -> None:
-        """Raise ``AmbiguousImport`` if implementation modules hold one of ``pairs``.
-
-        Making such a pair public would leave its holders on private copies, a
-        sharing relation no one-step plan gives; the holders are the candidates.
-        """
-        if not pairs:
-            return
-        held = [(pair, mid) for mid, plan in self.entries.items() if plan.kind == "impl"
-                for pair in pairs.intersection(plan.exports)]
-        if held:
-            first = _sorted_pairs(pair for pair, _ in held)[0]
-            raise AmbiguousImport(*first, sorted(mid for pair, mid in held if pair == first))
-
-
-class ArchitectureInstance:
-    """A built architecture: component tree and module ledger; its links live on the ports."""
-
-    def __init__(self, definition: AdlDefinition, granularity: Granularity,
-                 mgr: ModuleManager, ledger: ModuleLedger,
+    def __init__(self, granularity: Granularity, mgr: ModuleManager, public: dict[Pair, ModuleId],
                  components: dict[str, ComponentInstance], root: ComponentInstance):
-        self.definition = definition
         self.granularity = granularity
         self.mgr = mgr
-        self.ledger = ledger
-        # Each primitive's planner input, kept current by add, swap and remove.
-        self.sources: dict[str, AdlComponent] = {c.name: c for c in definition.components}
+        self.public = public
         self.components = dict(components)
         self.root = root
         self.trace: list = []
@@ -326,6 +295,20 @@ class ArchitectureInstance:
         if inst is None:
             raise UnknownComponent(name)
         return inst
+
+    def refuse_private(self, pairs: set[Pair]) -> None:
+        """Raise ``AmbiguousImport`` if implementation modules hold one of ``pairs``.
+
+        Making such a pair public would leave its holders on private copies, a
+        sharing relation no one-step plan gives; the holders are the candidates.
+        """
+        if not pairs:
+            return
+        held = [(pair, mid) for comp in self.components.values() for mid in comp.impl_modules
+                for pair in pairs.intersection(self.mgr.module(mid).exports.items())]
+        if held:
+            first = _sorted_pairs(pair for pair, _ in held)[0]
+            raise AmbiguousImport(*first, sorted(mid for pair, mid in held if pair == first))
 
     def find_port(self, spec: str):
         comp_name, sep, port_name = spec.partition(".")
@@ -364,7 +347,7 @@ class ArchitectureInstance:
 
     def report(self) -> str:
         """Stable full-state dump used for before/after comparisons."""
-        lines = [f"architecture {self.definition.name} granularity={self.granularity.value}"]
+        lines = [f"architecture {self.root.name} granularity={self.granularity.value}"]
         for name in sorted(self.components):
             comp = self.components[name]
             content = str(comp.content) if comp.content is not None else "-"
@@ -404,7 +387,8 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
     created: list[ModuleId] = []
     location = f"definition {definition.name}"
     try:
-        ledger = ModuleLedger()
+        public: dict[Pair, ModuleId] = {}
+        owned: dict[str, list[ModuleId]] = {}
         label_ids: dict[str, ModuleId] = {}
         for rp in plan.resources:
             location = f"module {rp.label}"
@@ -412,7 +396,10 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
                 [ExportDecl(n, v) for n, v in rp.exports], corpus)
             created.append(mid)
             label_ids[rp.label] = mid
-            ledger.record(mid, rp)
+            if rp.kind == "impl":
+                owned.setdefault(rp.owner, []).append(mid)
+            else:
+                public.update(dict.fromkeys(rp.exports, mid))
 
         info_ids: dict[str, ModuleId] = {}
         for ip in plan.infos:
@@ -433,9 +420,8 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         for comp in definition.components:
             location = f"component {comp.name} ({comp.line}:{comp.col})"
             info_id = info_ids[definition.name] if single else info_ids[comp.name]
-            ports = port_specs(corpus, comp.interfaces)
-            content = mgr.load_type(info_id, comp.content[0])
-            components[comp.name] = new_primitive(mgr, comp.name, ports, content, info_id)
+            components[comp.name] = attach_primitive(mgr, corpus, comp, info_id,
+                                                     owned.get(comp.name, []))
 
         location = f"definition {definition.name}"
         root_info = info_ids.get(definition.name)
@@ -447,13 +433,23 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         for b in definition.bindings:
             location = f"binding {b} ({b.line}:{b.col})"
             _apply_binding(mgr, root, components, b)
-        return ArchitectureInstance(definition, plan.granularity, mgr, ledger, components, root)
+        return ArchitectureInstance(plan.granularity, mgr, public, components, root)
     except Exception as exc:
         for mid in reversed(created):
             mgr.remove_module(mid, force=True)
         if isinstance(exc, InstantiationError):
             raise
         raise InstantiationError(location, exc) from exc
+
+
+def attach_primitive(mgr: ModuleManager, corpus: CorpusStore, source: AdlComponent,
+                     info_id: ModuleId, impl_modules: list[ModuleId]) -> ComponentInstance:
+    """Create the primitive ``source`` describes over its info module, owning ``impl_modules``."""
+    content = mgr.load_type(info_id, source.content[0])
+    inst = new_primitive(mgr, source.name, port_specs(corpus, source.interfaces), content, info_id)
+    inst.source = source
+    inst.impl_modules = impl_modules
+    return inst
 
 
 def port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:

@@ -102,6 +102,9 @@ class ComponentInstance:
         self.parents: list[ComponentInstance] = []
         self.info_module = info_module
         self.export_routes: dict[str, InterfacePort] = {}  # composite server port -> child server port
+        self.source = None  # a primitive's AdlComponent, the planner's input
+        # The implementation modules it owns, in creation order, pre-swap versions included.
+        self.impl_modules: list[ModuleId] = []
 
     def port(self, name: str) -> Optional[InterfacePort]:
         for p in self.interfaces:

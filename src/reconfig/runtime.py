@@ -17,13 +17,14 @@ value of the declared return type, constructed in its own context. That is
 enough to exercise every identity and context phenomenon while staying
 deterministic.
 
-Add and swap run the factory's planner against the architecture's module
-ledger. Add refuses, with ``AmbiguousImport``, to make public a type that other
+Add and swap run the factory's planner against the architecture's public
+modules; each primitive owns its planner input and implementation modules.
+Add refuses, with ``AmbiguousImport``, to make public a type that other
 components hold in private modules. Swap re-plans only the swapped component:
 its info module moves to exactly the imports a fresh plan of the new content
 gives, so the whole private closure follows the new content into one fresh
-module while interface and shared modules stay untouched. The old defined
-types (and their module) live on for as long as anything references them.
+module while interface and shared modules stay untouched. The old module
+stays the component's until it is removed; its types live on while referenced.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ from .factory import (
     ArchitectureInstance,
     Granularity,
     ResourcePlan,
+    attach_primitive,
     file_pairs,
     plan_component,
     plan_public,
-    port_specs,
     signature_pairs,
 )
 from .model import (
@@ -70,7 +71,6 @@ from .model import (
     bind,
     check_binding,
     check_conformance,
-    new_primitive,
     remove_child,
     unbind,
 )
@@ -282,36 +282,35 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
         raise ContentNotAClass(name)
     check_conformance(arch.mgr, comp, new_td)
 
-    source = replace(arch.sources[component], content=(name, tag))
-    impl, planned = plan_component(source, corpus, arch.ledger.public)
+    source = replace(comp.source, content=(name, tag))
+    impl, planned = plan_component(source, corpus, arch.public)
+    info = arch.mgr.module(comp.info_module)
+    unwired = sorted(info.imports.keys() - info.wiring.keys())
+    if unwired:  # a forced removal took a provider away, so no undo could restore the table
+        raise InvariantViolation(f"{info.id} imports {unwired[0]} from no module")
+    old_table = [(ImportDecl(n, v), info.wiring[n]) for n, v in info.imports.items()]
     new_mid = None
     if impl is not None:
         new_mid = arch.mgr.create_resource_module(
             [ExportDecl(n, v) for n, v in impl.exports], corpus)
-    info = arch.mgr.module(comp.info_module)
-    before = {n: (v, info.wiring.get(n)) for n, v in info.imports.items()}
-    after = {n: (v, new_mid if p is impl else p) for n, (v, p) in planned.items()}
-    moved_out = [(ImportDecl(n, v), pid) for n, (v, pid) in before.items()
-                 if after.get(n) != (v, pid)]
-    moved_in = [(ImportDecl(n, v), pid) for n, (v, pid) in after.items()
-                if before.get(n) != (v, pid)]
+    new_table = [(ImportDecl(n, v), new_mid if p is impl else p) for n, (v, p) in planned.items()]
     old = comp.content
     try:
-        arch.mgr.rewire_import(info.id, [d.name for d, _ in moved_out], moved_in)
+        arch.mgr.rewire_import(info.id, list(info.imports), new_table)
         comp.content = arch.mgr.load_type(info.id, name)
         broken = [desc for desc, chk in arch.binding_checks() if not chk.ok]
         if broken:
-            arch.mgr.rewire_import(info.id, [d.name for d, _ in moved_in], moved_out)
             raise InvariantViolation(f"swap would break bindings: {broken}")
     except Exception:
+        arch.mgr.rewire_import(info.id, list(info.imports), old_table)
         comp.content = old
         if new_mid is not None:
             arch.mgr.remove_module(new_mid, force=True)
         raise
 
     if new_mid is not None:
-        arch.ledger.record(new_mid, impl)
-    arch.sources[component] = source
+        comp.impl_modules.append(new_mid)
+    comp.source = source
     record = SwapRecord(component, old, comp.content, comp.content.defined_by)
     arch.swaps.append(record)
     _event(arch, SWAP, component, str(old), str(comp.content))
@@ -355,7 +354,7 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     """Add a primitive described by an ADL fragment to the root composite.
 
     Public modules are planned for the fragment's files and signatures that
-    the ledger does not export yet, then the component against them. A new
+    no public module exports yet, then the component against them. A new
     public type already held in implementation modules raises
     ``AmbiguousImport`` before anything is created; any later failure rolls
     every created module back.
@@ -364,12 +363,11 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     if component.name in arch.components:
         raise DuplicateComponent(component.name)
 
-    ledger = arch.ledger
     new_public = plan_public(file_pairs(corpus, component),
-                             signature_pairs(corpus, component.interfaces), corpus, ledger.public)
+                             signature_pairs(corpus, component.interfaces), corpus, arch.public)
     new_index = {pair: rp for rp in new_public for pair in rp.exports}
-    ledger.refuse_private(set(new_index))
-    impl, planned = plan_component(component, corpus, ChainMap(new_index, ledger.public))
+    arch.refuse_private(set(new_index))
+    impl, planned = plan_component(component, corpus, ChainMap(new_index, arch.public))
     plans = new_public + ([impl] if impl is not None else [])
 
     created: list[ModuleId] = []
@@ -384,9 +382,8 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
             [ImportDecl(n, v) for n, (v, _) in imports.items()],
             providers={pid for _, pid in imports.values()})
         created.append(info_id)
-        content = arch.mgr.load_type(info_id, component.content[0])
-        inst = new_primitive(arch.mgr, component.name,
-                             port_specs(corpus, component.interfaces), content, info_id)
+        inst = attach_primitive(arch.mgr, corpus, component, info_id,
+                                [ids[impl.label]] if impl is not None else [])
     except Exception:
         for mid in reversed(created):
             arch.mgr.remove_module(mid, force=True)
@@ -394,18 +391,16 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
-    arch.sources[component.name] = component
-    for rp, mid in zip(plans, created):
-        ledger.record(mid, rp)
+    for rp, mid in zip(new_public, created):
+        arch.public.update(dict.fromkeys(rp.exports, mid))
     return inst
 
 
 def remove_component(arch: ArchitectureInstance, name: str) -> None:
     """Remove a primitive from the root, refusing while bindings cross it.
 
-    The component's info module and the implementation modules the ledger
-    records it as owning go away; interface and shared modules stay, they may
-    serve other components.
+    The component's info module and the implementation modules it owns go
+    away; interface and shared modules stay, they may serve other components.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     comp = arch.component(name)
@@ -413,11 +408,9 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
         raise NotAPrimitive(name)
     remove_child(arch.root, comp)
     arch.mgr.remove_module(comp.info_module, force=False)
-    for mid in [mid for mid, rp in arch.ledger.entries.items() if rp.owner == name]:
+    for mid in comp.impl_modules:
         arch.mgr.remove_module(mid, force=False)
-        del arch.ledger.entries[mid]
     del arch.components[name]
-    del arch.sources[name]
 
 
 def bench_interception(arch: ArchitectureInstance, n: int,

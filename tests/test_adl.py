@@ -113,6 +113,18 @@ def test_check_invariants_raises_parse_errors_on_a_built_definition():
         AdlDefinition("X", V("1.0"), (), (comp, comp), ()).check_invariants()
 
 
+def test_a_definition_named_like_a_component_is_reported_at_that_component():
+    text = ('<!-- two lines of preamble -->\n\n'
+            '  <definition name="a" version="1.0">\n'
+            '    <component name="b"><content class="K"/></component>\n'
+            '    <component name="a"><content class="K"/></component>\n'
+            '</definition>')
+    with pytest.raises(ParseError) as exc:
+        parse_adl(text)
+    assert (exc.value.line, exc.value.col) == (5, 5)
+    assert "definition name a distinct from its components" in exc.value.detail
+
+
 def test_validate_raises_the_parse_error_for_a_built_binding_over_undeclared_ports():
     corpus = load_corpus(corpus_path("hello"))
     text = ('<definition name="X" version="1.0">\n'

@@ -445,7 +445,7 @@ def test_bench_rejects_zero_calls():
         runtime.bench_interception(arch, 0)
 
 
-# --- one planner against the module ledger ------------------------------------------
+# --- one planner against the public modules -----------------------------------------
 
 def _corpus_of(*typedefs: TypeDef) -> CorpusStore:
     return CorpusStore(corpus_path("hello"), {(td.name, td.version): td for td in typedefs})
@@ -510,7 +510,7 @@ def test_swap_rewires_the_whole_private_closure():
     helper = runtime.make_value(arch, comp, "Helper").rt_type
     assert helper.defined_by == record.new_module
     assert str(helper.definition.version) == "2.0"
-    _, fresh = plan_component(arch.sources["c"], corpus, arch.ledger.public)
+    _, fresh = plan_component(arch.component("c").source, corpus, arch.public)
     info = arch.mgr.module(comp.info_module)
     assert info.imports == {name: version for name, (version, _) in fresh.items()}
     assert set(info.wiring.values()) == {record.new_module}
@@ -588,6 +588,116 @@ def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert arch.report() == before and arch.mgr.live_ids() == live
     assert not arch.swaps
+
+
+def test_a_swap_whose_binding_check_raises_restores_the_info_module():
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    server = arch.component("server")
+    before, live = arch.report(), arch.mgr.live_ids()
+    source, owned = server.source, list(server.impl_modules)
+
+    def failing_checks():
+        raise InvariantViolation("injected failure")
+
+    arch.binding_checks = failing_checks
+    with pytest.raises(InvariantViolation, match="injected failure"):
+        runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    assert arch.report() == before and arch.mgr.live_ids() == live
+    assert server.source is source and server.impl_modules == owned
+    assert not arch.swaps
+
+
+def test_a_swap_over_a_force_removed_provider_is_refused_untouched():
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    info = arch.mgr.module(arch.component("server").info_module)
+    arch.mgr.remove_module(info.wiring["Request"], force=True)
+    before, live = arch.report(), arch.mgr.live_ids()
+    with pytest.raises(ReconfigError):
+        runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    assert arch.report() == before and arch.mgr.live_ids() == live
+
+
+# --- each primitive owns its modules --------------------------------------------------
+
+def _assert_each_module_has_one_owner(arch) -> None:
+    owned = list(set(arch.public.values()))
+    for comp in arch.components.values():
+        owned += [comp.info_module] if comp.info_module is not None else []
+        owned += comp.impl_modules
+    assert len(owned) == len(set(owned)), "a module is owned twice"
+    assert set(owned) == arch.mgr.live_ids()
+
+
+def _helper_corpus() -> CorpusStore:
+    return _corpus_of(_cls("Helper", "1.0"), _cls("Helper", "2.0"),
+                      _cls("Impl", "1.0", ("Helper", "1.0")),
+                      _cls("Impl", "2.0", ("Helper", "2.0")))
+
+
+_SERVER_XML = ('<component name="{name}"><interface name="s" role="server" '
+               'signature="Service" version="1.0"/><content class="ServerImpl" '
+               'version="{version}"/>{files}</component>')
+# Per case: the swap targets, and a fragment for a new primitive declaring at most one file.
+_OWNERSHIP_CASES = {
+    "hello_v1": ([("ServerImpl", "1.0"), ("ServerImpl", "2.0"), ("ClientImpl", "1.0"),
+                  ("Ghost", "1.0")],
+                 lambda name, version, file: _SERVER_XML.format(
+                     name=name, version=version,
+                     files=f'<file name="{file}" version="{version}"/>' if file else "")),
+    "helpers": ([("Impl", "1.0"), ("Impl", "2.0"), ("Helper", "2.0")],
+                lambda name, version, file: _component_xml(name, "Impl",
+                                                           ["Helper"] if file else [])),
+}
+
+
+def _ownership_arch(case: str):
+    if case == "hello_v1":
+        arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+        return arch, corpus
+    corpus = _helper_corpus()
+    return _build_text(_definition_xml([_component_xml("a", "Impl"),
+                                        _component_xml("b", "Impl")]), corpus), corpus
+
+
+@pytest.mark.parametrize("case", sorted(_OWNERSHIP_CASES))
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(["swap", "add", "remove"]), st.integers(0, 20),
+                              st.integers(0, 3), st.sampled_from(["1.0", "2.0"]),
+                              st.sampled_from([None, "Request", "ServerImpl"])),
+                    max_size=25))
+def test_live_modules_are_exactly_what_the_components_and_the_public_index_own(case, ops):
+    arch, corpus = _ownership_arch(case)
+    targets, fragment = _OWNERSHIP_CASES[case]
+    _assert_each_module_has_one_owner(arch)
+    for n, (kind, pick, variant, version, file) in enumerate(ops):
+        names = sorted(arch.components)
+        name = names[pick % len(names)]
+        try:
+            if kind == "swap":
+                runtime.swap_implementation(arch, name, targets[variant % len(targets)], corpus)
+            elif kind == "add":
+                fresh = name if variant == 0 else f"x{n}"
+                runtime.add_component(arch, parse_component_fragment(
+                    fragment(fresh, version, file)), corpus)
+            else:
+                runtime.remove_component(arch, name)
+        except ReconfigError:
+            pass
+        _assert_each_module_has_one_owner(arch)
+
+
+def test_removing_a_swapped_component_removes_every_implementation_module_it_owned():
+    corpus = _helper_corpus()
+    arch = _build_text(_definition_xml([_component_xml("a", "Impl")]), corpus)
+    added = runtime.add_component(arch, parse_component_fragment(
+        _component_xml("b", "Impl")), corpus)
+    runtime.swap_implementation(arch, "b", ("Impl", "2.0"), corpus)
+    runtime.swap_implementation(arch, "b", ("Impl", "1.0"), corpus)
+    owned = list(added.impl_modules)
+    assert len(set(owned)) == 3 and set(owned) <= arch.mgr.live_ids()
+    runtime.remove_component(arch, "b")
+    assert not set(owned) & arch.mgr.live_ids()
+    _assert_each_module_has_one_owner(arch)
 
 
 # --- links live on the ports --------------------------------------------------------
