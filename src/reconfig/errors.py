@@ -171,6 +171,11 @@ class UnknownBinding(ReconfigError):
         super().__init__("binding is not live")
 
 
+class DuplicatePort(ReconfigError):
+    def __init__(self, component: str, port: str):
+        super().__init__(f"{component} declares port {port} twice")
+
+
 class NotAChild(ReconfigError):
     def __init__(self, child: str, composite: str):
         super().__init__(f"{child} is not a child of {composite}")

@@ -19,7 +19,8 @@ file-declared; anything else stays a private copy per component, which is
 what makes undeclared exchange fail at invocation time. Each primitive of a
 built architecture owns its planner input and implementation modules; the
 architecture keeps the index of public modules the runtime plans against. Its
-links live on the ports; its ``bindings`` is a view read off them.
+links live on the ports; ``bindings``, ``binding_checks()`` and ``report()``
+are views read off them by one walk, ``model.links``.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -49,6 +50,7 @@ from .model import (
     bind,
     check_binding,
     check_route,
+    links,
     new_composite,
     new_primitive,
 )
@@ -321,19 +323,8 @@ class ArchitectureInstance:
         return port
 
     def _links(self):
-        """Each live link as (kind, label, from port, to port): bindings, then the root's
-        export routes (``route-in``), then ``route-out``; components by name, ports in order."""
-        routes_out = []
-        for comp in sorted(self.components.values(), key=lambda c: c.name):
-            for port in comp.interfaces:  # only client ports hold a binding or an outbound route
-                if port.binding is not None:
-                    yield "binding", str(port.binding), port, port.binding.server
-                if port.outbound_route is not None:
-                    routes_out.append(("route-out", f"{port} -> this.{port.outbound_route.name}",
-                                       port, port.outbound_route))
-        for name, target in sorted(self.root.export_routes.items()):
-            yield "route-in", f"this.{name} -> {target}", self.root.port(name), target
-        yield from routes_out
+        """``links`` over every component by name and the root's export routes."""
+        return links(sorted(self.components.values(), key=lambda c: c.name), [self.root])
 
     @property
     def bindings(self) -> list[BindingRecord]:

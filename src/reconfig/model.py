@@ -8,7 +8,9 @@ server port is only legal when both ends resolve the signature to the *same*
 defined type, i.e. the same (name, defining module) pair.
 
 Links live on the ports alone (a client port's binding or outbound route, a
-composite's export routes); any list of bindings is a view read off them.
+composite's export routes); a client port holds at most one of the two.
+``links`` is the one walk over them: every view of an architecture's links
+and ``remove_child``'s crossing test read it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     ContainmentCycle,
     ContentNotAClass,
     CrossBindingExists,
+    DuplicatePort,
     EmptyComposite,
     MissingMethod,
     NotAChild,
@@ -95,7 +98,8 @@ class ComponentInstance:
         self.kind = kind
         port_names = [spec.name for spec in ports]
         if len(port_names) != len(set(port_names)):
-            raise ValueError(f"component {name} declares a port name twice")
+            raise DuplicatePort(name, next(n for i, n in enumerate(port_names)
+                                           if n in port_names[:i]))
         self.interfaces = [InterfacePort(spec, self) for spec in ports]
         self.content = content
         self.children: list[ComponentInstance] = []
@@ -226,13 +230,13 @@ def check_route(mgr: ModuleManager, outer: InterfacePort, inner: InterfacePort) 
 
 def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
          kind: BindingKind = BindingKind.PRIMITIVE) -> BindingRecord:
-    """Bind a client port to a server port after a successful check."""
+    """Bind an unbound, not routed-out client port to a server port after a successful check."""
     if kind is not BindingKind.PRIMITIVE:
         raise UnsupportedBindingKind(kind.value)
     result = check_binding(mgr, client, server)
     if not result.ok:
         raise result.mismatch
-    if client.binding is not None:
+    if client.binding is not None or client.outbound_route is not None:
         raise AlreadyBound(str(client))
     record = BindingRecord(client, server)
     client.binding = record
@@ -259,36 +263,38 @@ def add_child(composite: ComponentInstance, child: ComponentInstance) -> None:
     child.parents.append(composite)
 
 
-def _bindings_touching(components: set[ComponentInstance]) -> list[BindingRecord]:
-    records: list[BindingRecord] = []
+def links(components: Iterable[ComponentInstance], composites: Iterable[ComponentInstance]):
+    """Each link as (kind, label, from port, to port): the bindings of ``components``'
+    client ports, then ``composites``' export routes by name (``route-in``), then the
+    components' outbound routes (``route-out``); components as given, ports in order."""
+    routes_out = []
     for comp in components:
-        for port in comp.interfaces:
-            if port.binding is not None and port.binding not in records:
-                records.append(port.binding)
-            for rec in port.inbound:
-                if rec not in records:
-                    records.append(rec)
-    return records
+        for port in comp.interfaces:  # only client ports hold a binding or an outbound route
+            if port.binding is not None:
+                yield "binding", str(port.binding), port, port.binding.server
+            if port.outbound_route is not None:
+                routes_out.append(("route-out", f"{port} -> this.{port.outbound_route.name}",
+                                   port, port.outbound_route))
+    for composite in composites:
+        for name, target in sorted(composite.export_routes.items()):
+            yield "route-in", f"this.{name} -> {target}", composite.port(name), target
+    yield from routes_out
 
 
 def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None:
     """Detach a child from one parent, leaving other memberships alone.
 
-    Refused while any live binding or export route crosses the child's
-    boundary; bindings wholly inside the child (or wholly outside) are fine.
+    Refused while any link crosses the child's boundary: one of ``links`` over
+    the subtree and ``composite`` with one end outside, or a binding entering
+    the subtree; links wholly inside the child (or wholly outside) are fine.
     """
     if child not in composite.children:
         raise NotAChild(child.name, composite.name)
     subtree = {child} | child.descendants()
-    crossing: list[object] = [rec for rec in _bindings_touching(subtree)
-                              if (rec.client.owner in subtree) != (rec.server.owner in subtree)]
-    for target in composite.export_routes.values():
-        if target.owner in subtree:
-            crossing.append((composite.name, target))
-    for comp in subtree:
-        for port in comp.interfaces:
-            if port.outbound_route is not None and port.outbound_route.owner not in subtree:
-                crossing.append((port, port.outbound_route))
+    crossing = [label for _, label, a, b in links(subtree, [composite])
+                if (a.owner in subtree) != (b.owner in subtree)]
+    crossing += [str(rec) for comp in subtree for port in comp.server_ports()
+                 for rec in port.inbound if rec.client.owner not in subtree]
     if crossing:
         raise CrossBindingExists(crossing)
     composite.children.remove(child)

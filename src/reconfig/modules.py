@@ -295,36 +295,27 @@ class ModuleManager:
         self._emit(EventKind.REMOVED, module_id)
         return RemovalReport(module_id, tuple(dependents))
 
-    def rewire_import(self, via: ModuleId, drop: Iterable[str],
-                      add: Iterable[tuple[ImportDecl, ModuleId]]) -> None:
-        """Drop some imports of an info module and add others, each pinned to a provider.
+    def rewire_import(self, via: ModuleId, table: Iterable[tuple[ImportDecl, ModuleId]]) -> None:
+        """Replace an info module's whole import table, each import pinned to a provider.
 
-        Used by implementation swap. Every entry is validated before anything
-        changes, so the move is all or nothing; entries not named stay as
-        they are.
+        Used by implementation swap and its undo. Every entry is validated
+        before anything changes, so the move is all or nothing.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):
             raise UnknownModule(via)
-        drop, add = set(drop), list(add)
-        missing = sorted(drop - info.imports.keys())
-        if missing:
-            raise NotImported(missing[0])
-        kept = {n: v for n, v in info.imports.items() if n not in drop}
-        for decl, provider in add:
+        imports: dict[str, VersionTag] = {}
+        wiring: dict[str, ModuleId] = {}
+        for decl, provider in table:
             target = self.module(provider)
             if not (isinstance(target, ResourceModule)
                     and target.exports_pair(decl.name, decl.version)):
                 raise UnresolvableExport(decl.name, decl.version)
-            if decl.name in kept:
-                raise ConflictingImports(decl.name, kept[decl.name], decl.version)
-            kept[decl.name] = decl.version
-        for name in drop:
-            del info.imports[name]
-            info.wiring.pop(name, None)
-        for decl, provider in add:
-            info.imports[decl.name] = decl.version
-            info.wiring[decl.name] = provider
+            if decl.name in imports:
+                raise ConflictingImports(decl.name, imports[decl.name], decl.version)
+            imports[decl.name] = decl.version
+            wiring[decl.name] = provider
+        info.imports, info.wiring = imports, wiring
 
     def subscribe(self, listener: Callable[[ModuleEvent], None]) -> Subscription:
         token = self._next_token

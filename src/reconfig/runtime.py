@@ -296,13 +296,13 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     new_table = [(ImportDecl(n, v), new_mid if p is impl else p) for n, (v, p) in planned.items()]
     old = comp.content
     try:
-        arch.mgr.rewire_import(info.id, list(info.imports), new_table)
+        arch.mgr.rewire_import(info.id, new_table)
         comp.content = arch.mgr.load_type(info.id, name)
         broken = [desc for desc, chk in arch.binding_checks() if not chk.ok]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
     except Exception:
-        arch.mgr.rewire_import(info.id, list(info.imports), old_table)
+        arch.mgr.rewire_import(info.id, old_table)
         comp.content = old
         if new_mid is not None:
             arch.mgr.remove_module(new_mid, force=True)

@@ -193,6 +193,36 @@ def test_a_call_cycle_is_an_expectable_call_depth_error(capsys, tmp_path):
                                 "PASS all assertions hold"]
 
 
+def test_binding_a_port_that_routes_out_is_an_expectable_already_bound(capsys, tmp_path):
+    node = ('<interface name="p" role="client" signature="Hop" version="1.0"/>'
+            '<interface name="i" role="server" signature="Hop" version="1.0"/>'
+            '<content class="NodeImpl" version="1.0"/></component>')
+    adl_file = tmp_path / "route_out.fractal.xml"
+    adl_file.write_text('<definition name="Out" version="1.0">'
+                        '<interface name="q" role="client" signature="Hop" version="1.0"/>'
+                        f'<component name="a">{node}<component name="b">{node}'
+                        '<binding client="a.p" server="this.q"/></definition>')
+    script = tmp_path / "bind.script"
+    script.write_text("bind a.p b.i\nexpect-error AlreadyBound\n")
+    code, out = _run(capsys, "run", str(adl_file), str(script),
+                     "--corpus", str(corpus_path("chain")))
+    assert code == 0
+    assert out.splitlines() == ["line 1: error AlreadyBound", "PASS all assertions hold"]
+
+
+def test_adding_a_port_declared_twice_is_an_expectable_duplicate_port(capsys, tmp_path):
+    script = tmp_path / "add.script"
+    port = '<interface name="s" role="server" signature="Service" version="1.0"/>'
+    script.write_text(f'add <component name="x">{port}{port}'
+                      '<content class="ServerImpl" version="2.0"/>'
+                      '<file name="Request" version="1.0"/></component>\n'
+                      "expect-error DuplicatePort\n")
+    code, out = _run(capsys, "run", str(adl_path("hello_v1.fractal.xml")), str(script),
+                     "--corpus", str(corpus_path("hello_swap")))
+    assert code == 0
+    assert out.splitlines() == ["line 1: error DuplicatePort", "PASS all assertions hold"]
+
+
 def test_run_script_refuses_an_expectation_with_no_command():
     arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
     for kind, args in (("expect-ok", ()), ("expect-error", ("NotFound",))):

@@ -279,13 +279,15 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     info = mgr.create_info_module([_import("ServerImpl", "1.0"), _import("Service", "1.0")],
                                   providers=[old, itf])
     new = mgr.create_resource_module([_export("ServerImpl", "2.0")], swap_corpus)
-    mgr.rewire_import(info, ["ServerImpl"], [(_import("ServerImpl", "2.0"), new)])
+    service = (_import("Service", "1.0"), itf)
+    mgr.rewire_import(info, [(_import("ServerImpl", "2.0"), new), service])
     wiring = mgr.module(info).wiring
     assert wiring["ServerImpl"] == new and wiring["Service"] == itf
     with pytest.raises(UnresolvableExport):
-        mgr.rewire_import(info, ["ServerImpl"], [(_import("ServerImpl", "3.0"), new)])
-    with pytest.raises(NotImported):
-        mgr.rewire_import(info, ["Ghost"], [(_import("ServerImpl", "2.0"), new)])
-    with pytest.raises(ConflictingImports):  # all or nothing: Service stays imported
-        mgr.rewire_import(info, ["Service"], [(_import("ServerImpl", "2.0"), new)])
+        mgr.rewire_import(info, [(_import("ServerImpl", "3.0"), new), service])
+    with pytest.raises(ConflictingImports):  # all or nothing: the table stays as it was
+        mgr.rewire_import(info, [(_import("ServerImpl", "2.0"), new),
+                                 (_import("ServerImpl", "1.0"), old)])
     assert mgr.module(info).wiring == {"ServerImpl": new, "Service": itf}
+    assert mgr.module(info).imports == {"ServerImpl": VersionTag("2.0"),
+                                        "Service": VersionTag("1.0")}

@@ -14,6 +14,7 @@ from reconfig.errors import (
     CallDepthExceeded,
     ContentNotAClass,
     CrossBindingExists,
+    DuplicatePort,
     GranularityForbidsSwap,
     InvariantViolation,
     MissingMethod,
@@ -260,6 +261,21 @@ def test_add_component_failure_rolls_back_modules():
         '<content class="ClientImpl" version="1.0"/></component>')
     with pytest.raises(MissingMethod):
         runtime.add_component(arch, fragment, corpus)  # ClientImpl lacks push/handler
+    assert arch.mgr.live_ids() == before_live
+    assert arch.report() == before_report
+
+
+def test_add_of_a_port_declared_twice_is_refused_and_rolled_back():
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    before_live = arch.mgr.live_ids()
+    before_report = arch.report()
+    port = '<interface name="s" role="server" signature="Service" version="1.0"/>'
+    fragment = parse_component_fragment(
+        f'<component name="x">{port}{port}<content class="ServerImpl" version="2.0"/>'
+        '<file name="Request" version="1.0"/></component>')
+    with pytest.raises(DuplicatePort) as exc:
+        runtime.add_component(arch, fragment, corpus)
+    assert exc.value.code == "DuplicatePort"  # the code of validate's diagnostic
     assert arch.mgr.live_ids() == before_live
     assert arch.report() == before_report
 
@@ -734,7 +750,29 @@ def _link_fixture(name: str):
                        '</definition>', _exchange_corpus("Message", itf_refs_message=True))
 
 
-_LINK_OPS = ("bind_ports", "unbind_port", "rebind", "bind", "unbind")
+_LINK_OPS = ("bind_ports", "unbind_port", "rebind", "bind", "unbind", "remove")
+
+
+def _crosses_its_boundary(arch, comp) -> bool:
+    """Whether any link has exactly one end at ``comp``, read off the raw port attributes."""
+    return (any(p.binding is not None and p.binding.server.owner is not comp
+                or p.outbound_route is not None for p in comp.interfaces)
+            or any(rec.client.owner is not comp for p in comp.interfaces for rec in p.inbound)
+            or any(target.owner is comp for target in arch.root.export_routes.values()))
+
+
+def _remove_checking_the_crossing_oracle(arch, pick: int) -> None:
+    primitives = [c for _, c in sorted(arch.components.items()) if c is not arch.root]
+    if not primitives:
+        return
+    victim = primitives[pick % len(primitives)]
+    crosses = _crosses_its_boundary(arch, victim)
+    try:
+        runtime.remove_component(arch, victim.name)
+    except ReconfigError as exc:
+        assert crosses and isinstance(exc, CrossBindingExists), exc
+    else:
+        assert not crosses
 
 
 @settings(max_examples=200, deadline=None)
@@ -748,7 +786,9 @@ def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture
     for kind, i, j in ops:
         a, b = ports[i % len(ports)], ports[j % len(ports)]
         try:
-            if kind == "bind":
+            if kind == "remove":
+                _remove_checking_the_crossing_oracle(arch, i)
+            elif kind == "bind":
                 records.append(bind(arch.mgr, a, b))
             elif kind == "unbind":
                 if records:
@@ -760,6 +800,8 @@ def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture
         except ReconfigError:
             pass
         comps = sorted(arch.components.values(), key=lambda c: c.name)
+        assert not any(p.binding is not None and p.outbound_route is not None
+                       for c in comps for p in c.interfaces)
         live = [p.binding for c in comps for p in c.client_ports() if p.binding is not None]
         assert arch.bindings == live
         assert sorted(id(r) for c in comps for p in c.server_ports() for r in p.inbound) == \
