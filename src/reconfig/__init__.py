@@ -47,8 +47,6 @@ from .model import (
 )
 from .modules import (
     DefinedType,
-    ExportDecl,
-    ImportDecl,
     ModuleEvent,
     ModuleId,
     ModuleManager,

@@ -72,6 +72,10 @@ class VersionTag:
         return self.text
 
 
+#: A resolved type, ``(name, version)``; pairs sort by name, then version.
+Pair = tuple[str, VersionTag]
+
+
 @dataclass(frozen=True)
 class TypeRef:
     """Symbolic reference to a type, optionally pinned to a version."""
@@ -233,11 +237,11 @@ class CorpusStore:
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, key: tuple[str, VersionTag]) -> bool:
+    def __contains__(self, key: Pair) -> bool:
         return key in self._index
 
     def entries(self) -> list[TypeDef]:
-        return [self._index[k] for k in sorted(self._index, key=lambda k: (k[0], k[1].key))]
+        return [self._index[k] for k in sorted(self._index)]
 
     def lookup(self, ref: TypeRef, chain: tuple[str, ...] = ()) -> TypeDef:
         """Resolve a reference.

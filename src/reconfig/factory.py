@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
-from .corpus import CorpusStore, TypeRef, VersionTag
+from .corpus import CorpusStore, Pair, TypeRef, VersionTag
 from .errors import (
     AmbiguousImport,
     InstantiationError,
@@ -54,9 +54,7 @@ from .model import (
     new_composite,
     new_primitive,
 )
-from .modules import ExportDecl, ImportDecl, InfoModule, ModuleId, ModuleManager, ResourceModule
-
-Pair = tuple[str, VersionTag]
+from .modules import InfoModule, ModuleId, ModuleManager, ResourceModule
 
 
 class Granularity(Enum):
@@ -103,7 +101,7 @@ def _pair_str(pair: Pair) -> str:
 
 
 def _sorted_pairs(pairs) -> tuple[Pair, ...]:
-    return tuple(sorted(pairs, key=lambda p: (p[0], p[1].key)))
+    return tuple(sorted(pairs))
 
 
 def _resolve_pair(corpus: CorpusStore, name: str, version: Optional[VersionTag]) -> Pair:
@@ -285,7 +283,6 @@ class ArchitectureInstance:
         self.components = dict(components)
         self.root = root
         self.trace: list = []
-        self.swaps: list = []
         self.in_call = False
         self._seq = itertools.count()
 
@@ -354,12 +351,10 @@ class ArchitectureInstance:
         for mid in sorted(self.mgr.live_ids()):
             mod = self.mgr.module(mid)
             if isinstance(mod, ResourceModule):
-                exports = ", ".join(f"{n}@{v}" for n, v in sorted(
-                    mod.exports.items(), key=lambda kv: (kv[0], kv[1].key)))
+                exports = ", ".join(f"{n}@{v}" for n, v in sorted(mod.exports.items()))
                 lines.append(f"module {mid} resource exports=[{exports}]")
             elif isinstance(mod, InfoModule):
-                imports = ", ".join(f"{n}@{v}" for n, v in sorted(
-                    mod.imports.items(), key=lambda kv: (kv[0], kv[1].key)))
+                imports = ", ".join(f"{n}@{v}" for n, v in sorted(mod.imports.items()))
                 wired = ", ".join(f"{n}->{mod.wiring[n]}" for n in sorted(mod.wiring))
                 lines.append(f"module {mid} info imports=[{imports}] wiring=[{wired}]")
             else:
@@ -383,8 +378,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         label_ids: dict[str, ModuleId] = {}
         for rp in plan.resources:
             location = f"module {rp.label}"
-            mid = mgr.create_resource_module(
-                [ExportDecl(n, v) for n, v in rp.exports], corpus)
+            mid = mgr.create_resource_module(rp.exports, corpus)
             created.append(mid)
             label_ids[rp.label] = mid
             if rp.kind == "impl":
@@ -396,8 +390,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         for ip in plan.infos:
             location = f"info module {ip.component}"
             mid = mgr.create_info_module(
-                [ImportDecl(n, v) for n, v in ip.imports],
-                providers=[label_ids[label] for label in ip.providers])
+                ip.imports, providers=[label_ids[label] for label in ip.providers])
             created.append(mid)
             for name, pid in mgr.module(mid).wiring.items():
                 planned = plan.wiring[(ip.component, name)]

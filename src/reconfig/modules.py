@@ -4,21 +4,24 @@ The identity rule lives here: a loaded type is the pair (name, defining
 module). The same name materialized by two different resource modules yields
 two distinct types, which is what makes cross-module casts fail.
 
-Resource modules own and cache definitions pulled from a corpus; at most one
-version per name may live in a single module, mirroring a loader's inability
-to hold two versions of one class. Info modules define nothing: every load is
-delegated through their import wiring to exactly one resource module. Wiring
-is resolved at creation time and only when each import has a single exporter
-among the candidates; ambiguity is an error, never a silent choice.
+A resolved type is the planner's ``(name, VersionTag)`` pair; modules are
+created from iterables of them. Resource modules own and cache definitions
+pulled from a corpus; at most one version per name may live in a single
+module, mirroring a loader's inability to hold two versions of one class.
+Info modules define nothing: their import table maps each name to a
+(version, provider) pair, and every load is delegated through it to exactly
+one resource module. Wiring is resolved at creation time and only when each
+import has a single exporter among the candidates; ambiguity is an error,
+never a silent choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .corpus import CorpusStore, TypeDef, TypeRef, VersionTag
+from .corpus import CorpusStore, Pair, TypeDef, TypeRef, VersionTag
 from .errors import (
     AmbiguousImport,
     ConflictingExports,
@@ -43,24 +46,6 @@ class ModuleId:
 
     def __repr__(self) -> str:
         return f"m{self.seq}"
-
-
-@dataclass(frozen=True)
-class ExportDecl:
-    name: str
-    version: VersionTag
-
-    def __str__(self) -> str:
-        return f"{self.name}@{self.version}"
-
-
-@dataclass(frozen=True)
-class ImportDecl:
-    name: str
-    version: VersionTag
-
-    def __str__(self) -> str:
-        return f"{self.name}@{self.version}"
 
 
 @dataclass(frozen=True)
@@ -104,17 +89,17 @@ class RemovalReport:
 class ResourceModule:
     """Exports versioned definitions from a corpus and owns what it defines."""
 
-    def __init__(self, module_id: ModuleId, exports: Iterable[ExportDecl], source: CorpusStore):
+    def __init__(self, module_id: ModuleId, exports: Iterable[Pair], source: CorpusStore):
         self.id = module_id
         self.source = source
         self.exports: dict[str, VersionTag] = {}
-        for decl in sorted(exports, key=lambda d: (d.name, d.version.key)):
-            if decl.name in self.exports:
-                raise ConflictingExports(decl.name, self.exports[decl.name], decl.version)
+        for name, version in sorted(exports):
+            if name in self.exports:
+                raise ConflictingExports(name, self.exports[name], version)
             # Verified resolvable at declaration time, not lazily.
-            if (decl.name, decl.version) not in source:
-                raise UnresolvableExport(decl.name, decl.version)
-            self.exports[decl.name] = decl.version
+            if (name, version) not in source:
+                raise UnresolvableExport(name, version)
+            self.exports[name] = version
         self._defined: dict[str, DefinedType] = {}
 
     def exports_pair(self, name: str, version: VersionTag) -> bool:
@@ -210,14 +195,14 @@ class ModuleManager:
         for listener in list(self._listeners.values()):
             listener(event)
 
-    def create_resource_module(self, exports: Iterable[ExportDecl],
+    def create_resource_module(self, exports: Iterable[Pair],
                                source: CorpusStore) -> ModuleId:
         module = ResourceModule(self._fresh_id(), exports, source)
         self._modules[module.id] = module
         self._emit(EventKind.ADDED, module.id)
         return module.id
 
-    def create_info_module(self, imports: Iterable[ImportDecl],
+    def create_info_module(self, imports: Iterable[Pair],
                            providers: Optional[Iterable[ModuleId]] = None) -> ModuleId:
         """Create an info module, wiring each import to exactly one exporter.
 
@@ -236,10 +221,10 @@ class ModuleManager:
                 if not isinstance(c, ResourceModule):
                     raise UnknownModule(c.id)
         declared: dict[str, VersionTag] = {}
-        for decl in sorted(imports, key=lambda d: (d.name, d.version.key)):
-            if decl.name in declared:
-                raise ConflictingImports(decl.name, declared[decl.name], decl.version)
-            declared[decl.name] = decl.version
+        for name, version in sorted(imports):
+            if name in declared:
+                raise ConflictingImports(name, declared[name], version)
+            declared[name] = version
         wiring: dict[str, ModuleId] = {}
         for name, version in declared.items():
             exporters = [m for m in candidates if m.exports_pair(name, version)]
@@ -295,8 +280,9 @@ class ModuleManager:
         self._emit(EventKind.REMOVED, module_id)
         return RemovalReport(module_id, tuple(dependents))
 
-    def rewire_import(self, via: ModuleId, table: Iterable[tuple[ImportDecl, ModuleId]]) -> None:
-        """Replace an info module's whole import table, each import pinned to a provider.
+    def rewire_import(self, via: ModuleId,
+                      table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
+        """Replace an info module's whole import table, ``{name: (version, provider)}``.
 
         Used by implementation swap and its undo. Every entry is validated
         before anything changes, so the move is all or nothing.
@@ -304,18 +290,12 @@ class ModuleManager:
         info = self.module(via)
         if not isinstance(info, InfoModule):
             raise UnknownModule(via)
-        imports: dict[str, VersionTag] = {}
-        wiring: dict[str, ModuleId] = {}
-        for decl, provider in table:
+        for name, (version, provider) in table.items():
             target = self.module(provider)
-            if not (isinstance(target, ResourceModule)
-                    and target.exports_pair(decl.name, decl.version)):
-                raise UnresolvableExport(decl.name, decl.version)
-            if decl.name in imports:
-                raise ConflictingImports(decl.name, imports[decl.name], decl.version)
-            imports[decl.name] = decl.version
-            wiring[decl.name] = provider
-        info.imports, info.wiring = imports, wiring
+            if not (isinstance(target, ResourceModule) and target.exports_pair(name, version)):
+                raise UnresolvableExport(name, version)
+        info.imports = {name: version for name, (version, _) in table.items()}
+        info.wiring = {name: provider for name, (_, provider) in table.items()}
 
     def subscribe(self, listener: Callable[[ModuleEvent], None]) -> Subscription:
         token = self._next_token

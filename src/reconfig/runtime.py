@@ -74,7 +74,7 @@ from .model import (
     remove_child,
     unbind,
 )
-from .modules import DefinedType, ExportDecl, ImportDecl, ModuleId, same_type
+from .modules import DefinedType, ModuleId, same_type
 
 MAX_CALL_DEPTH = 64
 
@@ -288,12 +288,11 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     unwired = sorted(info.imports.keys() - info.wiring.keys())
     if unwired:  # a forced removal took a provider away, so no undo could restore the table
         raise InvariantViolation(f"{info.id} imports {unwired[0]} from no module")
-    old_table = [(ImportDecl(n, v), info.wiring[n]) for n, v in info.imports.items()]
+    old_table = {n: (v, info.wiring[n]) for n, v in info.imports.items()}
     new_mid = None
     if impl is not None:
-        new_mid = arch.mgr.create_resource_module(
-            [ExportDecl(n, v) for n, v in impl.exports], corpus)
-    new_table = [(ImportDecl(n, v), new_mid if p is impl else p) for n, (v, p) in planned.items()]
+        new_mid = arch.mgr.create_resource_module(impl.exports, corpus)
+    new_table = {n: (v, new_mid if p is impl else p) for n, (v, p) in planned.items()}
     old = comp.content
     try:
         arch.mgr.rewire_import(info.id, new_table)
@@ -311,10 +310,8 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     if new_mid is not None:
         comp.impl_modules.append(new_mid)
     comp.source = source
-    record = SwapRecord(component, old, comp.content, comp.content.defined_by)
-    arch.swaps.append(record)
     _event(arch, SWAP, component, str(old), str(comp.content))
-    return record
+    return SwapRecord(component, old, comp.content, comp.content.defined_by)
 
 
 def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:
@@ -373,13 +370,12 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     created: list[ModuleId] = []
     try:
         for rp in plans:
-            created.append(arch.mgr.create_resource_module(
-                [ExportDecl(n, v) for n, v in rp.exports], corpus))
+            created.append(arch.mgr.create_resource_module(rp.exports, corpus))
         ids = {rp.label: mid for rp, mid in zip(plans, created)}
         imports = {n: (v, ids[p.label] if isinstance(p, ResourcePlan) else p)
                    for n, (v, p) in planned.items()}
         info_id = arch.mgr.create_info_module(
-            [ImportDecl(n, v) for n, (v, _) in imports.items()],
+            [(n, v) for n, (v, _) in imports.items()],
             providers={pid for _, pid in imports.values()})
         created.append(info_id)
         inst = attach_primitive(arch.mgr, corpus, component, info_id,

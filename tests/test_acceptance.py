@@ -38,8 +38,6 @@ from reconfig.errors import (
 )
 from reconfig.factory import Granularity, instantiate, plan_modules
 from reconfig.modules import (
-    ExportDecl,
-    ImportDecl,
     ModuleManager,
     replay_live_set,
     same_type,
@@ -148,7 +146,7 @@ def _build_graph(corpus, modules, order):
     owner_of = {}
     for idx in order:
         mid = mgr.create_resource_module(
-            [ExportDecl(n, V(v)) for n, v in modules[idx]], corpus)
+            [(n, V(v)) for n, v in modules[idx]], corpus)
         for pair in modules[idx]:
             owner_of[pair] = (idx, mid)
     return mgr, owner_of
@@ -175,7 +173,7 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         loaded = []
         wiring_by_fingerprint = []
         for imports in info_specs:
-            info = mgr.create_info_module([ImportDecl(n, V(v)) for n, v in imports])
+            info = mgr.create_info_module([(n, V(v)) for n, v in imports])
             wiring = mgr.module(info).wiring
             wiring_by_fingerprint.append(
                 {name: owner_of[(name, version)][0] for name, version in imports})
@@ -205,7 +203,7 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         rng.shuffle(order)
         mgr2, owner2 = _build_graph(corpus, modules, order)
         for imports, fingerprint in zip(info_specs, wiring_by_fingerprint):
-            info2 = mgr2.create_info_module([ImportDecl(n, V(v)) for n, v in imports])
+            info2 = mgr2.create_info_module([(n, V(v)) for n, v in imports])
             wiring2 = mgr2.module(info2).wiring
             got = {name: next(idx for (n, v), (idx, mid) in owner2.items()
                               if n == name and mid == wiring2[name])

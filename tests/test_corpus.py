@@ -40,6 +40,10 @@ def test_version_ordering_is_numeric_not_textual():
     expected = [t for _, t in sorted((tuple(int(p) for p in t.split(".")), t) for t in texts)]
     assert expected == ["1.0", "1.10", "2.0"]
     assert [str(v) for v in sorted(VersionTag(t) for t in texts)] == expected
+    # pairs sort naturally as (name, version key), equal versions keeping input order
+    pairs = [(n, VersionTag(t)) for t in ["2", "1.10", "1", "1.9", "1.0"] for n in ["b", "a"]]
+    by_key = sorted(pairs, key=lambda p: (p[0], p[1].key))
+    assert [(n, str(v)) for n, v in sorted(pairs)] == [(n, str(v)) for n, v in by_key]
 
 
 def test_missing_trailing_components_compare_as_zero():

@@ -28,19 +28,15 @@ from reconfig.model import (
     remove_child,
     unbind,
 )
-from reconfig.modules import ExportDecl, ImportDecl, ModuleManager
+from reconfig.modules import ModuleManager
 
 from conftest import corpus_path
 
 V = VersionTag
 
 
-def _exports(*pairs):
-    return [ExportDecl(n, V(v)) for n, v in pairs]
-
-
-def _imports(*pairs):
-    return [ImportDecl(n, V(v)) for n, v in pairs]
+def _pairs(*pairs):
+    return [(n, V(v)) for n, v in pairs]
 
 
 @pytest.fixture
@@ -49,10 +45,10 @@ def world():
     corpus = load_corpus(corpus_path("hello"))
     mgr = ModuleManager()
     res = mgr.create_resource_module(
-        _exports(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
+        _pairs(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
                  ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")), corpus)
     info = mgr.create_info_module(
-        _imports(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
+        _pairs(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
                  ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")), providers=[res])
     return mgr, corpus, info
 
@@ -145,9 +141,9 @@ def test_check_binding_detects_private_signature_copies(world):
     client = _client(mgr, info)
     # a second world: same names wired to a different defining module
     res2 = mgr.create_resource_module(
-        _exports(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
+        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
     info2 = mgr.create_info_module(
-        _imports(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
+        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
         providers=[res2])
     stranger = _server(mgr, info2, name="stranger")
     result = check_binding(mgr, client.port("s"), stranger.port("s"))
@@ -179,9 +175,9 @@ def test_bind_raises_the_predicted_mismatch(world):
     mgr, corpus, info = world
     client = _client(mgr, info)
     res2 = mgr.create_resource_module(
-        _exports(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
+        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
     info2 = mgr.create_info_module(
-        _imports(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
+        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
         providers=[res2])
     stranger = _server(mgr, info2, name="stranger")
     with pytest.raises(TypeMismatch):

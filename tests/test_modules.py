@@ -18,8 +18,6 @@ from reconfig.errors import (
 )
 from reconfig.modules import (
     EventKind,
-    ExportDecl,
-    ImportDecl,
     ModuleManager,
     replay_live_set,
     same_type,
@@ -37,12 +35,8 @@ def _mem_store(*pairs) -> CorpusStore:
     return CorpusStore(corpus_path("hello"), index)
 
 
-def _export(name, version) -> ExportDecl:
-    return ExportDecl(name, VersionTag(version))
-
-
-def _import(name, version) -> ImportDecl:
-    return ImportDecl(name, VersionTag(version))
+def _pair(name, version):
+    return (name, VersionTag(version))
 
 
 @pytest.fixture
@@ -52,59 +46,59 @@ def hello():
 
 def test_create_resource_module_verifies_exports(hello):
     mgr = ModuleManager()
-    mid = mgr.create_resource_module([_export("Service", "1.0")], hello)
+    mid = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     assert mid in mgr.live_ids()
     assert [e.kind for e in mgr.events] == [EventKind.ADDED]
 
     assert mgr.create_resource_module([], hello) in mgr.live_ids()
 
     with pytest.raises(UnresolvableExport):
-        mgr.create_resource_module([_export("Ghost", "9.9")], hello)
+        mgr.create_resource_module([_pair("Ghost", "9.9")], hello)
 
 
 def test_one_version_per_name_per_module(hello):
     store = _mem_store(("Request", "1.0"), ("Request", "2.0"))
     mgr = ModuleManager()
     with pytest.raises(ConflictingExports):
-        mgr.create_resource_module([_export("Request", "1.0"), _export("Request", "2.0")], store)
+        mgr.create_resource_module([_pair("Request", "1.0"), _pair("Request", "2.0")], store)
     with pytest.raises(ConflictingImports):
-        src = mgr.create_resource_module([_export("Request", "1.0")], store)
-        mgr.create_info_module([_import("Request", "1.0"), _import("Request", "2.0")],
+        src = mgr.create_resource_module([_pair("Request", "1.0")], store)
+        mgr.create_info_module([_pair("Request", "1.0"), _pair("Request", "2.0")],
                                providers=[src])
 
 
-def test_info_module_wiring_and_missing_import(hello):
+def test_info_module_wiring_and_missing_pair(hello):
     mgr = ModuleManager()
-    itf = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
     assert mgr.module(info).wiring == {"Service": itf}
 
     assert mgr.module(mgr.create_info_module([])).wiring == {}
 
     with pytest.raises(MissingImport):
-        mgr.create_info_module([_import("Request", "1.0")])
+        mgr.create_info_module([_pair("Request", "1.0")])
 
 
 def test_two_exporters_make_an_import_ambiguous(hello):
     mgr = ModuleManager()
-    a = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    b = mgr.create_resource_module([_export("Service", "1.0")], hello)
+    a = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    b = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     # oracle: count the matching exporters directly
     exporters = [m.id for m in mgr.resource_modules()
                  if m.exports_pair("Service", VersionTag("1.0"))]
     assert exporters == [a, b]
     with pytest.raises(AmbiguousImport) as exc:
-        mgr.create_info_module([_import("Service", "1.0")])
+        mgr.create_info_module([_pair("Service", "1.0")])
     assert list(exc.value.candidates) == exporters
     # restricting the candidates resolves it
-    info = mgr.create_info_module([_import("Service", "1.0")], providers=[b])
+    info = mgr.create_info_module([_pair("Service", "1.0")], providers=[b])
     assert mgr.module(info).wiring == {"Service": b}
 
 
 def test_load_type_caches_and_is_idempotent(hello):
     mgr = ModuleManager()
-    mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
+    mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
     first = mgr.load_type(info, "Service")
     second = mgr.load_type(info, "Service")
     assert first is second and same_type(first, second)
@@ -112,22 +106,22 @@ def test_load_type_caches_and_is_idempotent(hello):
 
 def test_shared_provider_gives_one_identity_private_copies_two(hello):
     mgr = ModuleManager()
-    shared = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    client = mgr.create_info_module([_import("Service", "1.0")], providers=[shared])
-    server = mgr.create_info_module([_import("Service", "1.0")], providers=[shared])
+    shared = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    client = mgr.create_info_module([_pair("Service", "1.0")], providers=[shared])
+    server = mgr.create_info_module([_pair("Service", "1.0")], providers=[shared])
     assert same_type(mgr.load_type(client, "Service"), mgr.load_type(server, "Service"))
 
-    copy_a = mgr.create_resource_module([_export("Request", "1.0")], hello)
-    copy_b = mgr.create_resource_module([_export("Request", "1.0")], hello)
-    info_a = mgr.create_info_module([_import("Request", "1.0")], providers=[copy_a])
-    info_b = mgr.create_info_module([_import("Request", "1.0")], providers=[copy_b])
+    copy_a = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    copy_b = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    info_a = mgr.create_info_module([_pair("Request", "1.0")], providers=[copy_a])
+    info_b = mgr.create_info_module([_pair("Request", "1.0")], providers=[copy_b])
     assert not same_type(mgr.load_type(info_a, "Request"), mgr.load_type(info_b, "Request"))
 
 
 def test_same_type_is_exactly_the_name_module_pair(hello):
     mgr = ModuleManager()
-    res = mgr.create_resource_module([_export("Service", "1.0"), _export("Request", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0"), _import("Request", "1.0")])
+    res = mgr.create_resource_module([_pair("Service", "1.0"), _pair("Request", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0"), _pair("Request", "1.0")])
     service = mgr.load_type(info, "Service")
     request = mgr.load_type(info, "Request")
     assert same_type(service, service)
@@ -137,8 +131,8 @@ def test_same_type_is_exactly_the_name_module_pair(hello):
 
 def test_load_type_requires_an_info_module_and_a_wired_name(hello):
     mgr = ModuleManager()
-    res = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
+    res = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
     with pytest.raises(NotImported):
         mgr.load_type(info, "Request")
     with pytest.raises(UnknownModule):
@@ -147,9 +141,9 @@ def test_load_type_requires_an_info_module_and_a_wired_name(hello):
 
 def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
     mgr = ModuleManager()
-    mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
-    other = mgr.create_info_module([_import("Service", "1.0")])
+    mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
+    other = mgr.create_info_module([_pair("Service", "1.0")])
     mgr.module(info).wiring["Service"] = other
     with pytest.raises(InvariantViolation):
         mgr.load_type(info, "Service")
@@ -157,9 +151,9 @@ def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
 
 def test_removal_with_a_non_info_dependent_is_refused_untouched(hello, monkeypatch):
     mgr = ModuleManager()
-    itf = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
-    other = mgr.create_resource_module([_export("Request", "1.0")], hello)
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
+    other = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     monkeypatch.setattr(mgr, "dependents_of", lambda module_id: [info, other])
     with pytest.raises(InvariantViolation):
         mgr.remove_module(itf, force=True)
@@ -169,7 +163,7 @@ def test_removal_with_a_non_info_dependent_is_refused_untouched(hello, monkeypat
 
 def test_remove_unreferenced_module(hello):
     mgr = ModuleManager()
-    mid = mgr.create_resource_module([_export("Service", "1.0")], hello)
+    mid = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     report = mgr.remove_module(mid)
     assert report.invalidated == ()
     assert [e.kind for e in mgr.events] == [EventKind.ADDED, EventKind.REMOVED]
@@ -180,9 +174,9 @@ def test_remove_unreferenced_module(hello):
 
 def test_remove_wired_module_refused_then_forced(hello):
     mgr = ModuleManager()
-    itf = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info1 = mgr.create_info_module([_import("Service", "1.0")])
-    info2 = mgr.create_info_module([_import("Service", "1.0")])
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info1 = mgr.create_info_module([_pair("Service", "1.0")])
+    info2 = mgr.create_info_module([_pair("Service", "1.0")])
     # oracle: scan all wirings for the provider
     dependents = [m.id for m in mgr.info_modules() if itf in m.wiring.values()]
     assert dependents == [info1, info2]
@@ -199,8 +193,8 @@ def test_remove_wired_module_refused_then_forced(hello):
 
 def test_defined_types_survive_module_removal(hello):
     mgr = ModuleManager()
-    itf = mgr.create_resource_module([_export("Service", "1.0")], hello)
-    info = mgr.create_info_module([_import("Service", "1.0")])
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
     loaded = mgr.load_type(info, "Service")
     mgr.remove_module(itf, force=True)
     assert loaded.name == "Service" and loaded.defined_by == itf
@@ -251,14 +245,14 @@ def test_resolution_is_deterministic_under_insertion_order(hello):
     specs = [("alpha", [("Service", "1.0")]),
              ("beta", [("Request", "1.0")]),
              ("gamma", [("ClientImpl", "1.0"), ("java.lang.Runnable", "0")])]
-    imports = [_import("Service", "1.0"), _import("Request", "1.0"),
-               _import("java.lang.Runnable", "0")]
+    imports = [_pair("Service", "1.0"), _pair("Request", "1.0"),
+               _pair("java.lang.Runnable", "0")]
 
     def build(order):
         mgr = ModuleManager()
         label_of = {}
         for label, exports in order:
-            mid = mgr.create_resource_module([_export(n, v) for n, v in exports], hello)
+            mid = mgr.create_resource_module([_pair(n, v) for n, v in exports], hello)
             label_of[mid] = label
         info = mgr.create_info_module(imports)
         return {name: label_of[mid] for name, mid in mgr.module(info).wiring.items()}
@@ -274,20 +268,18 @@ def test_resolution_is_deterministic_under_insertion_order(hello):
 def test_rewire_import_moves_exactly_one_entry(hello):
     swap_corpus = load_corpus(corpus_path("hello_swap"))
     mgr = ModuleManager()
-    old = mgr.create_resource_module([_export("ServerImpl", "1.0")], swap_corpus)
-    itf = mgr.create_resource_module([_export("Service", "1.0")], swap_corpus)
-    info = mgr.create_info_module([_import("ServerImpl", "1.0"), _import("Service", "1.0")],
+    old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], swap_corpus)
+    info = mgr.create_info_module([_pair("ServerImpl", "1.0"), _pair("Service", "1.0")],
                                   providers=[old, itf])
-    new = mgr.create_resource_module([_export("ServerImpl", "2.0")], swap_corpus)
-    service = (_import("Service", "1.0"), itf)
-    mgr.rewire_import(info, [(_import("ServerImpl", "2.0"), new), service])
+    new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
+    mgr.rewire_import(info, {"ServerImpl": (VersionTag("2.0"), new),
+                             "Service": (VersionTag("1.0"), itf)})
     wiring = mgr.module(info).wiring
     assert wiring["ServerImpl"] == new and wiring["Service"] == itf
-    with pytest.raises(UnresolvableExport):
-        mgr.rewire_import(info, [(_import("ServerImpl", "3.0"), new), service])
-    with pytest.raises(ConflictingImports):  # all or nothing: the table stays as it was
-        mgr.rewire_import(info, [(_import("ServerImpl", "2.0"), new),
-                                 (_import("ServerImpl", "1.0"), old)])
+    with pytest.raises(UnresolvableExport):  # all or nothing: the valid entry is not applied
+        mgr.rewire_import(info, {"ServerImpl": (VersionTag("1.0"), old),
+                                 "Service": (VersionTag("3.0"), itf)})
     assert mgr.module(info).wiring == {"ServerImpl": new, "Service": itf}
     assert mgr.module(info).imports == {"ServerImpl": VersionTag("2.0"),
                                         "Service": VersionTag("1.0")}
