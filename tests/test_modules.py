@@ -67,7 +67,7 @@ def test_one_version_per_name_per_module(hello):
                                providers=[src])
 
 
-def test_info_module_wiring_and_missing_pair(hello):
+def test_info_module_wiring_and_missing_import(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
