@@ -19,8 +19,8 @@ file-declared; anything else stays a private copy per component, which is
 what makes undeclared exchange fail at invocation time. Each primitive of a
 built architecture owns its planner input and implementation modules; the
 architecture keeps the index of public modules the runtime plans against. Its
-links live on the ports; ``bindings``, ``binding_checks()`` and ``report()``
-are views read off them by one walk, ``model.links``.
+links live on the ports; ``bindings``, ``binding_checks()``, ``link_checks()``
+and ``report()`` are views read off them by one walk, ``model.links``.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -46,6 +46,7 @@ from .errors import (
 from .model import (
     BindingRecord,
     ComponentInstance,
+    InterfacePort,
     PortSpec,
     bind,
     check_binding,
@@ -328,10 +329,21 @@ class ArchitectureInstance:
         """The live bindings, read off the client ports."""
         return [port.binding for kind, _, port, _ in self._links() if kind == "binding"]
 
+    def _check(self, kind: str, label: str, a: InterfacePort, b: InterfacePort):
+        return label, (check_binding if kind == "binding" else check_route)(self.mgr, a, b)
+
     def binding_checks(self):
         """Re-evaluate every live binding and route against current modules."""
-        return [(label, (check_binding if kind == "binding" else check_route)(self.mgr, a, b))
-                for kind, label, a, b in self._links()]
+        return [self._check(*link) for link in self._links()]
+
+    def link_checks(self, comp: ComponentInstance):
+        """Re-evaluate, like ``binding_checks()``, the links with an end at ``comp``'s ports."""
+        walked = [comp, *comp.children]  # a child's outbound route may end at a composite's port
+        touching = [link for link in links(walked, [*comp.parents, comp])
+                    if comp in (link[2].owner, link[3].owner)]
+        touching += [("binding", str(rec), rec.client, rec.server) for port in comp.server_ports()
+                     for rec in port.inbound if rec.client.owner not in walked]
+        return [self._check(*link) for link in touching]
 
     def report(self) -> str:
         """Stable full-state dump used for before/after comparisons."""

@@ -12,7 +12,9 @@ Info modules define nothing: their import table maps each name to a
 (version, provider) pair, and every load is delegated through it to exactly
 one resource module. Wiring is resolved at creation time and only when each
 import has a single exporter among the candidates; ambiguity is an error,
-never a silent choice.
+never a silent choice. Create, rewire and remove write wiring through one
+manager method, which also keeps a reverse index from each provider to the
+info modules wired to it, so a module's dependents are a lookup.
 """
 
 from __future__ import annotations
@@ -127,11 +129,10 @@ class ResourceModule:
 class InfoModule:
     """Per-component delegating module: imports, no cache, no definitions."""
 
-    def __init__(self, module_id: ModuleId, imports: dict[str, VersionTag],
-                 wiring: dict[str, ModuleId]):
+    def __init__(self, module_id: ModuleId, imports: dict[str, VersionTag]):
         self.id = module_id
         self.imports = imports
-        self.wiring = wiring
+        self.wiring: dict[str, ModuleId] = {}  # written by ModuleManager._set_wiring only
 
 
 Module = Union[ResourceModule, InfoModule]
@@ -155,6 +156,8 @@ class ModuleManager:
 
     def __init__(self):
         self._modules: dict[ModuleId, Module] = {}
+        # Provider -> the info modules wired to it; kept by _set_wiring alone.
+        self._dependents: dict[ModuleId, set[ModuleId]] = {}
         self._events: list[ModuleEvent] = []
         self._listeners: dict[int, Callable[[ModuleEvent], None]] = {}
         self._next_seq = 1
@@ -188,6 +191,18 @@ class ModuleManager:
         mid = ModuleId(self._next_seq)
         self._next_seq += 1
         return mid
+
+    def _set_wiring(self, info: InfoModule, wiring: dict[str, ModuleId]) -> None:
+        """The one write of an info module's wiring; keeps ``_dependents`` in step."""
+        old, new = set(info.wiring.values()), set(wiring.values())
+        for pid in old - new:
+            entry = self._dependents[pid]
+            entry.discard(info.id)
+            if not entry:
+                del self._dependents[pid]
+        for pid in new - old:
+            self._dependents.setdefault(pid, set()).add(info.id)
+        info.wiring = wiring
 
     def _emit(self, kind: EventKind, module_id: ModuleId) -> None:
         event = ModuleEvent(kind, module_id)
@@ -233,7 +248,8 @@ class ModuleManager:
             if len(exporters) > 1:
                 raise AmbiguousImport(name, version, [m.id for m in exporters])
             wiring[name] = exporters[0].id
-        module = InfoModule(self._fresh_id(), declared, wiring)
+        module = InfoModule(self._fresh_id(), declared)
+        self._set_wiring(module, wiring)
         self._modules[module.id] = module
         self._emit(EventKind.ADDED, module.id)
         return module.id
@@ -257,7 +273,8 @@ class ModuleManager:
         return provider.define(name)
 
     def dependents_of(self, module_id: ModuleId) -> list[ModuleId]:
-        return [m.id for m in self.info_modules() if module_id in m.wiring.values()]
+        """The info modules wired to ``module_id``, in id order, read off the reverse index."""
+        return sorted(self._dependents.get(module_id, ()))
 
     def remove_module(self, module_id: ModuleId, force: bool = False) -> RemovalReport:
         """Remove a module; refuse while wired unless forced.
@@ -274,9 +291,10 @@ class ModuleManager:
         if not all(isinstance(dep, InfoModule) for dep in deps):
             raise InvariantViolation(f"a dependent of {module_id} is not an info module")
         for dep in deps:
-            for name in [n for n, pid in dep.wiring.items() if pid == module_id]:
-                del dep.wiring[name]
-        del self._modules[module_id]
+            self._set_wiring(dep, {n: pid for n, pid in dep.wiring.items() if pid != module_id})
+        removed = self._modules.pop(module_id)
+        if isinstance(removed, InfoModule):
+            self._set_wiring(removed, {})
         self._emit(EventKind.REMOVED, module_id)
         return RemovalReport(module_id, tuple(dependents))
 
@@ -295,7 +313,7 @@ class ModuleManager:
             if not (isinstance(target, ResourceModule) and target.exports_pair(name, version)):
                 raise UnresolvableExport(name, version)
         info.imports = {name: version for name, (version, _) in table.items()}
-        info.wiring = {name: provider for name, (_, provider) in table.items()}
+        self._set_wiring(info, {name: provider for name, (_, provider) in table.items()})
 
     def subscribe(self, listener: Callable[[ModuleEvent], None]) -> Subscription:
         token = self._next_token

@@ -23,8 +23,11 @@ Add refuses, with ``AmbiguousImport``, to make public a type that other
 components hold in private modules. Swap re-plans only the swapped component:
 its info module moves to exactly the imports a fresh plan of the new content
 gives, so the whole private closure follows the new content into one fresh
-module while interface and shared modules stay untouched. The old module
-stays the component's until it is removed; its types live on while referenced.
+module while interface and shared modules stay untouched. Only that info
+module changes, so the post-swap check covers the links at the swapped
+component's ports and no others; a swap costs what the component touches,
+not the size of the architecture. The old module stays the component's until
+it is removed; its types live on while referenced.
 """
 
 from __future__ import annotations
@@ -264,9 +267,11 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
 
     The info module moves in one validated step to the imports a fresh plan
     of the new content gives. Interface and shared modules are untouched, so
-    every binding stays type-safe, which is checked before the swap commits;
-    the old content type and its module persist, letting the two versions
-    coexist until the old module is removed explicitly.
+    every binding stays type-safe. Before the swap commits, the links at the
+    swapped component's ports are checked (``arch.link_checks``): only this
+    info module changed, so every other link still loads through the same
+    modules. The old content type and its module persist, letting the two
+    versions coexist until the old module is removed explicitly.
     """
     _guard_reconfig(arch, "swap")
     comp = arch.component(component)
@@ -297,7 +302,7 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     try:
         arch.mgr.rewire_import(info.id, new_table)
         comp.content = arch.mgr.load_type(info.id, name)
-        broken = [desc for desc, chk in arch.binding_checks() if not chk.ok]
+        broken = [desc for desc, chk in arch.link_checks(comp) if not chk.ok]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
     except Exception:

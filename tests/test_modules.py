@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from reconfig.modules import (
 
 from conftest import corpus_path
 from reconfig.corpus import load_corpus
+
+SRC = Path(__file__).parent.parent / "src" / "reconfig"
 
 
 def _mem_store(*pairs) -> CorpusStore:
@@ -283,3 +287,76 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     assert mgr.module(info).wiring == {"ServerImpl": new, "Service": itf}
     assert mgr.module(info).imports == {"ServerImpl": VersionTag("2.0"),
                                         "Service": VersionTag("1.0")}
+
+
+# --- the one write path for wiring and its reverse index -----------------------------
+
+def test_forced_removal_then_removal_of_the_dependent_leaves_no_stale_index_entry(hello):
+    mgr = ModuleManager()
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    req = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0"), _pair("Request", "1.0")])
+    assert mgr.dependents_of(itf) == mgr.dependents_of(req) == [info]
+    assert mgr.remove_module(itf, force=True).invalidated == (info,)
+    assert mgr.module(info).wiring == {"Request": req}
+    assert mgr.dependents_of(itf) == [] and mgr.dependents_of(req) == [info]
+    mgr.remove_module(info)
+    assert mgr.dependents_of(req) == []
+    mgr.remove_module(req)  # no longer InUse: the removed info module left the index
+    assert mgr._dependents == {}
+
+
+def test_dependents_are_in_id_order_whatever_the_order_they_were_wired_in():
+    swap_corpus = load_corpus(corpus_path("hello_swap"))
+    mgr = ModuleManager()
+    old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
+    new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
+    first = mgr.create_info_module([_pair("ServerImpl", "1.0")], providers=[old])
+    second = mgr.create_info_module([_pair("ServerImpl", "2.0")], providers=[new])
+    mgr.rewire_import(first, {"ServerImpl": (VersionTag("2.0"), new)})
+    assert mgr.dependents_of(new) == [first, second] and mgr.dependents_of(old) == []
+    with pytest.raises(InUse) as exc:
+        mgr.remove_module(new)
+    assert list(exc.value.dependents) == [first, second]
+
+
+class _WiringWrites(ast.NodeVisitor):
+    """Collects the qualified name of every function that writes some ``x.wiring``."""
+
+    MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: set[str] = set()
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def _note(self, target):
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "wiring":
+            self.found.add(".".join(self.scope))
+
+    def generic_visit(self, node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            for target in node.targets:
+                self._note(target)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            self._note(node.target)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in self.MUTATORS):
+            self._note(node.func.value)
+        super().generic_visit(node)
+
+
+def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
+    visitor = _WiringWrites()
+    for path in sorted(SRC.glob("*.py")):
+        visitor.scope = [path.stem]
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert visitor.found == {"modules.InfoModule.__init__", "modules.ModuleManager._set_wiring"}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,8 @@ from reconfig.errors import (
 )
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
 from reconfig.model import BindingCheck, ComponentKind, bind, unbind
-from reconfig.modules import ModuleManager, replay_live_set, same_type
-from reconfig import runtime
+from reconfig.modules import InfoModule, ModuleManager, replay_live_set, same_type
+from reconfig import factory, runtime
 
 from conftest import build_architecture, corpus_path
 
@@ -599,7 +601,7 @@ def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
     before, live = arch.report(), arch.mgr.live_ids()
     broken = BindingCheck(False, TypeMismatch("Service", "m1", "m2"))
-    monkeypatch.setattr(arch, "binding_checks", lambda: [("client.s -> server.s", broken)])
+    monkeypatch.setattr(arch, "link_checks", lambda comp: [("client.s -> server.s", broken)])
     with pytest.raises(InvariantViolation):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert arch.report() == before and arch.mgr.live_ids() == live
@@ -611,10 +613,10 @@ def test_a_swap_whose_binding_check_raises_restores_the_info_module():
     before, live = arch.report(), arch.mgr.live_ids()
     source, owned = server.source, list(server.impl_modules)
 
-    def failing_checks():
+    def failing_checks(comp):
         raise InvariantViolation("injected failure")
 
-    arch.binding_checks = failing_checks
+    arch.link_checks = failing_checks
     with pytest.raises(InvariantViolation, match="injected failure"):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert arch.report() == before and arch.mgr.live_ids() == live
@@ -653,6 +655,24 @@ def _assert_each_info_module_is_wired_as_planned(arch, corpus) -> None:
                                else arch.public[(n, v)] for n, (v, p) in planned.items()}
 
 
+def _assert_the_index_and_the_port_checks_match_their_scans(arch) -> None:
+    """``dependents_of`` equals a scan of every wiring; ``link_checks(comp)`` is exactly the
+    part of ``binding_checks()`` with an end at ``comp``."""
+    mgr = arch.mgr
+    for mid in mgr.live_ids():
+        assert mgr.dependents_of(mid) == [i.id for i in mgr.info_modules()
+                                          if mid in i.wiring.values()]
+    every = [((label, chk.ok), (a.owner, b.owner))
+             for (label, chk), (_, _, a, b) in zip(arch.binding_checks(), arch._links())]
+    for comp in arch.components.values():
+        assert sorted((label, chk.ok) for label, chk in arch.link_checks(comp)) == \
+            sorted(check for check, ends in every if comp in ends)
+
+
+def _refuse_the_swap(comp):
+    raise InvariantViolation("post-swap check refused")
+
+
 def _helper_corpus() -> CorpusStore:
     return _corpus_of(_cls("Helper", "1.0"), _cls("Helper", "2.0"),
                       _cls("Impl", "1.0", ("Helper", "1.0")),
@@ -686,7 +706,8 @@ def _ownership_arch(case: str):
 
 @pytest.mark.parametrize("case", sorted(_OWNERSHIP_CASES))
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(["swap", "add", "remove"]), st.integers(0, 20),
+@given(ops=st.lists(st.tuples(st.sampled_from(["swap", "undone", "add", "remove"]),
+                              st.integers(0, 20),
                               st.integers(0, 3), st.sampled_from(["1.0", "2.0"]),
                               st.sampled_from([None, "Request", "ServerImpl"])),
                     max_size=25))
@@ -695,12 +716,18 @@ def test_live_modules_are_exactly_what_the_components_and_the_public_index_own(c
     targets, fragment = _OWNERSHIP_CASES[case]
     _assert_each_module_has_one_owner(arch)
     _assert_each_info_module_is_wired_as_planned(arch, corpus)
+    _assert_the_index_and_the_port_checks_match_their_scans(arch)
     for n, (kind, pick, variant, version, file) in enumerate(ops):
         names = sorted(arch.components)
         name = names[pick % len(names)]
         try:
             if kind == "swap":
                 runtime.swap_implementation(arch, name, targets[variant % len(targets)], corpus)
+            elif kind == "undone":  # the post-swap check fails, so a rewired swap is undone
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(arch, "link_checks", _refuse_the_swap)
+                    runtime.swap_implementation(arch, name, targets[variant % len(targets)],
+                                                corpus)
             elif kind == "add":
                 fresh = name if variant == 0 else f"x{n}"
                 runtime.add_component(arch, parse_component_fragment(
@@ -711,6 +738,7 @@ def test_live_modules_are_exactly_what_the_components_and_the_public_index_own(c
             pass
         _assert_each_module_has_one_owner(arch)
         _assert_each_info_module_is_wired_as_planned(arch, corpus)
+        _assert_the_index_and_the_port_checks_match_their_scans(arch)
 
 
 def test_removing_a_swapped_component_removes_every_implementation_module_it_owned():
@@ -824,6 +852,7 @@ def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture
         checks = [desc for desc, _ in arch.binding_checks()]
         assert len(checks) == len(live) + routes
         assert checks[:len(live)] == [str(r) for r in live]
+        _assert_the_index_and_the_port_checks_match_their_scans(arch)
 
 
 def test_a_cyclic_chain_stops_at_the_call_depth_cap():
@@ -837,3 +866,59 @@ def test_a_cyclic_chain_stops_at_the_call_depth_cap():
     assert kinds.count(runtime.ENTER) == kinds.count(runtime.EXIT) == 64
     assert not arch.in_call
     assert arch.report() == before
+
+
+# --- reconfiguration costs what it touches --------------------------------------------
+
+def _chain_swap_corpus() -> CorpusStore:
+    base = _exchange_corpus("Message", itf_refs_message=False)
+    node = base.lookup(TypeRef("NodeImpl", V("1.0")))
+    return _corpus_of(*base.entries(), dataclasses.replace(node, version=V("2.0")))
+
+
+def _count_wiring_reads(patch, counts: Counter) -> None:
+    def read(info):
+        counts["wiring_reads"] += 1
+        return info.__dict__["wiring"]
+
+    def write(info, wiring):
+        info.__dict__["wiring"] = wiring
+
+    patch.setattr(InfoModule, "wiring", property(read, write), raising=False)
+
+
+def _count_link_checks(patch, counts: Counter) -> None:
+    for name in ("check_binding", "check_route"):
+        real = getattr(factory, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        patch.setattr(factory, name, counted)
+
+
+def _work_of_one_swap_and_one_remove(n: int) -> dict[str, Counter]:
+    """Link checks and wiring reads of swapping, then removing, the middle of an n-chain."""
+    corpus = _chain_swap_corpus()
+    arch = _build_text(_chain_text(n, [True] * n), corpus)
+    middle = f"c{n // 2}"
+    work = {"swap": Counter(), "remove": Counter()}
+    with pytest.MonkeyPatch.context() as patch:
+        _count_link_checks(patch, work["swap"])
+        _count_wiring_reads(patch, work["swap"])
+        runtime.swap_implementation(arch, middle, ("NodeImpl", "2.0"), corpus)
+    runtime.unbind_port(arch, f"c{n // 2 - 1}.out")
+    runtime.unbind_port(arch, f"{middle}.out")
+    with pytest.MonkeyPatch.context() as patch:
+        _count_link_checks(patch, work["remove"])
+        _count_wiring_reads(patch, work["remove"])
+        runtime.remove_component(arch, middle)
+    return work
+
+
+def test_a_swap_and_a_remove_do_the_same_work_at_100_and_1000_primitives():
+    small, large = _work_of_one_swap_and_one_remove(100), _work_of_one_swap_and_one_remove(1000)
+    assert small == large
+    assert small["swap"]["check_binding"] == 2  # the bindings into and out of the middle
+    assert small["remove"]["wiring_reads"] > 0
