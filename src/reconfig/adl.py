@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .corpus import CorpusStore, TypeKind, TypeRef, VersionTag, is_type_name
+from .corpus import CorpusStore, TypeKind, VersionTag, is_type_name
 from .errors import AmbiguousVersion, NotFound, ParseError, UnknownAttribute, UnknownElement
 from .model import Role
 
@@ -398,10 +398,6 @@ def _diag(code: str, line: int, col: int, message: str) -> Diagnostic:
     return Diagnostic("ERROR", code, f"{line}:{col}", message)
 
 
-def _resolve(corpus: CorpusStore, name: str, version: Optional[VersionTag]):
-    return corpus.lookup(TypeRef(name, version))
-
-
 def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]:
     """Static checks against a corpus; an empty list means buildable.
 
@@ -421,7 +417,7 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
                                    f"{owner} declares port {itf.name} twice"))
             seen.add(itf.name)
             try:
-                td = _resolve(corpus, itf.signature, itf.version)
+                td = corpus.resolve(itf.signature, itf.version)
             except (NotFound, AmbiguousVersion) as exc:
                 diags.append(_diag("UnresolvableSignature", itf.line, itf.col,
                                    f"{owner}.{itf.name}: {exc}"))
@@ -435,12 +431,12 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
         check_ports(comp.name, comp.interfaces)
         cls, cver = comp.content
         try:
-            _resolve(corpus, cls, cver)
+            corpus.resolve(cls, cver)
         except (NotFound, AmbiguousVersion) as exc:
             diags.append(_diag("UnresolvableContent", comp.line, comp.col, str(exc)))
         for fname, fver in comp.files:
             try:
-                _resolve(corpus, fname, fver)
+                corpus.resolve(fname, fver)
             except (NotFound, AmbiguousVersion) as exc:
                 diags.append(_diag("UnresolvableFile", comp.line, comp.col, str(exc)))
 
@@ -474,8 +470,8 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
                                f"client endpoint {b.client[0]}.{b.client[1]} bound twice"))
         bound_clients.add(b.client)
         try:
-            ctd = _resolve(corpus, cport.signature, cport.version)
-            std = _resolve(corpus, sport.signature, sport.version)
+            ctd = corpus.resolve(cport.signature, cport.version)
+            std = corpus.resolve(sport.signature, sport.version)
         except (NotFound, AmbiguousVersion):
             continue  # already reported on the port
         if ctd.name != std.name:

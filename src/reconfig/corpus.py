@@ -17,12 +17,20 @@ File grammar (one type per UTF-8 file, named ``<name>-<version>.typedef``)::
 Unknown keys are rejected. Platform types such as ``java.lang.Runnable`` and
 the universal supertype ``object`` are ordinary entries carrying the reserved
 version ``0``.
+
+A type is resolved once, as a JVM resolves a (name, loader) pair once.
+``VersionTag`` is interned, one instance per version text, so a resolved
+``(name, VersionTag)`` pair is cheap to build, hash and compare. A store
+memoizes each reference it resolves (``resolve``) and the closure of each
+single root (``closure_of``): the store never changes once loaded, so neither
+memo can go stale or needs invalidating, and each holds at most a few entries
+per typedef. Failed resolutions and walks are never memoized.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
@@ -42,25 +50,60 @@ def is_type_name(text: str) -> bool:
     return bool(TYPE_NAME_RE.match(text))
 
 
-@dataclass(frozen=True)
 class VersionTag:
     """A dot-separated decimal version such as ``1.0``.
 
     Ordering and equality are on the integer components, with missing trailing
     components reading as zero, so ``1`` and ``1.0`` denote the same version.
     The original text is kept for display.
+
+    Tags are interned: ``VersionTag(text)`` hands out one shared, immutable
+    instance per text, validated once, with its hash computed once. A
+    malformed text raises ``ValueError`` on every call and is never kept.
+    Equal tags of different texts (``1`` and ``1.0``) stay distinct
+    instances. The intern table stops growing at ``_INTERN_LIMIT`` texts;
+    past it, tags are still correct, only not shared.
     """
 
-    text: str = field(compare=False)
-    key: tuple[int, ...] = field(init=False)
+    __slots__ = ("text", "key", "_hash")
+    _interned: dict[str, "VersionTag"] = {}
+    _INTERN_LIMIT = 4096
 
-    def __post_init__(self):
-        if not VERSION_RE.match(self.text):
-            raise ValueError(f"malformed version {self.text!r}")
-        parts = tuple(int(p) for p in self.text.split("."))
+    def __new__(cls, text: str) -> "VersionTag":
+        tag = cls._interned.get(text)
+        if tag is not None:
+            return tag
+        if not VERSION_RE.match(text):
+            raise ValueError(f"malformed version {text!r}")
+        parts = tuple(int(p) for p in text.split("."))
         while len(parts) > 1 and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "key", parts)
+        tag = object.__new__(cls)
+        object.__setattr__(tag, "text", text)
+        object.__setattr__(tag, "key", parts)
+        object.__setattr__(tag, "_hash", hash(parts))
+        if len(cls._interned) < cls._INTERN_LIMIT:
+            cls._interned[text] = tag
+        return tag
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VersionTag is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"VersionTag is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return VersionTag, (self.text,)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not VersionTag:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "VersionTag") -> bool:
         return self.key < other.key
@@ -70,6 +113,9 @@ class VersionTag:
 
     def __str__(self) -> str:
         return self.text
+
+    def __repr__(self) -> str:
+        return f"VersionTag(text={self.text!r}, key={self.key!r})"
 
 
 #: A resolved type, ``(name, version)``; pairs sort by name, then version.
@@ -223,11 +269,22 @@ def _parse_method(value: str, path) -> MethodSig:
 
 
 class CorpusStore:
-    """Immutable index of every typedef found under a root directory."""
+    """Immutable index of every typedef found under a root directory.
+
+    Each reference that resolves (``resolve``) and the closure of each single
+    root (``closure_of``) are computed once and memoized. The index never
+    changes after construction, so a memo can never go stale and needs no
+    invalidation. ``closure_of`` holds at most one entry per pair in the
+    store, ``resolve`` at most one per pair plus one per unversioned name. A
+    lookup or walk that fails is not memoized, so it raises the same error,
+    with the same chain, on every call.
+    """
 
     def __init__(self, root: Path, index: dict[tuple[str, VersionTag], TypeDef]):
         self.root = root
         self._index = dict(index)
+        self._resolved: dict[tuple[str, Optional[VersionTag]], TypeDef] = {}
+        self._closures: dict[Pair, tuple[Pair, ...]] = {}
         self._by_name: dict[str, list[VersionTag]] = {}
         for name, version in self._index:
             self._by_name.setdefault(name, []).append(version)
@@ -262,9 +319,24 @@ class CorpusStore:
             raise AmbiguousVersion(ref.name, versions, chain)
         return self._index[(ref.name, versions[0])]
 
+    def resolve(self, name: str, version: Optional[VersionTag] = None) -> TypeDef:
+        """``lookup(TypeRef(name, version))``, memoized per reference that resolves."""
+        td = self._resolved.get((name, version))
+        if td is None:
+            td = self._resolved[(name, version)] = self.lookup(TypeRef(name, version))
+        return td
+
     def versions(self, name: str) -> list[VersionTag]:
         """All known versions of a name, ascending; empty when unknown."""
         return list(self._by_name.get(name, []))
+
+    def closure_of(self, root: Pair) -> tuple[Pair, ...]:
+        """``closure([TypeRef(*root)])`` in sorted order, walked once per root."""
+        cached = self._closures.get(root)
+        if cached is None:
+            cached = tuple(sorted(self.closure([TypeRef(*root)])))
+            self._closures[root] = cached
+        return cached
 
     def closure(self, roots: Iterable[TypeRef]) -> set[tuple[str, VersionTag]]:
         """Transitive closure over typedef references.

@@ -18,9 +18,12 @@ to one common module precisely when the type is interface-visible or
 file-declared; anything else stays a private copy per component, which is
 what makes undeclared exchange fail at invocation time. Each primitive of a
 built architecture owns its planner input and implementation modules; the
-architecture keeps the index of public modules the runtime plans against. Its
-links live on the ports; ``bindings``, ``binding_checks()``, ``link_checks()``
-and ``report()`` are views read off them by one walk, ``model.links``.
+architecture keeps the index of public modules the runtime plans against, and
+an index of which implementation modules hold each private pair, so ``add``'s
+refusal to make such a pair public is a lookup. Its links live on the ports;
+``bindings``, ``binding_checks()``, ``link_checks()`` and ``report()`` are
+views read off them by one walk, ``model.links``, which ``link_checks()``
+narrows to one component's links before it builds any label.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -31,10 +34,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
-from .corpus import CorpusStore, Pair, TypeRef, VersionTag
+from .corpus import CorpusStore, Pair, VersionTag
 from .errors import (
     AmbiguousImport,
     InstantiationError,
@@ -106,7 +109,7 @@ def _sorted_pairs(pairs) -> tuple[Pair, ...]:
 
 
 def _resolve_pair(corpus: CorpusStore, name: str, version: Optional[VersionTag]) -> Pair:
-    td = corpus.lookup(TypeRef(name, version))
+    td = corpus.resolve(name, version)
     return (td.name, td.version)
 
 
@@ -139,7 +142,7 @@ def plan_public(roots, signatures, corpus: CorpusStore,
     """
     groups: list[tuple[set[Pair], set[Pair]]] = []
     for root in _sorted_pairs(set(roots)):
-        types = {p for p in corpus.closure([TypeRef(*root)]) if p not in public}
+        types = {p for p in corpus.closure_of(root) if p not in public}
         if not types:
             continue
         merged_roots = {root}
@@ -161,7 +164,7 @@ def plan_public(roots, signatures, corpus: CorpusStore,
     for sig in _sorted_pairs(sig_set):
         if sig in shared or sig in public:
             continue  # file declarations take precedence; no separate module
-        exports = {sig} | {p for p in corpus.closure([TypeRef(*sig)])
+        exports = {sig} | {p for p in corpus.closure_of(sig)
                            if p not in shared and p not in sig_set
                            and p not in assigned and p not in public}
         assigned |= exports
@@ -174,10 +177,10 @@ def component_imports(component: AdlComponent, corpus: CorpusStore) -> dict[str,
     ``file`` declarations, and its declared signatures."""
     imports: dict[str, VersionTag] = {}
     content = _resolve_pair(corpus, *component.content)
-    _merge_imports(imports, corpus.closure([TypeRef(*content)]), component.name)
+    _merge_imports(imports, corpus.closure_of(content), component.name)
     _merge_imports(imports, signature_pairs(corpus, component.interfaces), component.name)
     for pair in file_pairs(corpus, component):
-        _merge_imports(imports, corpus.closure([TypeRef(*pair)]), component.name)
+        _merge_imports(imports, corpus.closure_of(pair), component.name)
     return imports
 
 
@@ -273,7 +276,8 @@ class ArchitectureInstance:
 
     ``public`` maps each pair a shared or interface module exports to that
     module. An implementation module is in its owner's ``impl_modules`` only,
-    so planning against ``public`` never picks another component's copy.
+    so planning against ``public`` never picks another component's copy; the
+    pairs it exports are indexed for ``refuse_private``.
     """
 
     def __init__(self, granularity: Granularity, mgr: ModuleManager, public: dict[Pair, ModuleId],
@@ -283,6 +287,11 @@ class ArchitectureInstance:
         self.public = public
         self.components = dict(components)
         self.root = root
+        # Pair -> the implementation modules that export it; kept by index_private.
+        self._private_holders: dict[Pair, set[ModuleId]] = {}
+        for comp in self.components.values():
+            for mid in comp.impl_modules:
+                self.index_private(mid, mgr.module(mid).exports.items())
         self.trace: list = []
         self.in_call = False
         self._seq = itertools.count()
@@ -296,19 +305,30 @@ class ArchitectureInstance:
             raise UnknownComponent(name)
         return inst
 
+    def index_private(self, mid: ModuleId, pairs: Iterable[Pair], held: bool = True) -> None:
+        """Record (``held``) or forget implementation module ``mid`` under the pairs it exports.
+
+        Build, add and swap record the implementation modules they create;
+        remove forgets the ones it removes. ``refuse_private`` reads the index.
+        """
+        for pair in pairs:
+            holders = self._private_holders.setdefault(pair, set())
+            if held:
+                holders.add(mid)
+            else:
+                holders.discard(mid)
+            if not holders:
+                del self._private_holders[pair]
+
     def refuse_private(self, pairs: set[Pair]) -> None:
         """Raise ``AmbiguousImport`` if implementation modules hold one of ``pairs``.
 
         Making such a pair public would leave its holders on private copies, a
         sharing relation no one-step plan gives; the holders are the candidates.
         """
-        if not pairs:
-            return
-        held = [(pair, mid) for comp in self.components.values() for mid in comp.impl_modules
-                for pair in pairs.intersection(self.mgr.module(mid).exports.items())]
+        held = _sorted_pairs(pair for pair in pairs if pair in self._private_holders)
         if held:
-            first = _sorted_pairs(pair for pair, _ in held)[0]
-            raise AmbiguousImport(*first, sorted(mid for pair, mid in held if pair == first))
+            raise AmbiguousImport(*held[0], sorted(self._private_holders[held[0]]))
 
     def find_port(self, spec: str):
         comp_name, sep, port_name = spec.partition(".")
@@ -339,8 +359,7 @@ class ArchitectureInstance:
     def link_checks(self, comp: ComponentInstance):
         """Re-evaluate, like ``binding_checks()``, the links with an end at ``comp``'s ports."""
         walked = [comp, *comp.children]  # a child's outbound route may end at a composite's port
-        touching = [link for link in links(walked, [*comp.parents, comp])
-                    if comp in (link[2].owner, link[3].owner)]
+        touching = list(links(walked, [*comp.parents, comp], touching=comp))
         touching += [("binding", str(rec), rec.client, rec.server) for port in comp.server_ports()
                      for rec in port.inbound if rec.client.owner not in walked]
         return [self._check(*link) for link in touching]

@@ -10,7 +10,8 @@ defined type, i.e. the same (name, defining module) pair.
 Links live on the ports alone (a client port's binding or outbound route, a
 composite's export routes); a client port holds at most one of the two.
 ``links`` is the one walk over them: every view of an architecture's links
-and ``remove_child``'s crossing test read it.
+and ``remove_child``'s crossing test read it. Asked for the links touching
+one component, it skips the others before formatting their labels.
 """
 
 from __future__ import annotations
@@ -263,21 +264,28 @@ def add_child(composite: ComponentInstance, child: ComponentInstance) -> None:
     child.parents.append(composite)
 
 
-def links(components: Iterable[ComponentInstance], composites: Iterable[ComponentInstance]):
+def links(components: Iterable[ComponentInstance], composites: Iterable[ComponentInstance],
+          touching: Optional[ComponentInstance] = None):
     """Each link as (kind, label, from port, to port): the bindings of ``components``'
     client ports, then ``composites``' export routes by name (``route-in``), then the
-    components' outbound routes (``route-out``); components as given, ports in order."""
+    components' outbound routes (``route-out``); components as given, ports in order.
+    With ``touching``, only the links with an end at that component's ports, skipped
+    before their labels are built."""
+    def keep(a: ComponentInstance, b: ComponentInstance) -> bool:
+        return touching is None or touching is a or touching is b
+
     routes_out = []
     for comp in components:
         for port in comp.interfaces:  # only client ports hold a binding or an outbound route
-            if port.binding is not None:
-                yield "binding", str(port.binding), port, port.binding.server
-            if port.outbound_route is not None:
-                routes_out.append(("route-out", f"{port} -> this.{port.outbound_route.name}",
-                                   port, port.outbound_route))
+            binding, route = port.binding, port.outbound_route
+            if binding is not None and keep(comp, binding.server.owner):
+                yield "binding", str(binding), port, binding.server
+            if route is not None and keep(comp, route.owner):
+                routes_out.append(("route-out", f"{port} -> this.{route.name}", port, route))
     for composite in composites:
         for name, target in sorted(composite.export_routes.items()):
-            yield "route-in", f"this.{name} -> {target}", composite.port(name), target
+            if keep(composite, target.owner):
+                yield "route-in", f"this.{name} -> {target}", composite.port(name), target
     yield from routes_out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .corpus import CorpusStore, Pair, TypeDef, TypeRef, VersionTag
+from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
     AmbiguousImport,
     ConflictingExports,
@@ -120,7 +120,7 @@ class ResourceModule:
         version = self.exports.get(name)
         if version is None:
             raise NotImported(name)
-        td = self.source.lookup(TypeRef(name, version))
+        td = self.source.resolve(name, version)
         dt = DefinedType(name, self.id, td)
         self._defined[name] = dt
         return dt

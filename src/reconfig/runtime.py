@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import time
 from collections import ChainMap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .adl import AdlComponent
-from .corpus import OBJECT_TYPE, CorpusStore, TypeKind, TypeRef, VersionTag
+from .corpus import OBJECT_TYPE, CorpusStore, TypeKind, VersionTag
 from .errors import (
     ArityError,
     CallDepthExceeded,
@@ -280,14 +280,15 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     name, version = new_content
     try:
         tag = version if isinstance(version, VersionTag) else VersionTag(str(version))
-        new_td = corpus.lookup(TypeRef(name, tag))
+        new_td = corpus.resolve(name, tag)
     except (ValueError, NotFound):  # a malformed name or version names no export either
         raise UnresolvableExport(name, version) from None
     if new_td.kind is not TypeKind.CLASS:
         raise ContentNotAClass(name)
     check_conformance(arch.mgr, comp, new_td)
 
-    source = replace(comp.source, content=(name, tag))
+    was = comp.source
+    source = AdlComponent(was.name, was.interfaces, (name, tag), was.files, was.line, was.col)
     impl, planned = plan_component(source, corpus, arch.public)
     info = arch.mgr.module(comp.info_module)
     unwired = sorted(info.imports.keys() - info.wiring.keys())
@@ -314,6 +315,7 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
 
     if new_mid is not None:
         comp.impl_modules.append(new_mid)
+        arch.index_private(new_mid, impl.exports)
     comp.source = source
     _event(arch, SWAP, component, str(old), str(comp.content))
     return SwapRecord(component, old, comp.content, comp.content.defined_by)
@@ -392,6 +394,8 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
+    if impl is not None:
+        arch.index_private(ids[impl.label], impl.exports)
     for rp, mid in zip(new_public, created):
         arch.public.update(dict.fromkeys(rp.exports, mid))
     return inst
@@ -410,7 +414,9 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
     remove_child(arch.root, comp)
     arch.mgr.remove_module(comp.info_module, force=False)
     for mid in comp.impl_modules:
+        exports = arch.mgr.module(mid).exports.items()
         arch.mgr.remove_module(mid, force=False)
+        arch.index_private(mid, exports, held=False)
     del arch.components[name]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconfig.adl import parse_adl
 from reconfig.corpus import (
     CorpusStore,
     MethodSig,
@@ -20,7 +21,7 @@ from reconfig.corpus import (
 )
 from reconfig.errors import AmbiguousVersion, DuplicateTypeDef, MalformedTypeDef, NotFound
 
-from conftest import corpus_path
+from conftest import adl_path, corpus_path
 
 
 def _typedef(name, version, kind=TypeKind.CLASS, refs=(), methods=()):
@@ -72,6 +73,48 @@ def test_malformed_versions_rejected():
     for text in ("", "1.", ".1", "a", "1.a", "-1"):
         with pytest.raises(ValueError):
             VersionTag(text)
+
+
+def test_one_tag_per_version_text():
+    assert VersionTag("1.0") is VersionTag("1.0")
+    one, one_zero = VersionTag("1"), VersionTag("1.0")
+    assert one is not one_zero
+    assert one == one_zero and hash(one) == hash(one_zero)
+    assert (str(one), str(one_zero)) == ("1", "1.0")
+    assert {("A", one_zero): "entry"}[("A", one)] == "entry"
+    with pytest.raises(AttributeError):
+        one.text = "2"
+    with pytest.raises(AttributeError):
+        del one.key
+    assert (one.text, one.key) == ("1", (1,))
+
+
+def test_a_malformed_version_raises_on_every_call_and_is_never_kept():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="malformed version '1.x'"):
+            VersionTag("1.x")
+    assert "1.x" not in VersionTag._interned
+
+
+def test_tags_past_the_intern_limit_are_correct_but_not_shared(monkeypatch):
+    monkeypatch.setattr(VersionTag, "_INTERN_LIMIT", len(VersionTag._interned))
+    first, second = VersionTag("7.7.7.7"), VersionTag("7.7.7.7")
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert "7.7.7.7" not in VersionTag._interned
+
+
+def test_parses_hand_out_shared_tags():
+    store = load_corpus(corpus_path("hello_swap"))
+    tags = [td.version for td in store.entries()]
+    tags += [ref.version for td in store.entries() for ref in td.references if ref.version]
+    definition = parse_adl(adl_path("hello_v1.fractal.xml").read_text(encoding="utf-8"))
+    tags += [definition.version] + [itf.version for itf in definition.interfaces]
+    for comp in definition.components:
+        tags += [itf.version for itf in comp.interfaces] + [comp.content[1]]
+        tags += [version for _, version in comp.files]
+    tags = [tag for tag in tags if tag is not None]
+    assert len(tags) > 10
+    assert all(tag is VersionTag(tag.text) for tag in tags)
 
 
 # --- loading ----------------------------------------------------------------
@@ -240,6 +283,54 @@ def test_closure_error_carries_the_reference_chain():
         store.closure([TypeRef("A", VersionTag("1"))])
     assert exc.value.name == "Ghost"
     assert list(exc.value.chain) == ["A@1", "B@1"]
+
+
+# --- memoized single-root closures ------------------------------------------------
+
+def _helper_chain_store(rng: random.Random) -> CorpusStore:
+    """Implementations, each at two versions, over chains of private helpers
+    that sometimes point back up the chain or into a shared type."""
+    typedefs = [_typedef("Shared", "1.0")]
+    for i in range(rng.randint(1, 6)):
+        for version in ("1.0", "2.0"):
+            depth = rng.randint(1, 4)
+            helpers = [(f"H{i}_{k}", version) for k in range(depth)]
+            for k, (name, _) in enumerate(helpers):
+                refs = helpers[k + 1:k + 2]
+                if k and rng.random() < 0.3:
+                    refs.append(helpers[rng.randrange(k)])
+                if rng.random() < 0.3:
+                    refs.append(("Shared", "1.0"))
+                typedefs.append(_typedef(name, version, refs=refs))
+            typedefs.append(_typedef(f"Impl{i}", version, refs=helpers[:1]))
+    return _store(*typedefs)
+
+
+def test_the_memoized_closure_of_every_pair_equals_a_fresh_walk():
+    rng = random.Random(5)
+    stores = [load_corpus(path) for path in sorted(corpus_path("hello").parent.iterdir())]
+    stores += [_helper_chain_store(rng) for _ in range(20)]
+    for store in stores:
+        for td in store.entries():
+            pair = (td.name, td.version)
+            memo = store.closure_of(pair)
+            assert memo == tuple(sorted(store.closure([TypeRef(*pair)])))
+            assert store.closure_of(pair) is memo
+
+
+def test_a_failing_root_raises_the_same_error_every_time():
+    store = _store(_typedef("A", "1", refs=[("B", "1")]),
+                   _typedef("B", "1", refs=[("Ghost", "1")]),
+                   _typedef("C", "1"), _typedef("C", "2"),
+                   TypeDef("D", VersionTag("1"), TypeKind.CLASS, (TypeRef("C"),), ()))
+    cases = [("A", NotFound, ("A@1", "B@1")), ("D", AmbiguousVersion, ("D@1",))]
+    for name, error, chain in cases:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                store.closure_of((name, VersionTag("1")))
+            raised.append((exc.value.chain, str(exc.value)))
+        assert raised[0] == raised[1] and raised[0][0] == chain
 
 
 # --- round trip ----------------------------------------------------------------

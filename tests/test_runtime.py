@@ -32,7 +32,7 @@ from reconfig.errors import (
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
 from reconfig.model import BindingCheck, ComponentKind, bind, unbind
 from reconfig.modules import InfoModule, ModuleManager, replay_live_set, same_type
-from reconfig import factory, runtime
+from reconfig import factory, model, runtime
 
 from conftest import build_architecture, corpus_path
 
@@ -656,12 +656,19 @@ def _assert_each_info_module_is_wired_as_planned(arch, corpus) -> None:
 
 
 def _assert_the_index_and_the_port_checks_match_their_scans(arch) -> None:
-    """``dependents_of`` equals a scan of every wiring; ``link_checks(comp)`` is exactly the
-    part of ``binding_checks()`` with an end at ``comp``."""
+    """``dependents_of`` equals a scan of every wiring; the private-holder index equals a
+    scan of every implementation module; ``link_checks(comp)`` is exactly the part of
+    ``binding_checks()`` with an end at ``comp``."""
     mgr = arch.mgr
     for mid in mgr.live_ids():
         assert mgr.dependents_of(mid) == [i.id for i in mgr.info_modules()
                                           if mid in i.wiring.values()]
+    holders = {}
+    for comp in arch.components.values():
+        for mid in comp.impl_modules:
+            for pair in mgr.module(mid).exports.items():
+                holders.setdefault(pair, set()).add(mid)
+    assert arch._private_holders == holders
     every = [((label, chk.ok), (a.owner, b.owner))
              for (label, chk), (_, _, a, b) in zip(arch.binding_checks(), arch._links())]
     for comp in arch.components.values():
@@ -887,15 +894,19 @@ def _count_wiring_reads(patch, counts: Counter) -> None:
     patch.setattr(InfoModule, "wiring", property(read, write), raising=False)
 
 
+def _count_calls(patch, owner, name: str, counts: Counter) -> None:
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    patch.setattr(owner, name, counted)
+
+
 def _count_link_checks(patch, counts: Counter) -> None:
     for name in ("check_binding", "check_route"):
-        real = getattr(factory, name)
-
-        def counted(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
-
-        patch.setattr(factory, name, counted)
+        _count_calls(patch, factory, name, counts)
 
 
 def _work_of_one_swap_and_one_remove(n: int) -> dict[str, Counter]:
@@ -922,3 +933,74 @@ def test_a_swap_and_a_remove_do_the_same_work_at_100_and_1000_primitives():
     assert small == large
     assert small["swap"]["check_binding"] == 2  # the bindings into and out of the middle
     assert small["remove"]["wiring_reads"] > 0
+
+
+# --- re-planning a component is mostly dictionary hits ---------------------------------
+
+def _corpus_walks_of_swapping_there_and_back(n: int) -> list[Counter]:
+    """Closure walks and corpus lookups of each of three swaps of the middle of an
+    n-chain: to NodeImpl 2.0, back to 1.0, and to 2.0 again."""
+    corpus = _chain_swap_corpus()
+    arch = _build_text(_chain_text(n, [True] * n), corpus)
+    work = []
+    for version in ("2.0", "1.0", "2.0"):
+        counts = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            _count_calls(patch, CorpusStore, "closure", counts)
+            _count_calls(patch, CorpusStore, "lookup", counts)
+            runtime.swap_implementation(arch, f"c{n // 2}", ("NodeImpl", version), corpus)
+        work.append(counts)
+    return work
+
+
+def test_a_swap_back_to_a_planned_version_walks_no_references():
+    small, large = _corpus_walks_of_swapping_there_and_back(100), \
+        _corpus_walks_of_swapping_there_and_back(1000)
+    assert small == large
+    first, back, again = small
+    assert first["closure"] == 1       # NodeImpl 2.0 was never planned before
+    assert back["closure"] == again["closure"] == 0
+    assert back["lookup"] == again["lookup"] == 0
+
+
+def _module_reads_of_an_add_that_makes_a_pair_public(n: int) -> Counter:
+    corpus = _corpus_of(*_chain_swap_corpus().entries(), _cls("Extra", "1.0"),
+                        _cls("ExtraImpl", "1.0", ("Extra", "1.0")))
+    arch = _build_text(_chain_text(n, [True] * n), corpus)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _count_calls(patch, arch.mgr, "module", counts)
+        runtime.add_component(arch, parse_component_fragment(
+            _component_xml("x", "ExtraImpl", files=["Extra"])), corpus)
+    assert ("Extra", V("1.0")) in arch.public
+    return counts
+
+
+def test_an_add_that_makes_a_pair_public_reads_as_many_modules_at_100_and_1000_primitives():
+    assert _module_reads_of_an_add_that_makes_a_pair_public(100) == \
+        _module_reads_of_an_add_that_makes_a_pair_public(1000)
+
+
+def test_link_checks_format_only_the_labels_they_return():
+    n, exported = 12, (2, 5, 9)
+    text = _chain_text(n, [True] * n)
+    text = text.replace('version="1.0">', 'version="1.0">' + "".join(
+        f'<interface name="e{j}" role="server" signature="Push" version="1.0"/>'
+        for j in exported), 1)
+    text = text.replace("</definition>", "".join(
+        f'<binding client="this.e{j}" server="c{j}.in"/>' for j in exported) + "</definition>")
+    arch = _build_text(text, _chain_swap_corpus())
+    real = model.InterfacePort.__str__
+    for comp in arch.components.values():
+        counts = Counter()
+
+        def counted(port):
+            counts["port labels"] += 1
+            return real(port)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model.InterfacePort, "__str__", counted)
+            checks = arch.link_checks(comp)
+        # a binding's label names two ports, a route's one
+        assert counts["port labels"] == sum(1 if label.startswith("this.") or " -> this." in label
+                                            else 2 for label, _ in checks)
