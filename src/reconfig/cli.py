@@ -60,6 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# I/O, parse and setup errors, shared by every command: each exits 2 with ``error: …``.
+# A file that is not UTF-8 raises UnicodeDecodeError, a ValueError.
+SETUP_ERRORS = (NotImplementedError, OSError, ValueError, ReconfigError)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -82,7 +87,7 @@ def _load_inputs(args):
 def cmd_check(args) -> int:
     try:
         definition, corpus = _load_inputs(args)
-    except (OSError, ReconfigError) as exc:
+    except SETUP_ERRORS as exc:
         return _fail(str(exc))
     diagnostics = validate(definition, corpus)
     for diag in diagnostics:
@@ -94,7 +99,7 @@ def cmd_plan(args) -> int:
     try:
         definition, corpus = _load_inputs(args)
         granularity = parse_granularity(args.granularity)
-    except (NotImplementedError, OSError, ReconfigError) as exc:
+    except SETUP_ERRORS as exc:
         return _fail(str(exc))
     diagnostics = validate(definition, corpus)
     if diagnostics:
@@ -106,6 +111,8 @@ def cmd_plan(args) -> int:
     except VersionConflict as exc:
         print(f"ERROR VersionConflict {exc}")
         return 1
+    except SETUP_ERRORS as exc:
+        return _fail(str(exc))
     print(render_plan(plan), end="")
     return 0
 
@@ -125,13 +132,16 @@ def cmd_run(args) -> int:
     try:
         arch, corpus = _build(args)
         commands = parse_script(Path(args.script).read_text(encoding="utf-8"))
-    except (NotImplementedError, OSError, ReconfigError) as exc:
+    except SETUP_ERRORS as exc:
         return _fail(str(exc))
     result = run_script(arch, corpus, commands)
     for line in result.output:
         print(line)
     if args.trace:
-        Path(args.trace).write_text(serialize_trace(arch), encoding="utf-8")
+        try:
+            Path(args.trace).write_text(serialize_trace(arch), encoding="utf-8")
+        except SETUP_ERRORS as exc:
+            return _fail(str(exc))
     if not result.ok:
         print(f"FAIL {result.failure}")
         return 1
@@ -143,7 +153,7 @@ def cmd_bench(args) -> int:
     try:
         arch, _ = _build(args)
         report = bench_interception(arch, args.n)
-    except (OSError, ValueError, ReconfigError) as exc:
+    except SETUP_ERRORS as exc:
         return _fail(str(exc))
     print(report.render())
     return 0

@@ -18,9 +18,9 @@ to one common module precisely when the type is interface-visible or
 file-declared; anything else stays a private copy per component, which is
 what makes undeclared exchange fail at invocation time. Each primitive of a
 built architecture owns its planner input and implementation modules; the
-architecture keeps the index of public modules the runtime plans against, and
-an index of which implementation modules hold each private pair, so ``add``'s
-refusal to make such a pair public is a lookup. Its links live on the ports;
+architecture keeps the index of public modules the runtime plans against,
+while which modules export a pair is the module manager's to answer. Its
+links live on the ports;
 ``bindings``, ``binding_checks()``, ``link_checks()`` and ``report()`` are
 views read off them by one walk, ``model.links``, which ``link_checks()``
 narrows to one component's links before it builds any label.
@@ -34,12 +34,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
 from .corpus import CorpusStore, Pair, VersionTag
 from .errors import (
-    AmbiguousImport,
     InstantiationError,
     InvariantViolation,
     UnknownComponent,
@@ -276,8 +275,9 @@ class ArchitectureInstance:
 
     ``public`` maps each pair a shared or interface module exports to that
     module. An implementation module is in its owner's ``impl_modules`` only,
-    so planning against ``public`` never picks another component's copy; the
-    pairs it exports are indexed for ``refuse_private``.
+    so planning against ``public`` never picks another component's copy.
+    Every live resource module is one or the other, so the exporters of a
+    pair not in ``public`` that ``mgr.exporters_of`` names are private copies.
     """
 
     def __init__(self, granularity: Granularity, mgr: ModuleManager, public: dict[Pair, ModuleId],
@@ -287,11 +287,6 @@ class ArchitectureInstance:
         self.public = public
         self.components = dict(components)
         self.root = root
-        # Pair -> the implementation modules that export it; kept by index_private.
-        self._private_holders: dict[Pair, set[ModuleId]] = {}
-        for comp in self.components.values():
-            for mid in comp.impl_modules:
-                self.index_private(mid, mgr.module(mid).exports.items())
         self.trace: list = []
         self.in_call = False
         self._seq = itertools.count()
@@ -304,31 +299,6 @@ class ArchitectureInstance:
         if inst is None:
             raise UnknownComponent(name)
         return inst
-
-    def index_private(self, mid: ModuleId, pairs: Iterable[Pair], held: bool = True) -> None:
-        """Record (``held``) or forget implementation module ``mid`` under the pairs it exports.
-
-        Build, add and swap record the implementation modules they create;
-        remove forgets the ones it removes. ``refuse_private`` reads the index.
-        """
-        for pair in pairs:
-            holders = self._private_holders.setdefault(pair, set())
-            if held:
-                holders.add(mid)
-            else:
-                holders.discard(mid)
-            if not holders:
-                del self._private_holders[pair]
-
-    def refuse_private(self, pairs: set[Pair]) -> None:
-        """Raise ``AmbiguousImport`` if implementation modules hold one of ``pairs``.
-
-        Making such a pair public would leave its holders on private copies, a
-        sharing relation no one-step plan gives; the holders are the candidates.
-        """
-        held = _sorted_pairs(pair for pair in pairs if pair in self._private_holders)
-        if held:
-            raise AmbiguousImport(*held[0], sorted(self._private_holders[held[0]]))
 
     def find_port(self, spec: str):
         comp_name, sep, port_name = spec.partition(".")

@@ -12,9 +12,12 @@ Info modules define nothing: their import table maps each name to a
 (version, provider) pair, and every load is delegated through it to exactly
 one resource module. Wiring is resolved at creation time and only when each
 import has a single exporter among the candidates; ambiguity is an error,
-never a silent choice. Create, rewire and remove write wiring through one
-manager method, which also keeps a reverse index from each provider to the
-info modules wired to it, so a module's dependents are a lookup.
+never a silent choice. The manager alone answers which live resource modules
+export a pair: creating and removing a resource module keep a pair → exporters
+index, which ``exporters_of`` reads and info-module creation resolves against.
+Create, rewire and remove write wiring through one manager method, which also
+keeps a reverse index from each provider to the info modules wired to it, so a
+module's dependents are a lookup.
 """
 
 from __future__ import annotations
@@ -158,6 +161,8 @@ class ModuleManager:
         self._modules: dict[ModuleId, Module] = {}
         # Provider -> the info modules wired to it; kept by _set_wiring alone.
         self._dependents: dict[ModuleId, set[ModuleId]] = {}
+        # Pair -> the live resource modules exporting it; kept by create and remove alone.
+        self._exporters: dict[Pair, set[ModuleId]] = {}
         self._events: list[ModuleEvent] = []
         self._listeners: dict[int, Callable[[ModuleEvent], None]] = {}
         self._next_seq = 1
@@ -214,6 +219,8 @@ class ModuleManager:
                                source: CorpusStore) -> ModuleId:
         module = ResourceModule(self._fresh_id(), exports, source)
         self._modules[module.id] = module
+        for pair in module.exports.items():
+            self._exporters.setdefault(pair, set()).add(module.id)
         self._emit(EventKind.ADDED, module.id)
         return module.id
 
@@ -226,15 +233,10 @@ class ModuleManager:
         module is only created if every import resolves uniquely, so creation
         order of unrelated modules cannot change the outcome.
         """
-        if providers is None:
-            candidates = self.resource_modules()
-        else:
-            candidates = sorted(
-                (self.module(pid) for pid in set(providers)), key=lambda m: m.id
-            )
-            for c in candidates:
-                if not isinstance(c, ResourceModule):
-                    raise UnknownModule(c.id)
+        allowed = None if providers is None else set(providers)
+        for pid in sorted(allowed or ()):
+            if not isinstance(self.module(pid), ResourceModule):
+                raise UnknownModule(pid)
         declared: dict[str, VersionTag] = {}
         for name, version in sorted(imports):
             if name in declared:
@@ -242,12 +244,14 @@ class ModuleManager:
             declared[name] = version
         wiring: dict[str, ModuleId] = {}
         for name, version in declared.items():
-            exporters = [m for m in candidates if m.exports_pair(name, version)]
+            exporters = self._exporters.get((name, version), set())
+            if allowed is not None:
+                exporters = exporters & allowed
             if not exporters:
                 raise MissingImport(name, version)
             if len(exporters) > 1:
-                raise AmbiguousImport(name, version, [m.id for m in exporters])
-            wiring[name] = exporters[0].id
+                raise AmbiguousImport(name, version, sorted(exporters))
+            (wiring[name],) = exporters
         module = InfoModule(self._fresh_id(), declared)
         self._set_wiring(module, wiring)
         self._modules[module.id] = module
@@ -272,6 +276,10 @@ class ModuleManager:
             raise InvariantViolation(f"{via} wires {name} to {provider_id}, not a resource module")
         return provider.define(name)
 
+    def exporters_of(self, pair: Pair) -> list[ModuleId]:
+        """The live resource modules exporting ``pair``, in id order, read off the index."""
+        return sorted(self._exporters.get(pair, ()))
+
     def dependents_of(self, module_id: ModuleId) -> list[ModuleId]:
         """The info modules wired to ``module_id``, in id order, read off the reverse index."""
         return sorted(self._dependents.get(module_id, ()))
@@ -295,6 +303,12 @@ class ModuleManager:
         removed = self._modules.pop(module_id)
         if isinstance(removed, InfoModule):
             self._set_wiring(removed, {})
+        else:
+            for pair in removed.exports.items():
+                entry = self._exporters[pair]
+                entry.discard(module_id)
+                if not entry:
+                    del self._exporters[pair]
         self._emit(EventKind.REMOVED, module_id)
         return RemovalReport(module_id, tuple(dependents))
 

@@ -40,6 +40,7 @@ from typing import Optional, Sequence, Union
 from .adl import AdlComponent
 from .corpus import OBJECT_TYPE, CorpusStore, TypeKind, VersionTag
 from .errors import (
+    AmbiguousImport,
     ArityError,
     CallDepthExceeded,
     ContentNotAClass,
@@ -315,7 +316,6 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
 
     if new_mid is not None:
         comp.impl_modules.append(new_mid)
-        arch.index_private(new_mid, impl.exports)
     comp.source = source
     _event(arch, SWAP, component, str(old), str(comp.content))
     return SwapRecord(component, old, comp.content, comp.content.defined_by)
@@ -370,7 +370,11 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     new_public = plan_public(file_pairs(corpus, component),
                              signature_pairs(corpus, component.interfaces), corpus, arch.public)
     new_index = {pair: rp for rp in new_public for pair in rp.exports}
-    arch.refuse_private(set(new_index))
+    # The new pairs are not public yet, so whoever exports one holds a private copy;
+    # making it public would leave those holders apart, which no one-step plan gives.
+    held = sorted(pair for pair in new_index if arch.mgr.exporters_of(pair))
+    if held:
+        raise AmbiguousImport(*held[0], arch.mgr.exporters_of(held[0]))
     impl, planned = plan_component(component, corpus, ChainMap(new_index, arch.public))
     plans = new_public + ([impl] if impl is not None else [])
 
@@ -394,8 +398,6 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
-    if impl is not None:
-        arch.index_private(ids[impl.label], impl.exports)
     for rp, mid in zip(new_public, created):
         arch.public.update(dict.fromkeys(rp.exports, mid))
     return inst
@@ -414,9 +416,7 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
     remove_child(arch.root, comp)
     arch.mgr.remove_module(comp.info_module, force=False)
     for mid in comp.impl_modules:
-        exports = arch.mgr.module(mid).exports.items()
         arch.mgr.remove_module(mid, force=False)
-        arch.index_private(mid, exports, held=False)
     del arch.components[name]
 
 

@@ -283,6 +283,43 @@ def test_run_setup_failure_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("<!-- caf\u00e9 -->\n".encode("latin-1"))
+    return str(path)
+
+
+def _corpus_with_a_dangling_ref(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(corpus_path("hello"), corpus_dir)
+    impl = corpus_dir / "ServerImpl-2.0.typedef"
+    impl.write_text(impl.read_text().replace("ref: Request@1.0", "ref: Ghost@1.0"))
+    return str(corpus_dir)
+
+
+HELLO_SCRIPT = str(script_path("hello_run.script"))
+# Each builds, from a scratch directory, the argv of one I/O, parse or setup error.
+SETUP_FAILURES = {
+    "check-adl-not-utf8": lambda tmp: ["check", _not_utf8(tmp), "--corpus", HELLO_CORPUS],
+    "plan-adl-not-utf8": lambda tmp: ["plan", _not_utf8(tmp), "--corpus", HELLO_CORPUS],
+    "run-adl-not-utf8": lambda tmp: ["run", _not_utf8(tmp), HELLO_SCRIPT,
+                                     "--corpus", HELLO_CORPUS],
+    "run-script-not-utf8": lambda tmp: ["run", HELLO, _not_utf8(tmp), "--corpus", HELLO_CORPUS],
+    "run-trace-into-a-missing-directory": lambda tmp: [
+        "run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS,
+        "--trace", str(tmp / "missing" / "trace.txt")],
+    "plan-content-references-a-missing-type": lambda tmp: [
+        "plan", HELLO, "--corpus", _corpus_with_a_dangling_ref(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_FAILURES))
+def test_every_setup_error_exits_two_with_an_error_line(capsys, tmp_path, case):
+    code = main(SETUP_FAILURES[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_plan_with_diagnostics_exits_one(capsys, tmp_path):
     mutated = adl_path("hello.fractal.xml").read_text().replace(
         'class="ServerImpl" version="2.0"', 'class="ServerImpl" version="3.0"')

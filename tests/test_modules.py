@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,14 +19,16 @@ from reconfig.errors import (
     UnknownModule,
     UnresolvableExport,
 )
+from reconfig import runtime
 from reconfig.modules import (
     EventKind,
     ModuleManager,
+    ResourceModule,
     replay_live_set,
     same_type,
 )
 
-from conftest import corpus_path
+from conftest import build_architecture, corpus_path
 from reconfig.corpus import load_corpus
 
 SRC = Path(__file__).parent.parent / "src" / "reconfig"
@@ -318,6 +321,55 @@ def test_dependents_are_in_id_order_whatever_the_order_they_were_wired_in():
     with pytest.raises(InUse) as exc:
         mgr.remove_module(new)
     assert list(exc.value.dependents) == [first, second]
+
+
+# --- the one index of which live modules export a pair ----------------------------------
+
+def _exporter_scans_of_one_info_module(n: int) -> Counter:
+    """``exports_pair`` calls while one info module resolves its import among n live modules."""
+    store = _mem_store(*((f"T{i}", "1.0") for i in range(n)))
+    mgr = ModuleManager()
+    mids = [mgr.create_resource_module([_pair(f"T{i}", "1.0")], store) for i in range(n)]
+    counts = Counter()
+    real = ResourceModule.exports_pair
+    with pytest.MonkeyPatch.context() as patch:
+        def counted(module, name, version):
+            counts["exports_pair"] += 1
+            return real(module, name, version)
+
+        patch.setattr(ResourceModule, "exports_pair", counted)
+        info = mgr.create_info_module([_pair(f"T{n // 2}", "1.0")])
+    assert mgr.module(info).wiring == {f"T{n // 2}": mids[n // 2]}
+    return counts
+
+
+def test_an_info_module_resolves_its_imports_with_the_same_work_at_10_and_1000_modules():
+    assert _exporter_scans_of_one_info_module(10) == _exporter_scans_of_one_info_module(1000)
+
+
+def _assert_the_exporter_index_holds_only_live_ids(mgr) -> None:
+    live = mgr.live_ids()
+    assert all(ids and ids <= live for ids in mgr._exporters.values())
+
+
+def test_a_forced_removal_and_a_rolled_back_swap_leave_no_dead_id_in_the_exporter_index():
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    mgr = arch.mgr
+
+    def refuse(comp):
+        raise InvariantViolation("post-swap check refused")
+
+    arch.link_checks = refuse
+    with pytest.raises(InvariantViolation):
+        runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    _assert_the_exporter_index_holds_only_live_ids(mgr)
+    assert mgr.exporters_of(_pair("ServerImpl", "2.0")) == []
+
+    impl = arch.component("server").impl_modules[0]
+    pairs = list(mgr.module(impl).exports.items())
+    mgr.remove_module(impl, force=True)
+    _assert_the_exporter_index_holds_only_live_ids(mgr)
+    assert all(impl not in mgr.exporters_of(pair) for pair in pairs)
 
 
 class _WiringWrites(ast.NodeVisitor):

@@ -656,19 +656,20 @@ def _assert_each_info_module_is_wired_as_planned(arch, corpus) -> None:
 
 
 def _assert_the_index_and_the_port_checks_match_their_scans(arch) -> None:
-    """``dependents_of`` equals a scan of every wiring; the private-holder index equals a
-    scan of every implementation module; ``link_checks(comp)`` is exactly the part of
+    """``dependents_of`` equals a scan of every wiring; ``exporters_of`` equals a scan of
+    every live resource module's exports; ``link_checks(comp)`` is exactly the part of
     ``binding_checks()`` with an end at ``comp``."""
     mgr = arch.mgr
     for mid in mgr.live_ids():
         assert mgr.dependents_of(mid) == [i.id for i in mgr.info_modules()
                                           if mid in i.wiring.values()]
-    holders = {}
-    for comp in arch.components.values():
-        for mid in comp.impl_modules:
-            for pair in mgr.module(mid).exports.items():
-                holders.setdefault(pair, set()).add(mid)
-    assert arch._private_holders == holders
+    exporters = {}
+    for module in mgr.resource_modules():
+        for pair in module.exports.items():
+            exporters.setdefault(pair, []).append(module.id)
+    assert set(mgr._exporters) == set(exporters)
+    for pair, ids in exporters.items():
+        assert mgr.exporters_of(pair) == ids
     every = [((label, chk.ok), (a.owner, b.owner))
              for (label, chk), (_, _, a, b) in zip(arch.binding_checks(), arch._links())]
     for comp in arch.components.values():
