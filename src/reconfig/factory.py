@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
 from .corpus import CorpusStore, Pair, VersionTag
@@ -365,66 +365,69 @@ class ArchitectureInstance:
 
 def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
                 corpus: CorpusStore) -> ArchitectureInstance:
-    """Create modules, components, and bindings; roll back cleanly on failure.
+    """Create modules, components, and bindings, all or nothing.
 
-    Any error unwinds every module this call created (forced removal in
-    reverse creation order), so the manager's live set returns to its
-    pre-call state, and is re-raised wrapped with the ADL location.
+    The work runs under the manager's undo log, so an error leaves the modules
+    as they were; it is re-raised wrapped with the ADL location.
     """
-    created: list[ModuleId] = []
     location = f"definition {definition.name}"
     try:
-        public: dict[Pair, ModuleId] = {}
-        owned: dict[str, list[ModuleId]] = {}
-        label_ids: dict[str, ModuleId] = {}
-        for rp in plan.resources:
-            location = f"module {rp.label}"
-            mid = mgr.create_resource_module(rp.exports, corpus)
-            created.append(mid)
-            label_ids[rp.label] = mid
-            if rp.kind == "impl":
-                owned.setdefault(rp.owner, []).append(mid)
-            else:
-                public.update(dict.fromkeys(rp.exports, mid))
+        with mgr.undo_on_error():
+            public: dict[Pair, ModuleId] = {}
+            owned: dict[str, list[ModuleId]] = {}
+            label_ids: dict[str, ModuleId] = {}
+            for rp in plan.resources:
+                location = f"module {rp.label}"
+                mid = label_ids[rp.label] = mgr.create_resource_module(rp.exports, corpus)
+                if rp.kind == "impl":
+                    owned.setdefault(rp.owner, []).append(mid)
+                else:
+                    public.update(dict.fromkeys(rp.exports, mid))
 
-        info_ids: dict[str, ModuleId] = {}
-        for ip in plan.infos:
-            location = f"info module {ip.component}"
-            mid = mgr.create_info_module(
-                ip.imports, providers=[label_ids[label] for label in ip.providers])
-            created.append(mid)
-            for name, pid in mgr.module(mid).wiring.items():
-                planned = plan.wiring[(ip.component, name)]
-                if label_ids[planned] != pid:
-                    raise InvariantViolation(
-                        f"{ip.component} resolves {name} to {pid}, the plan to {planned}")
-            info_ids[ip.component] = mid
+            info_ids: dict[str, ModuleId] = {}
+            for ip in plan.infos:
+                location = f"info module {ip.component}"
+                table = {n: (v, label_ids[plan.wiring[(ip.component, n)]]) for n, v in ip.imports}
+                info_ids[ip.component] = create_planned_info(
+                    mgr, ip.component, table, [label_ids[label] for label in ip.providers])
 
-        single = plan.granularity is Granularity.SINGLE_LOADER
-        components: dict[str, ComponentInstance] = {}
-        for comp in definition.components:
-            location = f"component {comp.name} ({comp.line}:{comp.col})"
-            info_id = info_ids[definition.name] if single else info_ids[comp.name]
-            components[comp.name] = attach_primitive(mgr, corpus, comp, info_id,
-                                                     owned.get(comp.name, []))
+            single = plan.granularity is Granularity.SINGLE_LOADER
+            components: dict[str, ComponentInstance] = {}
+            for comp in definition.components:
+                location = f"component {comp.name} ({comp.line}:{comp.col})"
+                info_id = info_ids[definition.name] if single else info_ids[comp.name]
+                components[comp.name] = attach_primitive(mgr, corpus, comp, info_id,
+                                                         owned.get(comp.name, []))
 
-        location = f"definition {definition.name}"
-        root_info = info_ids.get(definition.name)
-        root = new_composite(mgr, definition.name, port_specs(corpus, definition.interfaces),
-                             [components[c.name] for c in definition.components],
-                             info_module=root_info)
-        components[definition.name] = root
+            location = f"definition {definition.name}"
+            root = new_composite(mgr, definition.name, port_specs(corpus, definition.interfaces),
+                                 [components[c.name] for c in definition.components],
+                                 info_module=info_ids.get(definition.name))
+            components[definition.name] = root
 
-        for b in definition.bindings:
-            location = f"binding {b} ({b.line}:{b.col})"
-            _apply_binding(mgr, root, components, b)
-        return ArchitectureInstance(plan.granularity, mgr, public, components, root)
+            for b in definition.bindings:
+                location = f"binding {b} ({b.line}:{b.col})"
+                _apply_binding(mgr, root, components, b)
+            return ArchitectureInstance(plan.granularity, mgr, public, components, root)
     except Exception as exc:
-        for mid in reversed(created):
-            mgr.remove_module(mid, force=True)
-        if isinstance(exc, InstantiationError):
-            raise
         raise InstantiationError(location, exc) from exc
+
+
+def create_planned_info(mgr: ModuleManager, owner: str,
+                        table: Mapping[str, tuple[VersionTag, ModuleId]],
+                        providers: Iterable[ModuleId]) -> ModuleId:
+    """Create ``owner``'s info module from a planned ``{name: (version, provider)}`` table.
+
+    The manager resolves each import among ``providers`` on its own; a
+    resolution that departs from the table raises ``InvariantViolation``."""
+    mid = mgr.create_info_module([(name, version) for name, (version, _) in table.items()],
+                                 providers=providers)
+    wiring = mgr.module(mid).wiring
+    for name, (_, planned) in table.items():
+        if wiring[name] != planned:
+            raise InvariantViolation(
+                f"{owner} resolves {name} to {wiring[name]}, the plan to {planned}")
+    return mid
 
 
 def attach_primitive(mgr: ModuleManager, corpus: CorpusStore, source: AdlComponent,

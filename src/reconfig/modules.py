@@ -17,14 +17,16 @@ export a pair: creating and removing a resource module keep a pair → exporters
 index, which ``exporters_of`` reads and info-module creation resolves against.
 Create, rewire and remove write wiring through one manager method, which also
 keeps a reverse index from each provider to the info modules wired to it, so a
-module's dependents are a lookup.
+module's dependents are a lookup, and feeds ``undo_on_error``, the one undo log.
 """
 
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
@@ -141,17 +143,8 @@ class InfoModule:
 Module = Union[ResourceModule, InfoModule]
 
 
-class Subscription:
-    def __init__(self, manager: "ModuleManager", token: int):
-        self._manager = manager
-        self._token = token
-
-    def cancel(self) -> None:
-        self._manager._listeners.pop(self._token, None)
-
-
 class ModuleManager:
-    """Registry of live modules with ordered add/remove notifications.
+    """Registry of live modules with an ordered log of additions and removals.
 
     Mutations are serialized on the caller's single flow; reads of a quiescent
     manager are safe from anywhere.
@@ -164,9 +157,9 @@ class ModuleManager:
         # Pair -> the live resource modules exporting it; kept by create and remove alone.
         self._exporters: dict[Pair, set[ModuleId]] = {}
         self._events: list[ModuleEvent] = []
-        self._listeners: dict[int, Callable[[ModuleEvent], None]] = {}
         self._next_seq = 1
-        self._next_token = 1
+        self._undo_from = 0  # the open undo_on_error block's first id; 0 while none is open
+        self._undo: dict[InfoModule, tuple[dict, dict]] = {}  # older (imports, wiring) it restores
 
     # -- introspection ------------------------------------------------------
 
@@ -198,7 +191,9 @@ class ModuleManager:
         return mid
 
     def _set_wiring(self, info: InfoModule, wiring: dict[str, ModuleId]) -> None:
-        """The one write of an info module's wiring; keeps ``_dependents`` in step."""
+        """The one write of an info module's wiring; keeps ``_dependents`` and the undo log."""
+        if info.id.seq < self._undo_from:  # older than the open block: keep its first state
+            self._undo.setdefault(info, (info.imports, info.wiring))
         old, new = set(info.wiring.values()), set(wiring.values())
         for pid in old - new:
             entry = self._dependents[pid]
@@ -210,10 +205,34 @@ class ModuleManager:
         info.wiring = wiring
 
     def _emit(self, kind: EventKind, module_id: ModuleId) -> None:
-        event = ModuleEvent(kind, module_id)
-        self._events.append(event)
-        for listener in list(self._listeners.values()):
-            listener(event)
+        self._events.append(ModuleEvent(kind, module_id))
+
+    @contextmanager
+    def undo_on_error(self) -> Iterator[None]:
+        """Run a block that either completes or leaves every module as it found it.
+
+        On an exception the modules the block created are force-removed, newest
+        first (their events stay logged, their ids used), each older info module
+        gets back its imports and wiring, and the exception propagates. Removal
+        of an older module is not undone, and blocks do not nest.
+        """
+        if self._undo_from:
+            raise InvariantViolation("an undo_on_error block is already open")
+        self._undo_from = first = self._next_seq
+        try:
+            yield
+        except BaseException:
+            undo, self._undo_from = self._undo, 0
+            # Ids only increase and the registry is in id order, so the created
+            # modules are the newest: walk back from the end to the first older id.
+            for mid in list(itertools.takewhile(lambda m: m.seq >= first, reversed(self._modules))):
+                self.remove_module(mid, force=True)
+            for info, (imports, wiring) in undo.items():
+                self._set_wiring(info, wiring)
+                info.imports = imports
+            raise
+        finally:
+            self._undo_from, self._undo = 0, {}
 
     def create_resource_module(self, exports: Iterable[Pair],
                                source: CorpusStore) -> ModuleId:
@@ -316,8 +335,8 @@ class ModuleManager:
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
         """Replace an info module's whole import table, ``{name: (version, provider)}``.
 
-        Used by implementation swap and its undo. Every entry is validated
-        before anything changes, so the move is all or nothing.
+        Used by implementation swap. Every entry is validated first, so the move
+        is all or nothing; wiring is written first, so an undo snapshot is whole.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):
@@ -326,14 +345,8 @@ class ModuleManager:
             target = self.module(provider)
             if not (isinstance(target, ResourceModule) and target.exports_pair(name, version)):
                 raise UnresolvableExport(name, version)
-        info.imports = {name: version for name, (version, _) in table.items()}
         self._set_wiring(info, {name: provider for name, (_, provider) in table.items()})
-
-    def subscribe(self, listener: Callable[[ModuleEvent], None]) -> Subscription:
-        token = self._next_token
-        self._next_token += 1
-        self._listeners[token] = listener
-        return Subscription(self, token)
+        info.imports = {name: version for name, (version, _) in table.items()}
 
 
 def replay_live_set(events: Iterable[ModuleEvent]) -> frozenset[ModuleId]:

@@ -60,6 +60,7 @@ from .factory import (
     Granularity,
     ResourcePlan,
     attach_primitive,
+    create_planned_info,
     file_pairs,
     plan_component,
     plan_public,
@@ -293,32 +294,22 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     impl, planned = plan_component(source, corpus, arch.public)
     info = arch.mgr.module(comp.info_module)
     unwired = sorted(info.imports.keys() - info.wiring.keys())
-    if unwired:  # a forced removal took a provider away, so no undo could restore the table
+    if unwired:  # a forced removal broke this component; a swap must not mask that damage
         raise InvariantViolation(f"{info.id} imports {unwired[0]} from no module")
-    old_table = {n: (v, info.wiring[n]) for n, v in info.imports.items()}
-    new_mid = None
-    if impl is not None:
-        new_mid = arch.mgr.create_resource_module(impl.exports, corpus)
-    new_table = {n: (v, new_mid if p is impl else p) for n, (v, p) in planned.items()}
-    old = comp.content
-    try:
-        arch.mgr.rewire_import(info.id, new_table)
-        comp.content = arch.mgr.load_type(info.id, name)
+    with arch.mgr.undo_on_error():
+        new_mid = None if impl is None else arch.mgr.create_resource_module(impl.exports, corpus)
+        arch.mgr.rewire_import(info.id, {n: (v, new_mid if p is impl else p)
+                                         for n, (v, p) in planned.items()})
+        content = arch.mgr.load_type(info.id, name)
         broken = [desc for desc, chk in arch.link_checks(comp) if not chk.ok]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
-    except Exception:
-        arch.mgr.rewire_import(info.id, old_table)
-        comp.content = old
-        if new_mid is not None:
-            arch.mgr.remove_module(new_mid, force=True)
-        raise
 
     if new_mid is not None:
         comp.impl_modules.append(new_mid)
-    comp.source = source
-    _event(arch, SWAP, component, str(old), str(comp.content))
-    return SwapRecord(component, old, comp.content, comp.content.defined_by)
+    old, comp.content, comp.source = comp.content, content, source
+    _event(arch, SWAP, component, str(old), str(content))
+    return SwapRecord(component, old, content, content.defined_by)
 
 
 def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:
@@ -360,8 +351,10 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     Public modules are planned for the fragment's files and signatures that
     no public module exports yet, then the component against them. A new
     public type already held in implementation modules raises
-    ``AmbiguousImport`` before anything is created; any later failure rolls
-    every created module back.
+    ``AmbiguousImport`` before anything is created. The info module is
+    created through the same step as ``instantiate``'s, so a resolution that
+    departs from the plan raises ``InvariantViolation``. Creation runs under
+    the manager's undo log, so any failure leaves the modules as they were.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     if component.name in arch.components:
@@ -376,30 +369,20 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     if held:
         raise AmbiguousImport(*held[0], arch.mgr.exporters_of(held[0]))
     impl, planned = plan_component(component, corpus, ChainMap(new_index, arch.public))
-    plans = new_public + ([impl] if impl is not None else [])
-
-    created: list[ModuleId] = []
-    try:
-        for rp in plans:
-            created.append(arch.mgr.create_resource_module(rp.exports, corpus))
-        ids = {rp.label: mid for rp, mid in zip(plans, created)}
-        imports = {n: (v, ids[p.label] if isinstance(p, ResourcePlan) else p)
-                   for n, (v, p) in planned.items()}
-        info_id = arch.mgr.create_info_module(
-            [(n, v) for n, (v, _) in imports.items()],
-            providers={pid for _, pid in imports.values()})
-        created.append(info_id)
+    with arch.mgr.undo_on_error():
+        ids = {rp.label: arch.mgr.create_resource_module(rp.exports, corpus)
+               for rp in new_public + ([impl] if impl is not None else [])}
+        table = {n: (v, ids[p.label] if isinstance(p, ResourcePlan) else p)
+                 for n, (v, p) in planned.items()}
+        info_id = create_planned_info(arch.mgr, component.name, table,
+                                      {pid for _, pid in table.values()})
         inst = attach_primitive(arch.mgr, corpus, component, info_id,
                                 [ids[impl.label]] if impl is not None else [])
-    except Exception:
-        for mid in reversed(created):
-            arch.mgr.remove_module(mid, force=True)
-        raise
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
-    for rp, mid in zip(new_public, created):
-        arch.public.update(dict.fromkeys(rp.exports, mid))
+    for rp in new_public:
+        arch.public.update(dict.fromkeys(rp.exports, ids[rp.label]))
     return inst
 
 

@@ -208,24 +208,27 @@ def test_defined_types_survive_module_removal(hello):
     assert loaded.definition.kind is TypeKind.INTERFACE
 
 
-def test_subscription_delivery_and_cancellation(hello):
+def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_rewired(hello):
     mgr = ModuleManager()
-    seen = []
-    sub = mgr.subscribe(seen.append)
-    a = mgr.create_resource_module([], hello)
-    b = mgr.create_resource_module([], hello)
-    c = mgr.create_resource_module([], hello)
-    assert [(e.kind, e.module_id) for e in seen] == [
-        (EventKind.ADDED, a), (EventKind.ADDED, b), (EventKind.ADDED, c)]
-
-    late = []
-    mgr.subscribe(late.append)
-    assert late == []  # no retroactive delivery
-
-    sub.cancel()
-    mgr.remove_module(a)
-    assert len(seen) == 3
-    assert [e.kind for e in late] == [EventKind.REMOVED]
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
+    module = mgr.module(info)
+    before = (mgr.live_ids(), module.imports, module.wiring, mgr.dependents_of(itf))
+    with pytest.raises(RuntimeError):
+        with mgr.undo_on_error():
+            other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+            mgr.create_info_module([_pair("Service", "1.0")], providers=[other])
+            mgr.rewire_import(info, {"Service": (VersionTag("1.0"), other)})
+            with pytest.raises(InvariantViolation):
+                with mgr.undo_on_error():  # blocks do not nest
+                    pass
+            raise RuntimeError
+    assert (mgr.live_ids(), module.imports, module.wiring, mgr.dependents_of(itf)) == before
+    kinds = [(e.kind, e.module_id.seq) for e in mgr.events]
+    assert kinds[2:] == [(EventKind.ADDED, 3), (EventKind.ADDED, 4),
+                         (EventKind.REMOVED, 4), (EventKind.REMOVED, 3)]
+    with mgr.undo_on_error():  # the failed block left none open
+        mgr.create_resource_module([], hello)
 
 
 def test_event_log_replay_reconstructs_live_set(hello):
@@ -372,14 +375,22 @@ def test_a_forced_removal_and_a_rolled_back_swap_leave_no_dead_id_in_the_exporte
     assert all(impl not in mgr.exporters_of(pair) for pair in pairs)
 
 
+def _may_force(call: ast.Call) -> bool:
+    """Whether a ``remove_module`` call passes ``force`` as anything but a literal False."""
+    flags = call.args[1:] + [kw.value for kw in call.keywords if kw.arg == "force"]
+    return any(not (isinstance(flag, ast.Constant) and flag.value is False) for flag in flags)
+
+
 class _WiringWrites(ast.NodeVisitor):
-    """Collects the qualified name of every function that writes some ``x.wiring``."""
+    """Collects the qualified name of every function that writes some ``x.wiring``,
+    and, in ``forced``, of every function that calls ``remove_module(..., force=True)``."""
 
     MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
 
     def __init__(self):
         self.scope: list[str] = []
         self.found: set[str] = set()
+        self.forced: list[str] = []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -400,15 +411,25 @@ class _WiringWrites(ast.NodeVisitor):
                 self._note(target)
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             self._note(node.target)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr in self.MUTATORS):
-            self._note(node.func.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in self.MUTATORS:
+                self._note(node.func.value)
+            elif node.func.attr == "remove_module" and _may_force(node):
+                self.forced.append(".".join(self.scope))
         super().generic_visit(node)
 
 
-def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
+def _scan_src() -> _WiringWrites:
     visitor = _WiringWrites()
     for path in sorted(SRC.glob("*.py")):
         visitor.scope = [path.stem]
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert visitor.found == {"modules.InfoModule.__init__", "modules.ModuleManager._set_wiring"}
+    return visitor
+
+
+def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
+    assert _scan_src().found == {"modules.InfoModule.__init__", "modules.ModuleManager._set_wiring"}
+
+
+def test_the_managers_undo_log_is_the_only_forced_removal():
+    assert _scan_src().forced == ["modules.ModuleManager.undo_on_error"]

@@ -31,10 +31,10 @@ from reconfig.errors import (
 )
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
 from reconfig.model import BindingCheck, ComponentKind, bind, unbind
-from reconfig.modules import InfoModule, ModuleManager, replay_live_set, same_type
+from reconfig.modules import EventKind, InfoModule, ModuleManager, replay_live_set, same_type
 from reconfig import factory, model, runtime
 
-from conftest import build_architecture, corpus_path
+from conftest import adl_path, build_architecture, corpus_path
 
 V = VersionTag
 
@@ -280,6 +280,89 @@ def test_add_of_a_port_declared_twice_is_refused_and_rolled_back():
     assert exc.value.code == "DuplicatePort"  # the code of validate's diagnostic
     assert arch.mgr.live_ids() == before_live
     assert arch.report() == before_report
+
+
+SERVER2 = ('<component name="server2">'
+           '<interface name="s" role="server" signature="Service" version="1.0"/>'
+           '<content class="ServerImpl" version="2.0"/>'
+           '<file name="Request" version="1.0"/></component>')
+
+
+def test_add_refuses_a_plan_whose_wiring_the_manager_does_not_resolve_to(monkeypatch):
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    before_live = arch.mgr.live_ids()
+    before_report = arch.report()
+    plan = runtime.plan_component
+
+    def crossed(component, corpus, public):
+        # Exchange the providers of Service and ServerImpl: both still resolve
+        # uniquely among the planned modules, each to the other's provider.
+        impl, planned = plan(component, corpus, public)
+        (sv, sp), (iv, ip) = planned["Service"], planned["ServerImpl"]
+        return impl, {**planned, "Service": (sv, ip), "ServerImpl": (iv, sp)}
+
+    monkeypatch.setattr(runtime, "plan_component", crossed)
+    with pytest.raises(InvariantViolation, match="server2 resolves"):
+        runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
+    assert arch.mgr.live_ids() == before_live
+    assert arch.report() == before_report
+
+
+class _Injected(Exception):
+    pass
+
+
+def _fail_kth_write(mgr: ModuleManager, monkeypatch, k: int) -> list[int]:
+    """Make the k-th manager write from now on raise ``_Injected`` (none for k=0); return the count."""
+    count = [0]
+    for name in ("create_resource_module", "create_info_module", "rewire_import",
+                 "_set_wiring", "remove_module"):
+        def write(*args, _original=getattr(mgr, name), **kwargs):
+            count[0] += 1
+            if count[0] == k:
+                raise _Injected(k)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(mgr, name, write)
+    return count
+
+
+def _instantiate_into(adl: str, corpus_name: str):
+    def build(arch, _):
+        definition = parse_adl(adl_path(adl).read_text(encoding="utf-8"))
+        corpus = load_corpus(corpus_path(corpus_name))
+        instantiate(definition, plan_modules(definition, Granularity.PER_COMPONENT, corpus),
+                    arch.mgr, corpus)
+    return build
+
+
+_FAULTED_OPS = {
+    "build-hello": _instantiate_into("hello.fractal.xml", "hello"),
+    "build-hello_v1": _instantiate_into("hello_v1.fractal.xml", "hello_swap"),
+    "swap": lambda arch, corpus: runtime.swap_implementation(
+        arch, "server", ("ServerImpl", "2.0"), corpus),
+    "add": lambda arch, corpus: runtime.add_component(
+        arch, parse_component_fragment(SERVER2), corpus),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_FAULTED_OPS))
+def test_a_failure_at_any_manager_write_leaves_everything_as_it_was(op, monkeypatch):
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    writes = _fail_kth_write(arch.mgr, monkeypatch, 0)
+    _FAULTED_OPS[op](arch, corpus)
+    assert writes[0] > 0
+    for k in range(1, writes[0] + 1):
+        arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+        before, live, seen = arch.report(), arch.mgr.live_ids(), len(arch.mgr.events)
+        _fail_kth_write(arch.mgr, monkeypatch, k)
+        with pytest.raises(Exception) as exc:
+            _FAULTED_OPS[op](arch, corpus)
+        assert isinstance(exc.value, _Injected) or isinstance(exc.value.__cause__, _Injected), k
+        assert arch.report() == before and arch.mgr.live_ids() == live, k
+        assert replay_live_set(arch.mgr.events) == arch.mgr.live_ids()
+        events = arch.mgr.events[seen:]
+        added = [e.module_id for e in events if e.kind is EventKind.ADDED]
+        assert [e.module_id for e in events if e.kind is EventKind.REMOVED] == added[::-1], k
 
 
 def test_structural_reconfiguration_is_gated_by_granularity():
