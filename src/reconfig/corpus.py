@@ -355,8 +355,7 @@ class CorpusStore:
                 continue
             seen.add(key)
             next_chain = chain + (f"{td.name}@{td.version}",)
-            for sub in sorted(td.references, key=str):
-                work.append((sub, next_chain))
+            work.extend((sub, next_chain) for sub in td.references)
         return seen
 
 

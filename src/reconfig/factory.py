@@ -11,19 +11,21 @@ first plans the public modules for whatever is not exported yet:
   shared and not itself a declared signature.
 
 ``plan_component`` then plans one component against them: an implementation
-module exporting the private remainder of the content closure, and imports of
-its content closure, its declared signatures, and the shared-file closure,
-wired to exactly those modules. Two components that exchange a type resolve it
-to one common module precisely when the type is interface-visible or
-file-declared; anything else stays a private copy per component, which is
-what makes undeclared exchange fail at invocation time. Each primitive of a
-built architecture owns its planner input and implementation modules; the
-architecture keeps the index of public modules the runtime plans against,
-while which modules export a pair is the module manager's to answer. Its
-links live on the ports;
-``bindings``, ``binding_checks()``, ``link_checks()`` and ``report()`` are
-views read off them by one walk, ``model.links``, which ``link_checks()``
-narrows to one component's links before it builds any label.
+module exporting the private remainder of the content closure, and a table
+``{name: (version, provider)}`` of its content closure, declared signatures
+and shared-file closure. That table is the one record of an info module's
+plan: ``InfoPlan`` derives its imports and providers from it, and
+``planned_ids`` turns it into module ids for build, add and swap alike. Two
+components that exchange a type resolve it to one common module precisely when
+the type is interface-visible or file-declared; anything else stays a private
+copy per component, which is what makes undeclared exchange fail at invocation
+time. Each primitive of a built architecture owns its planner input and
+implementation modules; the architecture keeps the index of public modules the
+runtime plans against, while which modules export a pair is the module
+manager's to answer. Its links live on the ports; ``bindings``,
+``binding_checks()``, ``link_checks()`` and ``report()`` are views read off
+them by one walk, ``model.links``, which ``link_checks()`` narrows to one
+component's links before it builds any label.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .adl import AdlBinding, AdlComponent, AdlDefinition, validate
 from .corpus import CorpusStore, Pair, VersionTag
@@ -87,8 +89,15 @@ class ResourcePlan:
 @dataclass(frozen=True)
 class InfoPlan:
     component: str
-    imports: tuple[Pair, ...]
-    providers: tuple[str, ...]
+    table: Mapping[str, tuple[VersionTag, ResourcePlan]]   # {name: (version, provider)}
+
+    @property
+    def imports(self) -> tuple[Pair, ...]:
+        return _sorted_pairs((name, version) for name, (version, _) in self.table.items())
+
+    @property
+    def providers(self) -> tuple[str, ...]:
+        return tuple(sorted({provider.label for _, provider in self.table.values()}))
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,6 @@ class ModulePlan:
     granularity: Granularity
     resources: tuple[ResourcePlan, ...]
     infos: tuple[InfoPlan, ...]
-    wiring: dict[tuple[str, str], str]      # (component, type name) -> module label
 
 
 def _pair_str(pair: Pair) -> str:
@@ -203,14 +211,6 @@ def plan_component(component: AdlComponent, corpus: CorpusStore, public: Mapping
                   for name, version in imports.items()}
 
 
-def _info_plan(owner: str, imports: dict[str, tuple[VersionTag, ResourcePlan]],
-               wiring: dict[tuple[str, str], str]) -> InfoPlan:
-    for name, (_, provider) in imports.items():
-        wiring[(owner, name)] = provider.label
-    return InfoPlan(owner, _sorted_pairs((n, v) for n, (v, _) in imports.items()),
-                    tuple(sorted({provider.label for _, provider in imports.values()})))
-
-
 def plan_modules(definition: AdlDefinition, granularity: Granularity,
                  corpus: CorpusStore) -> ModulePlan:
     """Compute the module graph for a definition that validates cleanly."""
@@ -229,21 +229,20 @@ def plan_modules(definition: AdlDefinition, granularity: Granularity,
     public = {pair: rp for rp in resources for pair in rp.exports}
 
     infos: list[InfoPlan] = []
-    wiring: dict[tuple[str, str], str] = {}
     for comp in definition.components:
-        impl, imports = plan_component(comp, corpus, public)
+        impl, table = plan_component(comp, corpus, public)
         if impl is not None:
             resources.append(impl)
-        infos.append(_info_plan(comp.name, imports, wiring))
+        infos.append(InfoPlan(comp.name, table))
 
     if definition.interfaces:
         root_sigs: dict[str, VersionTag] = {}
         _merge_imports(root_sigs, signature_pairs(corpus, definition.interfaces), definition.name)
-        infos.append(_info_plan(definition.name, {n: (v, public[(n, v)])
-                                                  for n, v in root_sigs.items()}, wiring))
+        infos.append(InfoPlan(definition.name, {n: (v, public[(n, v)])
+                                                for n, v in root_sigs.items()}))
 
     resources.sort(key=lambda rp: rp.label)
-    return ModulePlan(Granularity.PER_COMPONENT, tuple(resources), tuple(infos), wiring)
+    return ModulePlan(Granularity.PER_COMPONENT, tuple(resources), tuple(infos))
 
 
 def _plan_single(definition: AdlDefinition, corpus: CorpusStore) -> ModulePlan:
@@ -251,11 +250,9 @@ def _plan_single(definition: AdlDefinition, corpus: CorpusStore) -> ModulePlan:
     for comp in definition.components:
         _merge_imports(needed, component_imports(comp, corpus).items(), comp.name)
     _merge_imports(needed, signature_pairs(corpus, definition.interfaces), definition.name)
-    pairs = _sorted_pairs(needed.items())
-    owners = [c.name for c in definition.components] + [definition.name]
-    return ModulePlan(Granularity.SINGLE_LOADER, (ResourcePlan("all", pairs, "shared"),),
-                      (InfoPlan(definition.name, pairs, ("all",)),),
-                      {(owner, name): "all" for owner in owners for name, _ in pairs})
+    everything = ResourcePlan("all", _sorted_pairs(needed.items()), "shared")
+    return ModulePlan(Granularity.SINGLE_LOADER, (everything,),
+                      (InfoPlan(definition.name, {n: (v, everything) for n, v in needed.items()}),))
 
 
 def render_plan(plan: ModulePlan) -> str:
@@ -373,12 +370,12 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
     location = f"definition {definition.name}"
     try:
         with mgr.undo_on_error():
+            ids: dict[str, ModuleId] = {}
             public: dict[Pair, ModuleId] = {}
             owned: dict[str, list[ModuleId]] = {}
-            label_ids: dict[str, ModuleId] = {}
             for rp in plan.resources:
                 location = f"module {rp.label}"
-                mid = label_ids[rp.label] = mgr.create_resource_module(rp.exports, corpus)
+                mid = ids[rp.label] = mgr.create_resource_module(rp.exports, corpus)
                 if rp.kind == "impl":
                     owned.setdefault(rp.owner, []).append(mid)
                 else:
@@ -387,9 +384,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
             info_ids: dict[str, ModuleId] = {}
             for ip in plan.infos:
                 location = f"info module {ip.component}"
-                table = {n: (v, label_ids[plan.wiring[(ip.component, n)]]) for n, v in ip.imports}
-                info_ids[ip.component] = create_planned_info(
-                    mgr, ip.component, table, [label_ids[label] for label in ip.providers])
+                info_ids[ip.component] = create_planned_info(mgr, ip.component, ip.table, ids)
 
             single = plan.granularity is Granularity.SINGLE_LOADER
             components: dict[str, ComponentInstance] = {}
@@ -413,15 +408,23 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
         raise InstantiationError(location, exc) from exc
 
 
+def planned_ids(table: Mapping[str, tuple[VersionTag, object]],
+                ids: Mapping[str, ModuleId]) -> dict[str, tuple[VersionTag, ModuleId]]:
+    """A planned table in module ids: ``ids[p.label]`` for a ``ResourcePlan`` p, else p itself."""
+    return {name: (version, ids[p.label] if isinstance(p, ResourcePlan) else p)
+            for name, (version, p) in table.items()}
+
+
 def create_planned_info(mgr: ModuleManager, owner: str,
-                        table: Mapping[str, tuple[VersionTag, ModuleId]],
-                        providers: Iterable[ModuleId]) -> ModuleId:
+                        table: Mapping[str, tuple[VersionTag, object]],
+                        ids: Mapping[str, ModuleId]) -> ModuleId:
     """Create ``owner``'s info module from a planned ``{name: (version, provider)}`` table.
 
-    The manager resolves each import among ``providers`` on its own; a
+    The manager resolves each import among the table's providers on its own; a
     resolution that departs from the table raises ``InvariantViolation``."""
+    table = planned_ids(table, ids)
     mid = mgr.create_info_module([(name, version) for name, (version, _) in table.items()],
-                                 providers=providers)
+                                 providers={pid for _, pid in table.values()})
     wiring = mgr.module(mid).wiring
     for name, (_, planned) in table.items():
         if wiring[name] != planned:

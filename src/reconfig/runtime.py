@@ -58,12 +58,12 @@ from .errors import (
 from .factory import (
     ArchitectureInstance,
     Granularity,
-    ResourcePlan,
     attach_primitive,
     create_planned_info,
     file_pairs,
     plan_component,
     plan_public,
+    planned_ids,
     signature_pairs,
 )
 from .model import (
@@ -297,16 +297,14 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     if unwired:  # a forced removal broke this component; a swap must not mask that damage
         raise InvariantViolation(f"{info.id} imports {unwired[0]} from no module")
     with arch.mgr.undo_on_error():
-        new_mid = None if impl is None else arch.mgr.create_resource_module(impl.exports, corpus)
-        arch.mgr.rewire_import(info.id, {n: (v, new_mid if p is impl else p)
-                                         for n, (v, p) in planned.items()})
+        ids = {impl.label: arch.mgr.create_resource_module(impl.exports, corpus)} if impl else {}
+        arch.mgr.rewire_import(info.id, planned_ids(planned, ids))
         content = arch.mgr.load_type(info.id, name)
         broken = [desc for desc, chk in arch.link_checks(comp) if not chk.ok]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
 
-    if new_mid is not None:
-        comp.impl_modules.append(new_mid)
+    comp.impl_modules.extend(ids.values())
     old, comp.content, comp.source = comp.content, content, source
     _event(arch, SWAP, component, str(old), str(content))
     return SwapRecord(component, old, content, content.defined_by)
@@ -369,20 +367,17 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     if held:
         raise AmbiguousImport(*held[0], arch.mgr.exporters_of(held[0]))
     impl, planned = plan_component(component, corpus, ChainMap(new_index, arch.public))
+    impls = [impl] if impl is not None else []
     with arch.mgr.undo_on_error():
         ids = {rp.label: arch.mgr.create_resource_module(rp.exports, corpus)
-               for rp in new_public + ([impl] if impl is not None else [])}
-        table = {n: (v, ids[p.label] if isinstance(p, ResourcePlan) else p)
-                 for n, (v, p) in planned.items()}
-        info_id = create_planned_info(arch.mgr, component.name, table,
-                                      {pid for _, pid in table.values()})
+               for rp in new_public + impls}
+        info_id = create_planned_info(arch.mgr, component.name, planned, ids)
         inst = attach_primitive(arch.mgr, corpus, component, info_id,
-                                [ids[impl.label]] if impl is not None else [])
+                                [ids[rp.label] for rp in impls])
 
     add_child(arch.root, inst)
     arch.components[component.name] = inst
-    for rp in new_public:
-        arch.public.update(dict.fromkeys(rp.exports, ids[rp.label]))
+    arch.public.update({pair: ids[rp.label] for pair, rp in new_index.items()})
     return inst
 
 
@@ -396,6 +391,8 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
     comp = arch.component(name)
     if comp is arch.root or comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
+    for mid in [comp.info_module, *comp.impl_modules]:  # a forced removal may have taken one:
+        arch.mgr.module(mid)  # refuse with UnknownModule before anything changes
     remove_child(arch.root, comp)
     arch.mgr.remove_module(comp.info_module, force=False)
     for mid in comp.impl_modules:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -67,6 +69,7 @@ def test_shared_classes_never_live_in_impl_modules(hello):
 def test_binding_endpoints_wire_the_signature_to_one_module(hello):
     definition = _definition()
     plan = plan_modules(definition, Granularity.PER_COMPONENT, hello)
+    tables = {ip.component: ip.table for ip in plan.infos}
     for b in definition.bindings:
         (c_comp, c_port), (s_comp, s_port) = b.client, b.server
         c_owner = definition.name if c_comp == "this" else c_comp
@@ -74,7 +77,7 @@ def test_binding_endpoints_wire_the_signature_to_one_module(hello):
         ports = definition.interfaces if c_comp == "this" else \
             definition.component(c_comp).interfaces
         signature = next(i.signature for i in ports if i.name == c_port)
-        assert plan.wiring[(c_owner, signature)] == plan.wiring[(s_owner, signature)]
+        assert tables[c_owner][signature] == tables[s_owner][signature]
 
 
 def test_plan_is_a_pure_function_of_its_inputs(hello):
@@ -302,13 +305,14 @@ def test_plan_invariants_hold_on_random_architectures():
             for pair in ip.imports:
                 providers = [label for label in ip.providers if pair in exports[label]]
                 assert len(providers) == 1
-                assert plan.wiring[(ip.component, pair[0])] == providers[0]
+                assert ip.table[pair[0]][1].label == providers[0]
         shared_types = {p for rp in plan.resources if rp.kind == "shared" for p in rp.exports}
         for pair in shared_types:
             owners = [label for label, exp in exports.items() if pair in exp]
             assert owners and all(label.startswith("shared(") for label in owners)
+        tables = {ip.component: ip.table for ip in plan.infos}
         for b in definition.bindings:
-            assert plan.wiring[(b.client[0], "Push")] == plan.wiring[(b.server[0], "Push")]
+            assert tables[b.client[0]]["Push"] == tables[b.server[0]]["Push"]
         # the plan must instantiate and hold its binding checks
         arch = instantiate(definition, plan, ModuleManager(), corpus)
         assert all(chk.ok for _, chk in arch.binding_checks())
@@ -324,12 +328,18 @@ def test_failed_instantiation_reports_the_adl_location(hello):
 
 def test_wiring_that_departs_from_the_plan_fails_instantiation(hello):
     plan = plan_modules(_definition(), Granularity.PER_COMPONENT, hello)
-    wiring = dict(plan.wiring)
-    wiring[("client", "Service")] = wiring[("client", "ClientImpl")]
+    client = next(ip for ip in plan.infos if ip.component == "client")
+    table = dict(client.table)
+    # Service is planned from the client's implementation module, and ClientImpl from
+    # Service's interface module: the providers stay the same, the resolution departs.
+    (sv, itf), (cv, impl) = table["Service"], table["ClientImpl"]
+    table["Service"], table["ClientImpl"] = (sv, impl), (cv, itf)
+    infos = tuple(replace(ip, table=table) if ip is client else ip for ip in plan.infos)
     mgr = ModuleManager()
     with pytest.raises(InstantiationError) as exc:
-        instantiate(_definition(), replace(plan, wiring=wiring), mgr, hello)
+        instantiate(_definition(), replace(plan, infos=infos), mgr, hello)
     assert exc.value.code == "InvariantViolation"
+    assert "client resolves" in str(exc.value)
     assert mgr.live_ids() == frozenset()
 
 
@@ -341,3 +351,43 @@ def test_report_refuses_a_module_of_unknown_kind(hello, monkeypatch):
     monkeypatch.setitem(mgr._modules, ModuleId(10_000), object())
     with pytest.raises(InvariantViolation):
         arch.report()
+
+
+# --- planning memory grows with the architecture, not with its square ----------------
+
+def _one_interface_architecture(n: int):
+    """``n`` primitives, each with its own content class over one shared interface."""
+    from reconfig.corpus import MethodSig
+    call = (MethodSig("call", (), "void"),)
+    index = {("Itf", V("1.0")): TypeDef("Itf", V("1.0"), TypeKind.INTERFACE, (), call)}
+    for i in range(n):
+        index[(f"Impl{i}", V("1.0"))] = TypeDef(f"Impl{i}", V("1.0"), TypeKind.CLASS,
+                                                (TypeRef("Itf", V("1.0")),), call)
+    text = ('<definition name="Many" version="1.0">'
+            + "".join(f'<component name="c{i}">'
+                      '<interface name="s" role="server" signature="Itf" version="1.0"/>'
+                      f'<content class="Impl{i}" version="1.0"/></component>' for i in range(n))
+            + '</definition>')
+    return parse_adl(text), CorpusStore(corpus_path("hello"), index)
+
+
+def _single_plan_peak_per_primitive(n: int) -> float:
+    """The ``tracemalloc`` peak of planning once the corpus memos are warm, per primitive."""
+    definition, corpus = _one_interface_architecture(n)
+    plan_modules(definition, Granularity.SINGLE_LOADER, corpus)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = plan_modules(definition, Granularity.SINGLE_LOADER, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.infos[0].imports) == n + 1
+    return (peak - base) / n
+
+
+def test_a_single_loader_plan_takes_the_same_memory_per_primitive_at_100_and_1000():
+    """Memory is counted, never timed: one table per info module, none per owner and pair."""
+    small, large = _single_plan_peak_per_primitive(100), _single_plan_peak_per_primitive(1000)
+    assert large <= 2 * small, (small, large)

@@ -27,6 +27,7 @@ from reconfig.errors import (
     UnboundInterface,
     UnknownBinding,
     UnknownMethod,
+    UnknownModule,
     UnresolvableExport,
 )
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
@@ -326,18 +327,19 @@ def _fail_kth_write(mgr: ModuleManager, monkeypatch, k: int) -> list[int]:
     return count
 
 
-def _instantiate_into(adl: str, corpus_name: str):
+def _instantiate_into(adl: str, corpus_name: str,
+                      granularity: Granularity = Granularity.PER_COMPONENT):
     def build(arch, _):
         definition = parse_adl(adl_path(adl).read_text(encoding="utf-8"))
         corpus = load_corpus(corpus_path(corpus_name))
-        instantiate(definition, plan_modules(definition, Granularity.PER_COMPONENT, corpus),
-                    arch.mgr, corpus)
+        instantiate(definition, plan_modules(definition, granularity, corpus), arch.mgr, corpus)
     return build
 
 
 _FAULTED_OPS = {
     "build-hello": _instantiate_into("hello.fractal.xml", "hello"),
     "build-hello_v1": _instantiate_into("hello_v1.fractal.xml", "hello_swap"),
+    "build-single": _instantiate_into("hello.fractal.xml", "hello", Granularity.SINGLE_LOADER),
     "swap": lambda arch, corpus: runtime.swap_implementation(
         arch, "server", ("ServerImpl", "2.0"), corpus),
     "add": lambda arch, corpus: runtime.add_component(
@@ -714,6 +716,19 @@ def test_a_swap_over_a_force_removed_provider_is_refused_untouched():
     with pytest.raises(ReconfigError):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert arch.report() == before and arch.mgr.live_ids() == live
+
+
+@pytest.mark.parametrize("lost", ["impl", "info"])
+def test_a_remove_over_a_force_removed_module_is_refused_untouched(lost):
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    added = runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
+    arch.mgr.remove_module(added.impl_modules[0] if lost == "impl" else added.info_module,
+                           force=True)
+    before, live, children = arch.report(), arch.mgr.live_ids(), list(arch.root.children)
+    with pytest.raises(UnknownModule):
+        runtime.remove_component(arch, "server2")
+    assert arch.report() == before and arch.mgr.live_ids() == live
+    assert arch.component("server2") is added and arch.root.children == children
 
 
 # --- each primitive owns its modules --------------------------------------------------
