@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .corpus import CorpusStore, TypeKind, VersionTag, is_type_name
+from .corpus import CorpusStore, TypeDef, TypeKind, VersionTag, is_type_name
 from .errors import AmbiguousVersion, NotFound, ParseError, UnknownAttribute, UnknownElement
 from .model import Role
 
@@ -404,10 +404,23 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
     Diagnostics come out in document order: ports first (duplicates, signature
     resolution, interface-kindness), then component content and shared files,
     then bindings (role discipline, endpoint signature and version agreement,
-    duplicate client bindings). A definition built in code whose binding names
-    an undeclared port raises the ``ParseError`` that parsing its text would.
+    duplicate client bindings). A signature, content or file resolves only if
+    its whole reference closure does, as the planner walks it. A definition
+    built in code whose binding names an undeclared port raises the
+    ``ParseError`` that parsing its text would.
     """
     diags: list[Diagnostic] = []
+
+    def resolved(code: str, line: int, col: int, name: str, version: Optional[VersionTag],
+                 prefix: str = "") -> Optional[TypeDef]:
+        """The typedef, once its whole reference closure resolves; else a diagnostic."""
+        try:
+            td = corpus.resolve(name, version)
+            corpus.closure_of((td.name, td.version))
+            return td
+        except (NotFound, AmbiguousVersion) as exc:
+            diags.append(_diag(code, line, col, f"{prefix}{exc}"))
+            return None
 
     def check_ports(owner: str, ports: tuple[AdlInterface, ...]) -> None:
         seen: set[str] = set()
@@ -416,29 +429,18 @@ def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]
                 diags.append(_diag("DuplicatePort", itf.line, itf.col,
                                    f"{owner} declares port {itf.name} twice"))
             seen.add(itf.name)
-            try:
-                td = corpus.resolve(itf.signature, itf.version)
-            except (NotFound, AmbiguousVersion) as exc:
-                diags.append(_diag("UnresolvableSignature", itf.line, itf.col,
-                                   f"{owner}.{itf.name}: {exc}"))
-                continue
-            if td.kind is not TypeKind.INTERFACE:
+            td = resolved("UnresolvableSignature", itf.line, itf.col,
+                          itf.signature, itf.version, f"{owner}.{itf.name}: ")
+            if td is not None and td.kind is not TypeKind.INTERFACE:
                 diags.append(_diag("NotAnInterface", itf.line, itf.col,
                                    f"{owner}.{itf.name} signature {itf.signature} is a class"))
 
     check_ports(definition.name, definition.interfaces)
     for comp in definition.components:
         check_ports(comp.name, comp.interfaces)
-        cls, cver = comp.content
-        try:
-            corpus.resolve(cls, cver)
-        except (NotFound, AmbiguousVersion) as exc:
-            diags.append(_diag("UnresolvableContent", comp.line, comp.col, str(exc)))
+        resolved("UnresolvableContent", comp.line, comp.col, *comp.content)
         for fname, fver in comp.files:
-            try:
-                corpus.resolve(fname, fver)
-            except (NotFound, AmbiguousVersion) as exc:
-                diags.append(_diag("UnresolvableFile", comp.line, comp.col, str(exc)))
+            resolved("UnresolvableFile", comp.line, comp.col, fname, fver)
 
     bound_clients: set[tuple[str, str]] = set()
     for b in definition.bindings:

@@ -42,17 +42,19 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class ModuleId:
-    """Opaque manager-assigned token; never reused within one manager."""
+class ModuleId(int):
+    """Manager-assigned token, never reused within one manager; prints as ``m<n>``.
 
-    seq: int
+    An int, so ids hash, compare and sort as their numbers, in creation order.
+    A plain int therefore equals the id of the same number; no caller passes one.
+    """
 
-    def __str__(self) -> str:
-        return f"m{self.seq}"
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"m{self.seq}"
+        return f"m{int(self)}"
+
+    __str__ = __repr__
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ class ModuleManager:
 
     def _set_wiring(self, info: InfoModule, wiring: dict[str, ModuleId]) -> None:
         """The one write of an info module's wiring; keeps ``_dependents`` and the undo log."""
-        if info.id.seq < self._undo_from:  # older than the open block: keep its first state
+        if info.id < self._undo_from:  # older than the open block: keep its first state
             self._undo.setdefault(info, (info.imports, info.wiring))
         old, new = set(info.wiring.values()), set(wiring.values())
         for pid in old - new:
@@ -213,8 +215,8 @@ class ModuleManager:
 
         On an exception the modules the block created are force-removed, newest
         first (their events stay logged, their ids used), each older info module
-        gets back its imports and wiring, and the exception propagates. Removal
-        of an older module is not undone, and blocks do not nest.
+        still live gets back its imports and wiring, and the exception propagates.
+        Removal of an older module is not undone, and blocks do not nest.
         """
         if self._undo_from:
             raise InvariantViolation("an undo_on_error block is already open")
@@ -225,11 +227,12 @@ class ModuleManager:
             undo, self._undo_from = self._undo, 0
             # Ids only increase and the registry is in id order, so the created
             # modules are the newest: walk back from the end to the first older id.
-            for mid in list(itertools.takewhile(lambda m: m.seq >= first, reversed(self._modules))):
+            for mid in list(itertools.takewhile(lambda m: m >= first, reversed(self._modules))):
                 self.remove_module(mid, force=True)
             for info, (imports, wiring) in undo.items():
-                self._set_wiring(info, wiring)
-                info.imports = imports
+                if info.id in self._modules:
+                    self._set_wiring(info, wiring)
+                    info.imports = imports
             raise
         finally:
             self._undo_from, self._undo = 0, {}

@@ -1,14 +1,15 @@
 """Simulated invocation, receiver-side identity checks, and hot swap.
 
-Calls traverse the architecture along bindings. Crossing into a component
-pushes that component's info module onto the execution context (and pops it on
-the way out, error or not), so the trace records exactly which module governed
-each stretch of the call. On entry, every argument is checked on the receiver
-side: the declared parameter type name is resolved through the callee's own
-wiring and must be the *same defined type* as the argument's runtime type. A
-parameter declared as the universal ``object`` defers the check to the
-argument's concrete type name, which is how an undeclared exchanged class
-surfaces as a mismatch at the boundary.
+Calls traverse the architecture along bindings. A call enters each component
+it crosses into, in that component's context (its info module), and leaves it
+on the way out, error or not; the trace records each ENTER, with the info
+module, and each EXIT. There is no context stack: a call carries only its
+depth, which ``MAX_CALL_DEPTH`` caps. On entry, every argument is checked on
+the receiver side: the declared parameter type name is resolved through the
+callee's own wiring and must be the *same defined type* as the argument's
+runtime type. A parameter declared as the universal ``object`` defers the
+check to the argument's concrete type name, which is how an undeclared
+exchanged class surfaces as a mismatch at the boundary.
 
 Content behavior is echo-style: a component that receives a call forwards one
 call through each of its bound client ports (the first method of the port's
@@ -129,27 +130,6 @@ class BenchReport:
                 f"time_s={self.with_interceptor_time:.6f}")
 
 
-class ExecutionContext:
-    """Per-invocation stack of context modules; pushes and pops balance."""
-
-    def __init__(self):
-        self._stack: list[ModuleId] = []
-
-    def push(self, module_id: ModuleId) -> None:
-        self._stack.append(module_id)
-
-    def pop(self) -> ModuleId:
-        return self._stack.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    @property
-    def current(self) -> Optional[ModuleId]:
-        return self._stack[-1] if self._stack else None
-
-
 def _event(arch: ArchitectureInstance, kind: str, *args: str) -> None:
     arch.trace.append(TraceEvent(arch.next_seq(), kind, args))
 
@@ -184,12 +164,11 @@ def _receiver_check(arch: ArchitectureInstance, comp: ComponentInstance,
         raise TypeMismatch(lookup, arg.rt_type.defined_by, local.defined_by)
 
 
-def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
+def _call_server(arch: ArchitectureInstance, depth: int,
                  port: InterfacePort, method_name: str, args: Sequence[Value]) -> Optional[Value]:
-    if ctx.depth >= MAX_CALL_DEPTH:
+    if depth >= MAX_CALL_DEPTH:
         raise CallDepthExceeded(MAX_CALL_DEPTH)
     comp = port.owner
-    ctx.push(comp.info_module)
     _event(arch, ENTER, comp.name, str(comp.info_module))
     try:
         signature = arch.mgr.load_type(comp.info_module, port.signature)
@@ -205,7 +184,7 @@ def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
             inner = comp.export_routes.get(port.name)
             if inner is None:
                 raise UnboundInterface(comp.name, port.name)
-            return _call_server(arch, ctx, inner, method_name, args)
+            return _call_server(arch, depth + 1, inner, method_name, args)
 
         for cport in comp.client_ports():
             target = _client_target(cport)
@@ -215,14 +194,13 @@ def _call_server(arch: ArchitectureInstance, ctx: ExecutionContext,
             fwd = fwd_sig.definition.methods[0]
             fwd_args = [Value(arch.mgr.load_type(comp.info_module, p), f"{comp.name}:{p}")
                         for p in fwd.params]
-            _call_server(arch, ctx, target, fwd.name, fwd_args)
+            _call_server(arch, depth + 1, target, fwd.name, fwd_args)
 
         if method.returns == "void":
             return None
         return Value(arch.mgr.load_type(comp.info_module, method.returns),
                      f"{comp.name}.{method_name}")
     finally:
-        ctx.pop()
         _event(arch, EXIT, comp.name)
 
 
@@ -232,22 +210,19 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
 
     A server port is entered directly (a composite export routes inward); a
     client port routes straight through its binding, which models a call
-    originating inside the owning component. The context stack is balanced
-    even on error paths.
+    originating inside the owning component. Every ENTER is matched by an
+    EXIT, even on error paths.
     """
     if arch.in_call:
         raise ReconfigDuringCall()
     arch.in_call = True
-    ctx = ExecutionContext()
     try:
         target = arch.find_port(f"{component}.{port}")
         if target.role is Role.CLIENT:
             target = _client_target(target)
-        return _call_server(arch, ctx, target, method, list(args))
+        return _call_server(arch, 0, target, method, list(args))
     finally:
         arch.in_call = False
-        if ctx.depth != 0:
-            raise InvariantViolation(f"execution context left {ctx.depth} module(s) pushed")
 
 
 def make_value(arch: ArchitectureInstance, owner: ComponentInstance, type_name: str) -> Value:
@@ -404,7 +379,7 @@ def bench_interception(arch: ArchitectureInstance, n: int,
                        entry: Optional[tuple[str, str, str]] = None) -> BenchReport:
     """Run ``n`` no-op invocations and report interceptor bookkeeping.
 
-    ``bookkeeping_ops`` counts context pushes, pops, and receiver checks; it
+    ``bookkeeping_ops`` counts ENTER, EXIT and CHECK events; it
     is a pure function of the traversal structure, so two runs over the same
     architecture always report the same count. Wall time is informational
     only; no overhead percentage is asserted.

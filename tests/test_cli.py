@@ -308,8 +308,6 @@ SETUP_FAILURES = {
     "run-trace-into-a-missing-directory": lambda tmp: [
         "run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS,
         "--trace", str(tmp / "missing" / "trace.txt")],
-    "plan-content-references-a-missing-type": lambda tmp: [
-        "plan", HELLO, "--corpus", _corpus_with_a_dangling_ref(tmp)],
 }
 
 
@@ -318,6 +316,31 @@ def test_every_setup_error_exits_two_with_an_error_line(capsys, tmp_path, case):
     code = main(SETUP_FAILURES[case](tmp_path))
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_and_plan_report_a_dangling_reference_with_exit_one(capsys, tmp_path):
+    corpus_dir = _corpus_with_a_dangling_ref(tmp_path)
+    diagnostic = "ERROR UnresolvableContent 12:5 no typedef Ghost@1.0 (via ServerImpl@2.0)\n"
+    assert _run(capsys, "check", HELLO, "--corpus", corpus_dir) == (1, diagnostic)
+    assert _run(capsys, "plan", HELLO, "--corpus", corpus_dir) == (1, diagnostic)
+    assert main(["run", HELLO, HELLO_SCRIPT, "--corpus", corpus_dir]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_passes_exactly_when_plan_does_with_any_one_typedef_dropped(capsys, tmp_path):
+    adls = sorted(str(p) for p in adl_path("").glob("*.fractal.xml"))
+    cases = 0
+    for corpus in sorted(p for p in corpus_path("").iterdir() if p.is_dir()):
+        for dropped in sorted(corpus.glob("*.typedef")):
+            corpus_dir = tmp_path / corpus.name / dropped.stem
+            shutil.copytree(corpus, corpus_dir, ignore=shutil.ignore_patterns(dropped.name))
+            for adl in adls:
+                check = main(["check", adl, "--corpus", str(corpus_dir)])
+                plan = main(["plan", adl, "--corpus", str(corpus_dir)])
+                capsys.readouterr()
+                assert (check == 0) == (plan == 0), (corpus.name, dropped.name, adl, check, plan)
+                cases += 1
+    assert cases == 132
 
 
 def test_plan_with_diagnostics_exits_one(capsys, tmp_path):

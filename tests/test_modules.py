@@ -22,6 +22,7 @@ from reconfig.errors import (
 from reconfig import runtime
 from reconfig.modules import (
     EventKind,
+    ModuleId,
     ModuleManager,
     ResourceModule,
     replay_live_set,
@@ -224,11 +225,33 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
                     pass
             raise RuntimeError
     assert (mgr.live_ids(), module.imports, module.wiring, mgr.dependents_of(itf)) == before
-    kinds = [(e.kind, e.module_id.seq) for e in mgr.events]
+    kinds = [(e.kind, int(e.module_id)) for e in mgr.events]
     assert kinds[2:] == [(EventKind.ADDED, 3), (EventKind.ADDED, 4),
                          (EventKind.REMOVED, 4), (EventKind.REMOVED, 3)]
     with mgr.undo_on_error():  # the failed block left none open
         mgr.create_resource_module([], hello)
+
+
+def test_the_undo_log_leaves_a_module_the_failed_block_removed_removed(hello):
+    mgr = ModuleManager()
+    resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
+    with pytest.raises(RuntimeError):
+        with mgr.undo_on_error():
+            mgr.remove_module(info)
+            raise RuntimeError
+    assert mgr.live_ids() == {resource} and mgr.dependents_of(resource) == []
+    mgr.remove_module(resource)
+    assert replay_live_set(mgr.events) == frozenset()
+
+
+def test_a_module_id_is_an_int_that_prints_as_m_n(hello):
+    assert ModuleId.__hash__ is int.__hash__ and ModuleId.__eq__ is int.__eq__
+    mid = ModuleId(7)
+    assert [str(mid), repr(mid), f"{mid}", f"{mid!r}", f"{[mid]}"] == ["m7"] * 4 + ["[m7]"]
+    mgr = ModuleManager()
+    ids = [mgr.create_resource_module([], hello) for _ in range(12)]
+    assert sorted(reversed(ids)) == ids and sorted(mgr.live_ids()) == ids
 
 
 def test_event_log_replay_reconstructs_live_set(hello):

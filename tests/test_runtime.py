@@ -674,14 +674,6 @@ def test_build_then_add_shares_like_a_one_step_build(case):
 
 # --- state checks that survive python -O ------------------------------------------
 
-def test_unbalanced_execution_context_is_an_invariant_violation(monkeypatch):
-    arch, _, _ = build_architecture("hello.fractal.xml", "hello")
-    monkeypatch.setattr(runtime.ExecutionContext, "pop", lambda self: self.current)
-    with pytest.raises(InvariantViolation):
-        runtime.invoke(arch, "HelloWorld", "r", "run")
-    assert not arch.in_call
-
-
 def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
     before, live = arch.report(), arch.mgr.live_ids()
@@ -972,6 +964,19 @@ def test_a_cyclic_chain_stops_at_the_call_depth_cap():
     assert kinds.count(runtime.ENTER) == kinds.count(runtime.EXIT) == 64
     assert not arch.in_call
     assert arch.report() == before
+
+
+def test_the_call_depth_cap_admits_exactly_the_frames_a_call_enters(monkeypatch):
+    arch, _, _ = build_architecture("chain3.fractal.xml", "chain")
+    runtime.invoke(arch, "Chain", "head", "next")
+    frames = [event.kind for event in arch.trace].count(runtime.ENTER)
+    assert frames == 4  # the root and three nodes, each inside the one before
+    monkeypatch.setattr(runtime, "MAX_CALL_DEPTH", frames)
+    assert runtime.invoke(arch, "Chain", "head", "next") is None
+    monkeypatch.setattr(runtime, "MAX_CALL_DEPTH", frames - 1)
+    with pytest.raises(CallDepthExceeded):
+        runtime.invoke(arch, "Chain", "head", "next")
+    assert not arch.in_call
 
 
 # --- reconfiguration costs what it touches --------------------------------------------
