@@ -58,6 +58,7 @@ from .model import (
     links,
     new_composite,
     new_primitive,
+    route,
 )
 from .modules import InfoModule, ModuleId, ModuleManager, ResourceModule
 
@@ -450,21 +451,6 @@ def port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,
                    components: dict[str, ComponentInstance], b: AdlBinding) -> None:
-    if b.client[0] == "this":
-        outer = root.port(b.client[1])
-        inner = components[b.server[0]].port(b.server[1])
-        result = check_route(mgr, outer, inner)
-        if not result.ok:
-            raise result.mismatch
-        root.export_routes[outer.name] = inner
-    elif b.server[0] == "this":
-        child_port = components[b.client[0]].port(b.client[1])
-        outer = root.port(b.server[1])
-        result = check_route(mgr, child_port, outer)
-        if not result.ok:
-            raise result.mismatch
-        child_port.outbound_route = outer
-    else:
-        client = components[b.client[0]].port(b.client[1])
-        server = components[b.server[0]].port(b.server[1])
-        bind(mgr, client, server)
+    client, server = ((root if comp == "this" else components[comp]).port(port)
+                      for comp, port in (b.client, b.server))
+    (route if "this" in (b.client[0], b.server[0]) else bind)(mgr, client, server)

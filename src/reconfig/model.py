@@ -8,7 +8,8 @@ server port is only legal when both ends resolve the signature to the *same*
 defined type, i.e. the same (name, defining module) pair.
 
 Links live on the ports alone (a client port's binding or outbound route, a
-composite's export routes); a client port holds at most one of the two.
+composite's export routes), and only ``bind``, ``unbind`` and ``route`` write
+them; a client port holds at most one of the two.
 ``links`` is the one walk over them: every view of an architecture's links
 and ``remove_child``'s crossing test read it. Asked for the links touching
 one component, it skips the others before formatting their labels.
@@ -243,6 +244,20 @@ def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
     client.binding = record
     server.inbound.append(record)
     return record
+
+
+def route(mgr: ModuleManager, a: InterfacePort, b: InterfacePort) -> None:
+    """After a passing ``check_route``, route a composite's server port ``a`` in to its
+    child's port ``b``, or a child's client port ``a`` that holds no link out to ``b``."""
+    result = check_route(mgr, a, b)
+    if not result.ok:
+        raise result.mismatch
+    if a.role is Role.SERVER:
+        a.owner.export_routes[a.name] = b
+    elif a.binding is not None or a.outbound_route is not None:
+        raise AlreadyBound(str(a))
+    else:
+        a.outbound_route = b
 
 
 def unbind(record: BindingRecord) -> None:

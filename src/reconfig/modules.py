@@ -17,7 +17,9 @@ export a pair: creating and removing a resource module keep a pair → exporters
 index, which ``exporters_of`` reads and info-module creation resolves against.
 Create, rewire and remove write wiring through one manager method, which also
 keeps a reverse index from each provider to the info modules wired to it, so a
-module's dependents are a lookup, and feeds ``undo_on_error``, the one undo log.
+module's dependents are a lookup, and feeds ``undo_on_error``, the one undo
+log. A module is removed only once nothing is wired to it, so every wiring
+names a live resource module.
 """
 
 from __future__ import annotations
@@ -87,12 +89,6 @@ class EventKind(Enum):
 class ModuleEvent:
     kind: EventKind
     module_id: ModuleId
-
-
-@dataclass(frozen=True)
-class RemovalReport:
-    removed: ModuleId
-    invalidated: tuple[ModuleId, ...]
 
 
 class ResourceModule:
@@ -213,10 +209,10 @@ class ModuleManager:
     def undo_on_error(self) -> Iterator[None]:
         """Run a block that either completes or leaves every module as it found it.
 
-        On an exception the modules the block created are force-removed, newest
-        first (their events stay logged, their ids used), each older info module
-        still live gets back its imports and wiring, and the exception propagates.
-        Removal of an older module is not undone, and blocks do not nest.
+        On an exception each older info module gets back its imports and wiring,
+        then the modules the block created are removed, info modules first, each
+        kind newest first (their events stay logged, their ids used), and the
+        exception propagates. Blocks do not nest.
         """
         if self._undo_from:
             raise InvariantViolation("an undo_on_error block is already open")
@@ -225,14 +221,14 @@ class ModuleManager:
             yield
         except BaseException:
             undo, self._undo_from = self._undo, 0
-            # Ids only increase and the registry is in id order, so the created
-            # modules are the newest: walk back from the end to the first older id.
-            for mid in list(itertools.takewhile(lambda m: m >= first, reversed(self._modules))):
-                self.remove_module(mid, force=True)
             for info, (imports, wiring) in undo.items():
-                if info.id in self._modules:
-                    self._set_wiring(info, wiring)
-                    info.imports = imports
+                self._set_wiring(info, wiring)
+                info.imports = imports
+            # Ids only increase and the registry is in id order, so the created modules
+            # are the newest. Info modules go first, so no resource module keeps a dependent.
+            created = itertools.takewhile(lambda m: m >= first, reversed(self._modules))
+            for mid in sorted(created, key=lambda m: isinstance(self._modules[m], ResourceModule)):
+                self.remove_module(mid)
             raise
         finally:
             self._undo_from, self._undo = 0, {}
@@ -306,22 +302,19 @@ class ModuleManager:
         """The info modules wired to ``module_id``, in id order, read off the reverse index."""
         return sorted(self._dependents.get(module_id, ()))
 
-    def remove_module(self, module_id: ModuleId, force: bool = False) -> RemovalReport:
-        """Remove a module; refuse while wired unless forced.
+    def remove_module(self, module_id: ModuleId) -> None:
+        """Remove a module that nothing is wired to.
 
-        Forcing invalidates dependent wirings (their entries for this module
-        disappear, so later loads fail with NotImported); already-defined
-        types stay valid, removal never unloads them.
+        Refused with ``InUse`` while an info module is wired to it, and with
+        ``InvariantViolation`` while an ``undo_on_error`` block it predates is open.
+        Already-defined types stay valid; removal never unloads them.
         """
         self.module(module_id)
         dependents = self.dependents_of(module_id)
-        if dependents and not force:
+        if dependents:
             raise InUse(module_id, dependents)
-        deps = [self._modules[dep_id] for dep_id in dependents]
-        if not all(isinstance(dep, InfoModule) for dep in deps):
-            raise InvariantViolation(f"a dependent of {module_id} is not an info module")
-        for dep in deps:
-            self._set_wiring(dep, {n: pid for n, pid in dep.wiring.items() if pid != module_id})
+        if module_id < self._undo_from:
+            raise InvariantViolation(f"{module_id} is older than the open undo_on_error block")
         removed = self._modules.pop(module_id)
         if isinstance(removed, InfoModule):
             self._set_wiring(removed, {})
@@ -332,7 +325,6 @@ class ModuleManager:
                 if not entry:
                     del self._exporters[pair]
         self._emit(EventKind.REMOVED, module_id)
-        return RemovalReport(module_id, tuple(dependents))
 
     def rewire_import(self, via: ModuleId,
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:

@@ -267,14 +267,10 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
     was = comp.source
     source = AdlComponent(was.name, was.interfaces, (name, tag), was.files, was.line, was.col)
     impl, planned = plan_component(source, corpus, arch.public)
-    info = arch.mgr.module(comp.info_module)
-    unwired = sorted(info.imports.keys() - info.wiring.keys())
-    if unwired:  # a forced removal broke this component; a swap must not mask that damage
-        raise InvariantViolation(f"{info.id} imports {unwired[0]} from no module")
     with arch.mgr.undo_on_error():
         ids = {impl.label: arch.mgr.create_resource_module(impl.exports, corpus)} if impl else {}
-        arch.mgr.rewire_import(info.id, planned_ids(planned, ids))
-        content = arch.mgr.load_type(info.id, name)
+        arch.mgr.rewire_import(comp.info_module, planned_ids(planned, ids))
+        content = arch.mgr.load_type(comp.info_module, name)
         broken = [desc for desc, chk in arch.link_checks(comp) if not chk.ok]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
@@ -366,12 +362,11 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
     comp = arch.component(name)
     if comp is arch.root or comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
-    for mid in [comp.info_module, *comp.impl_modules]:  # a forced removal may have taken one:
+    for mid in [comp.info_module, *comp.impl_modules]:  # a direct removal may have taken one:
         arch.mgr.module(mid)  # refuse with UnknownModule before anything changes
     remove_child(arch.root, comp)
-    arch.mgr.remove_module(comp.info_module, force=False)
-    for mid in comp.impl_modules:
-        arch.mgr.remove_module(mid, force=False)
+    for mid in [comp.info_module, *comp.impl_modules]:
+        arch.mgr.remove_module(mid)
     del arch.components[name]
 
 

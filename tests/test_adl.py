@@ -274,6 +274,33 @@ def test_role_and_duplicate_diagnostics(hello):
     assert codes == ["DuplicatePort", "RoleMismatch"]
 
 
+_TWO_ROOT_PORTS = ('<definition name="X" version="1.0">'
+                   '<interface name="r" role="server" signature="java.lang.Runnable"/>'
+                   '<interface name="o" role="server" signature="java.lang.Runnable"/>'
+                   '<component name="a">'
+                   '<interface name="s" role="client" signature="Service" version="1.0"/>'
+                   '<content class="ClientImpl" version="1.0"/></component>'
+                   '<component name="b">'
+                   '<interface name="s" role="server" signature="Service" version="1.0"/>'
+                   '<interface name="c" role="client" signature="Service" version="1.0"/>'
+                   '<content class="ServerImpl" version="2.0"/></component>'
+                   '{}</definition>')
+
+
+@pytest.mark.parametrize("bindings, expected", [
+    ([("this.r", "this.o")],
+     [("RoleMismatch", "binding this.r -> this.o connects two definition ports"),
+      ("RoleMismatch", "server endpoint this.o must be a client port")]),
+    ([("a.s", "b.c")], [("RoleMismatch", "server endpoint b.c must be a server port")]),
+    ([("a.s", "b.s")] * 2, [("DuplicateBinding", "client endpoint a.s bound twice")]),
+], ids=["two-definition-ports", "client-port-as-server", "bound-twice"])
+def test_binding_role_and_duplicate_diagnostics_name_the_endpoint(hello, bindings, expected):
+    text = _TWO_ROOT_PORTS.format("".join(f'<binding client="{c}" server="{s}"/>'
+                                          for c, s in bindings))
+    diags = validate(parse_adl(text), hello)
+    assert [(d.code, d.message) for d in diags] == expected
+
+
 def test_not_an_interface_and_signature_mismatch(hello):
     text = ('<definition name="X" version="1.0">'
             '<component name="a">'

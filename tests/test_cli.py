@@ -157,10 +157,19 @@ def test_run_expected_error_script_exits_zero(capsys):
 
 def test_run_failed_assertion_names_the_line(capsys, tmp_path):
     script = tmp_path / "bad.script"
-    script.write_text("invoke HelloWorld.r walk\nexpect-ok\n")
-    code, out = _run(capsys, "run", HELLO, str(script), "--corpus", HELLO_CORPUS)
-    assert code == 1
-    assert "FAIL line 2: expected ok, got UnknownMethod (command at line 1)" in out
+    for text, fail in [
+        ("invoke HelloWorld.r walk\nexpect-ok\n",
+         "FAIL line 2: expected ok, got UnknownMethod (command at line 1)"),
+        ("invoke HelloWorld.r walk\ninvoke HelloWorld.r run\n",
+         "FAIL line 1: unexpected error UnknownMethod (invoke HelloWorld.r walk)"),
+        ("invoke HelloWorld.r walk\nexpect-error TypeMismatch\n",
+         "FAIL line 2: expected error TypeMismatch, got UnknownMethod (command at line 1)"),
+        ("invoke HelloWorld.r run\nexpect-error TypeMismatch\n",
+         "FAIL line 2: expected error TypeMismatch, got ok (command at line 1)"),
+    ]:
+        script.write_text(text)
+        code, out = _run(capsys, "run", HELLO, str(script), "--corpus", HELLO_CORPUS)
+        assert code == 1 and fail in out.splitlines(), text
 
 
 def test_run_unasserted_error_fails(capsys, tmp_path):
@@ -231,12 +240,23 @@ def test_run_script_refuses_an_expectation_with_no_command():
 
 
 def test_script_grammar_errors():
-    with pytest.raises(ScriptError):
-        parse_script("expect-ok\n")
-    with pytest.raises(ScriptError):
-        parse_script("invoke onlyoneword\n")
-    with pytest.raises(ScriptError):
-        parse_script("teleport a.b\n")
+    for text, message in [
+        ("expect-ok\n", "line 1: expect-ok must follow a command"),
+        ("invoke onlyoneword\n", "line 1: invoke needs comp.port and a method"),
+        ("teleport a.b\n", "line 1: unknown command 'teleport'"),
+        ("add\n", "line 1: add needs an inline <component .../> element"),
+        ("remove a\nexpect-ok now\n", "line 2: expect-ok takes no arguments"),
+        ("expect-error X\n", "line 1: expect-error must follow a command"),
+        ("remove a\nexpect-error\n", "line 2: expect-error takes exactly one error code"),
+        ("swap server ServerImpl\n", "line 1: swap needs component, class, version"),
+        ("bind client.s\n", "line 1: bind needs client and server endpoints"),
+        ("unbind\n", "line 1: unbind needs one client endpoint"),
+        ("remove\n", "line 1: remove needs one component name"),
+        ("unbind ap\n", "line 1: endpoint 'ap' must be comp.port"),
+    ]:
+        with pytest.raises(ScriptError) as exc:
+            parse_script(text)
+        assert str(exc.value) == f"script {message}", text
 
 
 def test_add_and_remove_through_a_script(capsys, tmp_path):

@@ -26,6 +26,7 @@ from reconfig.model import (
     new_composite,
     new_primitive,
     remove_child,
+    route,
     unbind,
 )
 from reconfig.modules import ModuleManager
@@ -169,6 +170,23 @@ def test_bind_unbind_cycle(world):
 
     again = bind(mgr, client.port("s"), server.port("s"))  # rebindable after unbind
     assert client.port("s").binding is again
+
+
+def test_route_writes_in_and_out_and_refuses_a_client_port_that_holds_a_link(world):
+    mgr, corpus, info = world
+    client, server, bound = _client(mgr, info), _server(mgr, info), _client(mgr, info, "bound")
+    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
+                                         PortSpec("c", Role.CLIENT, "Service", V("1.0"))],
+                          [client, server, bound], info_module=info)
+    route(mgr, outer.port("s"), server.port("s"))
+    assert outer.export_routes == {"s": server.port("s")}
+    route(mgr, client.port("s"), outer.port("c"))
+    assert client.port("s").outbound_route is outer.port("c")
+    bind(mgr, bound.port("s"), server.port("s"))
+    for held in (client, bound):
+        with pytest.raises(AlreadyBound):
+            route(mgr, held.port("s"), outer.port("c"))
+    assert client.port("s").binding is None and bound.port("s").outbound_route is None
 
 
 def test_bind_raises_the_predicted_mismatch(world):

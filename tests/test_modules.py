@@ -157,30 +157,17 @@ def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
         mgr.load_type(info, "Service")
 
 
-def test_removal_with_a_non_info_dependent_is_refused_untouched(hello, monkeypatch):
-    mgr = ModuleManager()
-    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
-    other = mgr.create_resource_module([_pair("Request", "1.0")], hello)
-    monkeypatch.setattr(mgr, "dependents_of", lambda module_id: [info, other])
-    with pytest.raises(InvariantViolation):
-        mgr.remove_module(itf, force=True)
-    assert itf in mgr.live_ids()
-    assert mgr.module(info).wiring == {"Service": itf}
-
-
 def test_remove_unreferenced_module(hello):
     mgr = ModuleManager()
     mid = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    report = mgr.remove_module(mid)
-    assert report.invalidated == ()
+    mgr.remove_module(mid)
     assert [e.kind for e in mgr.events] == [EventKind.ADDED, EventKind.REMOVED]
     assert mid not in mgr.live_ids()
     with pytest.raises(UnknownModule):
         mgr.remove_module(mid)
 
 
-def test_remove_wired_module_refused_then_forced(hello):
+def test_remove_wired_module_is_refused_naming_its_dependents_in_id_order(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info1 = mgr.create_info_module([_pair("Service", "1.0")])
@@ -190,13 +177,9 @@ def test_remove_wired_module_refused_then_forced(hello):
     assert dependents == [info1, info2]
 
     with pytest.raises(InUse) as exc:
-        mgr.remove_module(itf, force=False)
+        mgr.remove_module(itf)
     assert list(exc.value.dependents) == dependents
-
-    report = mgr.remove_module(itf, force=True)
-    assert list(report.invalidated) == dependents
-    with pytest.raises(NotImported):
-        mgr.load_type(info1, "Service")
+    assert itf in mgr.live_ids() and mgr.dependents_of(itf) == dependents
 
 
 def test_defined_types_survive_module_removal(hello):
@@ -204,7 +187,8 @@ def test_defined_types_survive_module_removal(hello):
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
     loaded = mgr.load_type(info, "Service")
-    mgr.remove_module(itf, force=True)
+    mgr.remove_module(info)
+    mgr.remove_module(itf)
     assert loaded.name == "Service" and loaded.defined_by == itf
     assert loaded.definition.kind is TypeKind.INTERFACE
 
@@ -232,17 +216,44 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
         mgr.create_resource_module([], hello)
 
 
-def test_the_undo_log_leaves_a_module_the_failed_block_removed_removed(hello):
+def test_an_undo_block_refuses_to_remove_an_older_module_and_may_remove_its_own(hello):
     mgr = ModuleManager()
     resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
+    with pytest.raises(InvariantViolation, match="older than the open undo_on_error block"):
+        with mgr.undo_on_error():
+            own = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+            mgr.remove_module(own)
+            mgr.remove_module(info)
+    assert mgr.live_ids() == {resource, info} and mgr.dependents_of(resource) == [info]
+    assert mgr.module(info).wiring == {"Service": resource}
+    assert replay_live_set(mgr.events) == mgr.live_ids()
+
+
+def test_a_failed_block_cannot_remove_the_older_provider_it_rewired_away_from(hello):
+    mgr = ModuleManager()
+    r1 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    i = mgr.create_info_module([_pair("Service", "1.0")])
+    with pytest.raises(InvariantViolation):
+        with mgr.undo_on_error():
+            r2 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+            mgr.rewire_import(i, {"Service": (VersionTag("1.0"), r2)})
+            mgr.remove_module(r1)
+    assert mgr.live_ids() == {r1, i} and mgr.module(i).wiring == {"Service": r1}
+    assert mgr.dependents_of(r1) == [i] and mgr.dependents_of(r2) == []
+    assert mgr.load_type(i, "Service").defined_by == r1
+
+
+def test_the_undo_log_removes_a_created_info_module_rewired_to_a_newer_created_one(hello):
+    mgr = ModuleManager()
+    resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
-            mgr.remove_module(info)
+            info = mgr.create_info_module([_pair("Service", "1.0")])
+            newer = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+            mgr.rewire_import(info, {"Service": (VersionTag("1.0"), newer)})
             raise RuntimeError
-    assert mgr.live_ids() == {resource} and mgr.dependents_of(resource) == []
-    mgr.remove_module(resource)
-    assert replay_live_set(mgr.events) == frozenset()
+    assert mgr.live_ids() == {resource} and mgr._dependents == {}
 
 
 def test_a_module_id_is_an_int_that_prints_as_m_n(hello):
@@ -260,7 +271,7 @@ def test_event_log_replay_reconstructs_live_set(hello):
     for _ in range(60):
         live = sorted(mgr.live_ids())
         if live and rng.random() < 0.4:
-            mgr.remove_module(rng.choice(live), force=True)
+            mgr.remove_module(rng.choice(live))
         else:
             mgr.create_resource_module([], hello)
         assert replay_live_set(mgr.events) == mgr.live_ids()
@@ -326,12 +337,10 @@ def test_forced_removal_then_removal_of_the_dependent_leaves_no_stale_index_entr
     req = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0"), _pair("Request", "1.0")])
     assert mgr.dependents_of(itf) == mgr.dependents_of(req) == [info]
-    assert mgr.remove_module(itf, force=True).invalidated == (info,)
-    assert mgr.module(info).wiring == {"Request": req}
-    assert mgr.dependents_of(itf) == [] and mgr.dependents_of(req) == [info]
     mgr.remove_module(info)
-    assert mgr.dependents_of(req) == []
-    mgr.remove_module(req)  # no longer InUse: the removed info module left the index
+    assert mgr.dependents_of(itf) == mgr.dependents_of(req) == []
+    mgr.remove_module(itf)  # no longer InUse: the removed info module left the index
+    mgr.remove_module(req)
     assert mgr._dependents == {}
 
 
@@ -391,29 +400,26 @@ def test_a_forced_removal_and_a_rolled_back_swap_leave_no_dead_id_in_the_exporte
     _assert_the_exporter_index_holds_only_live_ids(mgr)
     assert mgr.exporters_of(_pair("ServerImpl", "2.0")) == []
 
-    impl = arch.component("server").impl_modules[0]
+    del arch.link_checks
+    runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    impl = arch.component("server").impl_modules[0]  # the pre-swap module, wired to by none
     pairs = list(mgr.module(impl).exports.items())
-    mgr.remove_module(impl, force=True)
+    mgr.remove_module(impl)
     _assert_the_exporter_index_holds_only_live_ids(mgr)
     assert all(impl not in mgr.exporters_of(pair) for pair in pairs)
 
 
-def _may_force(call: ast.Call) -> bool:
-    """Whether a ``remove_module`` call passes ``force`` as anything but a literal False."""
-    flags = call.args[1:] + [kw.value for kw in call.keywords if kw.arg == "force"]
-    return any(not (isinstance(flag, ast.Constant) and flag.value is False) for flag in flags)
+class _Writes(ast.NodeVisitor):
+    """Collects the qualified name of every function that writes some ``x.<attr>``
+    for an attr in ``attrs``: assigns or deletes it or an item of it, or mutates it."""
 
+    MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__",
+                "append", "extend", "insert", "remove"}
 
-class _WiringWrites(ast.NodeVisitor):
-    """Collects the qualified name of every function that writes some ``x.wiring``,
-    and, in ``forced``, of every function that calls ``remove_module(..., force=True)``."""
-
-    MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
-
-    def __init__(self):
+    def __init__(self, attrs: set[str]):
+        self.attrs = attrs
         self.scope: list[str] = []
         self.found: set[str] = set()
-        self.forced: list[str] = []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -425,7 +431,7 @@ class _WiringWrites(ast.NodeVisitor):
     def _note(self, target):
         while isinstance(target, ast.Subscript):
             target = target.value
-        if isinstance(target, ast.Attribute) and target.attr == "wiring":
+        if isinstance(target, ast.Attribute) and target.attr in self.attrs:
             self.found.add(".".join(self.scope))
 
     def generic_visit(self, node):
@@ -437,13 +443,11 @@ class _WiringWrites(ast.NodeVisitor):
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr in self.MUTATORS:
                 self._note(node.func.value)
-            elif node.func.attr == "remove_module" and _may_force(node):
-                self.forced.append(".".join(self.scope))
         super().generic_visit(node)
 
 
-def _scan_src() -> _WiringWrites:
-    visitor = _WiringWrites()
+def _scan_src(*attrs: str) -> _Writes:
+    visitor = _Writes(set(attrs))
     for path in sorted(SRC.glob("*.py")):
         visitor.scope = [path.stem]
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
@@ -451,8 +455,10 @@ def _scan_src() -> _WiringWrites:
 
 
 def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
-    assert _scan_src().found == {"modules.InfoModule.__init__", "modules.ModuleManager._set_wiring"}
+    assert _scan_src("wiring").found == {"modules.InfoModule.__init__",
+                                         "modules.ModuleManager._set_wiring"}
 
 
-def test_the_managers_undo_log_is_the_only_forced_removal():
-    assert _scan_src().forced == ["modules.ModuleManager.undo_on_error"]
+def test_links_are_written_only_by_the_model():
+    found = _scan_src("binding", "outbound_route", "export_routes", "inbound").found
+    assert {scope.split(".")[0] for scope in found} == {"model"}, sorted(found)
