@@ -270,7 +270,7 @@ class UnknownPort(ReconfigError):
 
 class UnboundInterface(ReconfigError):
     def __init__(self, component: str, port: str):
-        super().__init__(f"client port {component}.{port} is not bound")
+        super().__init__(f"port {component}.{port} is not bound")
 
 
 class UnknownMethod(ReconfigError):

@@ -353,8 +353,9 @@ class ArchitectureInstance:
                 exports = ", ".join(f"{n}@{v}" for n, v in sorted(mod.exports.items()))
                 lines.append(f"module {mid} resource exports=[{exports}]")
             elif isinstance(mod, InfoModule):
-                imports = ", ".join(f"{n}@{v}" for n, v in sorted(mod.imports.items()))
-                wired = ", ".join(f"{n}->{mod.wiring[n]}" for n in sorted(mod.wiring))
+                table = sorted(mod.imports.items())
+                imports = ", ".join(f"{n}@{self.mgr.module(p).exports[n]}" for n, p in table)
+                wired = ", ".join(f"{n}->{p}" for n, p in table)
                 lines.append(f"module {mid} info imports=[{imports}] wiring=[{wired}]")
             else:
                 raise InvariantViolation(f"module {mid} is neither a resource nor an info module")
@@ -426,11 +427,11 @@ def create_planned_info(mgr: ModuleManager, owner: str,
     table = planned_ids(table, ids)
     mid = mgr.create_info_module([(name, version) for name, (version, _) in table.items()],
                                  providers={pid for _, pid in table.values()})
-    wiring = mgr.module(mid).wiring
+    imports = mgr.module(mid).imports
     for name, (_, planned) in table.items():
-        if wiring[name] != planned:
+        if imports[name] != planned:
             raise InvariantViolation(
-                f"{owner} resolves {name} to {wiring[name]}, the plan to {planned}")
+                f"{owner} resolves {name} to {imports[name]}, the plan to {planned}")
     return mid
 
 

@@ -8,18 +8,19 @@ A resolved type is the planner's ``(name, VersionTag)`` pair; modules are
 created from iterables of them. Resource modules own and cache definitions
 pulled from a corpus; at most one version per name may live in a single
 module, mirroring a loader's inability to hold two versions of one class.
-Info modules define nothing: their import table maps each name to a
-(version, provider) pair, and every load is delegated through it to exactly
-one resource module. Wiring is resolved at creation time and only when each
-import has a single exporter among the candidates; ambiguity is an error,
-never a silent choice. The manager alone answers which live resource modules
-export a pair: creating and removing a resource module keep a pair → exporters
-index, which ``exporters_of`` reads and info-module creation resolves against.
-Create, rewire and remove write wiring through one manager method, which also
-keeps a reverse index from each provider to the info modules wired to it, so a
+Info modules define nothing: their import table maps each name to the one
+resource module that defines it, and every load is delegated through it; the
+version imported is that module's export, not a second record. Wiring is
+resolved at creation time and only when each import has a single exporter
+among the candidates; ambiguity is an error, never a silent choice. The
+manager alone answers which live resource modules export a pair: creating and
+removing a resource module keep a pair → exporters index, which
+``exporters_of`` reads and info-module creation resolves against. Create,
+rewire and remove write imports through one manager method, which also keeps a
+reverse index from each provider to the info modules wired to it, so a
 module's dependents are a lookup, and feeds ``undo_on_error``, the one undo
-log. A module is removed only once nothing is wired to it, so every wiring
-names a live resource module.
+log. A resource module never changes its exports and is removed only once
+nothing is wired to it, so every import names a live module that exports it.
 """
 
 from __future__ import annotations
@@ -130,12 +131,11 @@ class ResourceModule:
 
 
 class InfoModule:
-    """Per-component delegating module: imports, no cache, no definitions."""
+    """Per-component delegating module: each name it imports -> the module defining it."""
 
-    def __init__(self, module_id: ModuleId, imports: dict[str, VersionTag]):
+    def __init__(self, module_id: ModuleId):
         self.id = module_id
-        self.imports = imports
-        self.wiring: dict[str, ModuleId] = {}  # written by ModuleManager._set_wiring only
+        self.imports: dict[str, ModuleId] = {}  # written by ModuleManager._set_wiring only
 
 
 Module = Union[ResourceModule, InfoModule]
@@ -157,7 +157,7 @@ class ModuleManager:
         self._events: list[ModuleEvent] = []
         self._next_seq = 1
         self._undo_from = 0  # the open undo_on_error block's first id; 0 while none is open
-        self._undo: dict[InfoModule, tuple[dict, dict]] = {}  # older (imports, wiring) it restores
+        self._undo: dict[InfoModule, dict[str, ModuleId]] = {}  # older imports it restores
 
     # -- introspection ------------------------------------------------------
 
@@ -188,11 +188,11 @@ class ModuleManager:
         self._next_seq += 1
         return mid
 
-    def _set_wiring(self, info: InfoModule, wiring: dict[str, ModuleId]) -> None:
-        """The one write of an info module's wiring; keeps ``_dependents`` and the undo log."""
+    def _set_wiring(self, info: InfoModule, imports: dict[str, ModuleId]) -> None:
+        """The one write of an info module's imports; keeps ``_dependents`` and the undo log."""
         if info.id < self._undo_from:  # older than the open block: keep its first state
-            self._undo.setdefault(info, (info.imports, info.wiring))
-        old, new = set(info.wiring.values()), set(wiring.values())
+            self._undo.setdefault(info, info.imports)
+        old, new = set(info.imports.values()), set(imports.values())
         for pid in old - new:
             entry = self._dependents[pid]
             entry.discard(info.id)
@@ -200,7 +200,7 @@ class ModuleManager:
                 del self._dependents[pid]
         for pid in new - old:
             self._dependents.setdefault(pid, set()).add(info.id)
-        info.wiring = wiring
+        info.imports = imports
 
     def _emit(self, kind: EventKind, module_id: ModuleId) -> None:
         self._events.append(ModuleEvent(kind, module_id))
@@ -209,7 +209,7 @@ class ModuleManager:
     def undo_on_error(self) -> Iterator[None]:
         """Run a block that either completes or leaves every module as it found it.
 
-        On an exception each older info module gets back its imports and wiring,
+        On an exception each older info module gets back its imports,
         then the modules the block created are removed, info modules first, each
         kind newest first (their events stay logged, their ids used), and the
         exception propagates. Blocks do not nest.
@@ -221,9 +221,8 @@ class ModuleManager:
             yield
         except BaseException:
             undo, self._undo_from = self._undo, 0
-            for info, (imports, wiring) in undo.items():
-                self._set_wiring(info, wiring)
-                info.imports = imports
+            for info, imports in undo.items():
+                self._set_wiring(info, imports)
             # Ids only increase and the registry is in id order, so the created modules
             # are the newest. Info modules go first, so no resource module keeps a dependent.
             created = itertools.takewhile(lambda m: m >= first, reversed(self._modules))
@@ -270,14 +269,14 @@ class ModuleManager:
             if len(exporters) > 1:
                 raise AmbiguousImport(name, version, sorted(exporters))
             (wiring[name],) = exporters
-        module = InfoModule(self._fresh_id(), declared)
+        module = InfoModule(self._fresh_id())
         self._set_wiring(module, wiring)
         self._modules[module.id] = module
         self._emit(EventKind.ADDED, module.id)
         return module.id
 
     def load_type(self, via: ModuleId, name: str) -> DefinedType:
-        """Load ``name`` through an info module's wiring.
+        """Load ``name`` through an info module's imports.
 
         The wired resource module answers from its cache when the type was
         already defined, otherwise defines and caches it; either way repeated
@@ -286,7 +285,7 @@ class ModuleManager:
         info = self.module(via)
         if not isinstance(info, InfoModule):
             raise UnknownModule(via)
-        provider_id = info.wiring.get(name)
+        provider_id = info.imports.get(name)
         if provider_id is None:
             raise NotImported(name)
         provider = self.module(provider_id)
@@ -328,10 +327,11 @@ class ModuleManager:
 
     def rewire_import(self, via: ModuleId,
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
-        """Replace an info module's whole import table, ``{name: (version, provider)}``.
+        """Replace an info module's whole import table from ``{name: (version, provider)}``.
 
         Used by implementation swap. Every entry is validated first, so the move
-        is all or nothing; wiring is written first, so an undo snapshot is whole.
+        is all or nothing; each name is then imported from its provider, whose
+        export of it is the version given.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):
@@ -341,7 +341,6 @@ class ModuleManager:
             if not (isinstance(target, ResourceModule) and target.exports_pair(name, version)):
                 raise UnresolvableExport(name, version)
         self._set_wiring(info, {name: provider for name, (_, provider) in table.items()})
-        info.imports = {name: version for name, (version, _) in table.items()}
 
 
 def replay_live_set(events: Iterable[ModuleEvent]) -> frozenset[ModuleId]:

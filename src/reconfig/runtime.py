@@ -92,13 +92,9 @@ SWAP = "SWAP"
 
 @dataclass(frozen=True)
 class Value:
-    """A runtime value: its defined type plus an opaque payload."""
+    """A runtime value: its defined type."""
 
     rt_type: DefinedType
-    payload: str
-
-    def __str__(self) -> str:
-        return f"{self.rt_type}({self.payload})"
 
 
 @dataclass(frozen=True)
@@ -192,14 +188,12 @@ def _call_server(arch: ArchitectureInstance, depth: int,
             if not fwd_sig.definition.methods:
                 continue
             fwd = fwd_sig.definition.methods[0]
-            fwd_args = [Value(arch.mgr.load_type(comp.info_module, p), f"{comp.name}:{p}")
-                        for p in fwd.params]
+            fwd_args = [Value(arch.mgr.load_type(comp.info_module, p)) for p in fwd.params]
             _call_server(arch, depth + 1, target, fwd.name, fwd_args)
 
         if method.returns == "void":
             return None
-        return Value(arch.mgr.load_type(comp.info_module, method.returns),
-                     f"{comp.name}.{method_name}")
+        return Value(arch.mgr.load_type(comp.info_module, method.returns))
     finally:
         _event(arch, EXIT, comp.name)
 
@@ -227,7 +221,7 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
 
 def make_value(arch: ArchitectureInstance, owner: ComponentInstance, type_name: str) -> Value:
     """Construct a value of ``type_name`` in the owner component's context."""
-    return Value(arch.mgr.load_type(owner.info_module, type_name), type_name)
+    return Value(arch.mgr.load_type(owner.info_module, type_name))
 
 
 def _guard_reconfig(arch: ArchitectureInstance, operation: str) -> None:

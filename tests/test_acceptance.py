@@ -113,7 +113,7 @@ def test_acceptance_2_exchange_scenarios(capsys):
     with pytest.raises(TypeMismatch) as exc:
         runtime.invoke(arch, "sender", "p", "push", [value])
     assert exc.value.type_name == "Message"
-    wiring_of = lambda comp: arch.mgr.module(comp.info_module).wiring["Message"]
+    wiring_of = lambda comp: arch.mgr.module(comp.info_module).imports["Message"]
     assert exc.value.left_module == wiring_of(sender)
     assert exc.value.right_module == wiring_of(receiver)
     assert exc.value.left_module != exc.value.right_module
@@ -174,7 +174,7 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         wiring_by_fingerprint = []
         for imports in info_specs:
             info = mgr.create_info_module([(n, V(v)) for n, v in imports])
-            wiring = mgr.module(info).wiring
+            wiring = mgr.module(info).imports
             wiring_by_fingerprint.append(
                 {name: owner_of[(name, version)][0] for name, version in imports})
             for name, version in imports:
@@ -204,7 +204,7 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         mgr2, owner2 = _build_graph(corpus, modules, order)
         for imports, fingerprint in zip(info_specs, wiring_by_fingerprint):
             info2 = mgr2.create_info_module([(n, V(v)) for n, v in imports])
-            wiring2 = mgr2.module(info2).wiring
+            wiring2 = mgr2.module(info2).imports
             got = {name: next(idx for (n, v), (idx, mid) in owner2.items()
                               if n == name and mid == wiring2[name])
                    for name, _ in imports}

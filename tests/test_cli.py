@@ -328,6 +328,9 @@ SETUP_FAILURES = {
     "run-trace-into-a-missing-directory": lambda tmp: [
         "run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS,
         "--trace", str(tmp / "missing" / "trace.txt")],
+    "bench-an-architecture-that-exports-no-server-port": lambda tmp: [
+        "bench", str(adl_path("push_opaque.fractal.xml")), "3",
+        "--corpus", str(corpus_path("pushopaque"))],
 }
 
 

@@ -152,13 +152,31 @@ def test_filename_must_match_declared_identity(tmp_path):
         load_corpus(tmp_path)
 
 
-def test_missing_keys_and_bad_kind_rejected():
+def test_missing_keys_and_bad_kind_rejected(tmp_path):
     with pytest.raises(MalformedTypeDef, match="missing key"):
         parse_typedef("name: X\nkind: class\n", "p")
     with pytest.raises(MalformedTypeDef, match="interface or class"):
         parse_typedef("name: X\nversion: 1\nkind: enum\n", "p")
     with pytest.raises(MalformedTypeDef, match="bad method"):
         parse_typedef("name: X\nversion: 1\nkind: class\nmethod: nope\n", "p")
+    base = "name: X\nversion: 1\nkind: class\n"
+    for text, reason in [
+        ("junk\n" + base, "line 'junk' is not 'key: value'"),
+        (base + "name: X\n", "duplicate key name"),
+        (base.replace("name: X", "name: 1X"), "malformed name '1X'"),
+        (base.replace("version: 1", "version: 1.x"), "malformed version '1.x'"),
+        (base + "ref: 1Y\n", "bad ref '1Y': malformed type name '1Y'"),
+        (base + "ref: Y@x\n", "bad ref 'Y@x': malformed version 'x'"),
+        (base + "method: void f(1a)\n", "bad method 'void f(1a)': malformed parameter type '1a'"),
+        (base + "method: 1r f()\n", "bad method '1r f()': malformed return type '1r'"),
+    ]:
+        with pytest.raises(MalformedTypeDef) as exc:
+            parse_typedef(text, "p")
+        assert exc.value.reason == reason
+    (tmp_path / "X-1.typedef").write_bytes(base.encode() + b"ref: \xff\n")
+    with pytest.raises(MalformedTypeDef) as exc:
+        load_corpus(tmp_path)
+    assert exc.value.reason.startswith("not valid UTF-8: ")
 
 
 def test_self_reference_rejected():

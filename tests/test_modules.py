@@ -79,9 +79,9 @@ def test_info_module_wiring_and_missing_import(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
-    assert mgr.module(info).wiring == {"Service": itf}
+    assert mgr.module(info).imports == {"Service": itf}
 
-    assert mgr.module(mgr.create_info_module([])).wiring == {}
+    assert mgr.module(mgr.create_info_module([])).imports == {}
 
     with pytest.raises(MissingImport):
         mgr.create_info_module([_pair("Request", "1.0")])
@@ -100,7 +100,7 @@ def test_two_exporters_make_an_import_ambiguous(hello):
     assert list(exc.value.candidates) == exporters
     # restricting the candidates resolves it
     info = mgr.create_info_module([_pair("Service", "1.0")], providers=[b])
-    assert mgr.module(info).wiring == {"Service": b}
+    assert mgr.module(info).imports == {"Service": b}
 
 
 def test_load_type_caches_and_is_idempotent(hello):
@@ -152,7 +152,7 @@ def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
     mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
     other = mgr.create_info_module([_pair("Service", "1.0")])
-    mgr.module(info).wiring["Service"] = other
+    mgr.module(info).imports["Service"] = other
     with pytest.raises(InvariantViolation):
         mgr.load_type(info, "Service")
 
@@ -173,7 +173,7 @@ def test_remove_wired_module_is_refused_naming_its_dependents_in_id_order(hello)
     info1 = mgr.create_info_module([_pair("Service", "1.0")])
     info2 = mgr.create_info_module([_pair("Service", "1.0")])
     # oracle: scan all wirings for the provider
-    dependents = [m.id for m in mgr.info_modules() if itf in m.wiring.values()]
+    dependents = [m.id for m in mgr.info_modules() if itf in m.imports.values()]
     assert dependents == [info1, info2]
 
     with pytest.raises(InUse) as exc:
@@ -198,7 +198,7 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
     module = mgr.module(info)
-    before = (mgr.live_ids(), module.imports, module.wiring, mgr.dependents_of(itf))
+    before = (mgr.live_ids(), module.imports, mgr.dependents_of(itf))
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
             other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
@@ -208,7 +208,7 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
                 with mgr.undo_on_error():  # blocks do not nest
                     pass
             raise RuntimeError
-    assert (mgr.live_ids(), module.imports, module.wiring, mgr.dependents_of(itf)) == before
+    assert (mgr.live_ids(), module.imports, mgr.dependents_of(itf)) == before
     kinds = [(e.kind, int(e.module_id)) for e in mgr.events]
     assert kinds[2:] == [(EventKind.ADDED, 3), (EventKind.ADDED, 4),
                          (EventKind.REMOVED, 4), (EventKind.REMOVED, 3)]
@@ -226,7 +226,7 @@ def test_an_undo_block_refuses_to_remove_an_older_module_and_may_remove_its_own(
             mgr.remove_module(own)
             mgr.remove_module(info)
     assert mgr.live_ids() == {resource, info} and mgr.dependents_of(resource) == [info]
-    assert mgr.module(info).wiring == {"Service": resource}
+    assert mgr.module(info).imports == {"Service": resource}
     assert replay_live_set(mgr.events) == mgr.live_ids()
 
 
@@ -239,7 +239,7 @@ def test_a_failed_block_cannot_remove_the_older_provider_it_rewired_away_from(he
             r2 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
             mgr.rewire_import(i, {"Service": (VersionTag("1.0"), r2)})
             mgr.remove_module(r1)
-    assert mgr.live_ids() == {r1, i} and mgr.module(i).wiring == {"Service": r1}
+    assert mgr.live_ids() == {r1, i} and mgr.module(i).imports == {"Service": r1}
     assert mgr.dependents_of(r1) == [i] and mgr.dependents_of(r2) == []
     assert mgr.load_type(i, "Service").defined_by == r1
 
@@ -299,7 +299,7 @@ def test_resolution_is_deterministic_under_insertion_order(hello):
             mid = mgr.create_resource_module([_pair(n, v) for n, v in exports], hello)
             label_of[mid] = label
         info = mgr.create_info_module(imports)
-        return {name: label_of[mid] for name, mid in mgr.module(info).wiring.items()}
+        return {name: label_of[mid] for name, mid in mgr.module(info).imports.items()}
 
     rng = random.Random(5)
     baseline = build(specs)
@@ -319,14 +319,15 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
     mgr.rewire_import(info, {"ServerImpl": (VersionTag("2.0"), new),
                              "Service": (VersionTag("1.0"), itf)})
-    wiring = mgr.module(info).wiring
+    wiring = mgr.module(info).imports
     assert wiring["ServerImpl"] == new and wiring["Service"] == itf
     with pytest.raises(UnresolvableExport):  # all or nothing: the valid entry is not applied
         mgr.rewire_import(info, {"ServerImpl": (VersionTag("1.0"), old),
                                  "Service": (VersionTag("3.0"), itf)})
-    assert mgr.module(info).wiring == {"ServerImpl": new, "Service": itf}
-    assert mgr.module(info).imports == {"ServerImpl": VersionTag("2.0"),
-                                        "Service": VersionTag("1.0")}
+    imports = mgr.module(info).imports
+    assert imports == {"ServerImpl": new, "Service": itf}
+    assert {n: mgr.module(p).exports[n] for n, p in imports.items()} == {
+        "ServerImpl": VersionTag("2.0"), "Service": VersionTag("1.0")}
 
 
 # --- the one write path for wiring and its reverse index -----------------------------
@@ -374,7 +375,7 @@ def _exporter_scans_of_one_info_module(n: int) -> Counter:
 
         patch.setattr(ResourceModule, "exports_pair", counted)
         info = mgr.create_info_module([_pair(f"T{n // 2}", "1.0")])
-    assert mgr.module(info).wiring == {f"T{n // 2}": mids[n // 2]}
+    assert mgr.module(info).imports == {f"T{n // 2}": mids[n // 2]}
     return counts
 
 
@@ -455,8 +456,8 @@ def _scan_src(*attrs: str) -> _Writes:
 
 
 def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
-    assert _scan_src("wiring").found == {"modules.InfoModule.__init__",
-                                         "modules.ModuleManager._set_wiring"}
+    assert _scan_src("imports").found == {"modules.InfoModule.__init__",
+                                          "modules.ModuleManager._set_wiring"}
 
 
 def test_links_are_written_only_by_the_model():

@@ -32,7 +32,8 @@ from reconfig.errors import (
 )
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
 from reconfig.model import BindingCheck, ComponentKind, bind, unbind
-from reconfig.modules import EventKind, InfoModule, ModuleManager, replay_live_set, same_type
+from reconfig.modules import (
+    EventKind, InfoModule, ModuleManager, ResourceModule, replay_live_set, same_type)
 from reconfig import factory, model, runtime
 
 from conftest import adl_path, build_architecture, corpus_path
@@ -89,14 +90,36 @@ def test_invoking_through_an_unbound_port_fails():
 
 def test_reconfiguration_is_refused_mid_call():
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    before = arch.report()
     arch.in_call = True
     try:
         with pytest.raises(ReconfigDuringCall):
             runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
         with pytest.raises(ReconfigDuringCall):
             runtime.invoke(arch, "HelloWorld", "r", "run")
+        with pytest.raises(ReconfigDuringCall):
+            runtime.rebind(arch, "client.s", "server.s")
+        with pytest.raises(ReconfigDuringCall):
+            runtime.bind_ports(arch, "client.s", "server.s")
+        with pytest.raises(ReconfigDuringCall):
+            runtime.unbind_port(arch, "client.s")
     finally:
         arch.in_call = False
+    assert arch.report() == before
+
+
+def test_a_call_into_an_unrouted_composite_export_is_refused_naming_the_port():
+    text = adl_path("hello.fractal.xml").read_text(encoding="utf-8")
+    unrouted = text.replace('<binding client="this.r" server="client.r"/>', "")
+    assert unrouted != text
+    arch = _build_text(unrouted, load_corpus(corpus_path("hello")))
+    before = arch.report()
+    with pytest.raises(UnboundInterface) as exc:
+        runtime.invoke(arch, "HelloWorld", "r", "run")
+    assert str(exc.value) == "port HelloWorld.r is not bound"
+    assert [(e.kind, e.args[0]) for e in arch.trace] == [(runtime.ENTER, "HelloWorld"),
+                                                          (runtime.EXIT, "HelloWorld")]
+    assert arch.report() == before and not arch.in_call
 
 
 # --- swap ----------------------------------------------------------------------
@@ -431,11 +454,11 @@ def test_receiver_checks_match_the_wiring_oracle_on_random_stars():
         corpus = _exchange_corpus(param, itf_refs)
         arch = _build_text(_star_text(n, files), corpus)
 
-        hub_wiring = arch.mgr.module(arch.component("hub").info_module).wiring
+        hub_wiring = arch.mgr.module(arch.component("hub").info_module).imports
         value = runtime.make_value(arch, arch.component("hub"), "Message")
         for i in range(n):
             node = arch.component(f"node{i}")
-            node_wiring = arch.mgr.module(node.info_module).wiring
+            node_wiring = arch.mgr.module(node.info_module).imports
             # brute-force oracle: resolve the argument's type name through the
             # callee's wiring and compare defining modules
             expect_ok = node_wiring["Message"] == hub_wiring["Message"]
@@ -474,7 +497,7 @@ def test_multi_hop_forwarding_rechecks_at_every_boundary():
         files = [rng.random() < 0.6 for _ in range(k)]
         corpus = _exchange_corpus("Message", itf_refs_message=False)
         arch = _build_text(_chain_text(k, files), corpus)
-        wirings = [arch.mgr.module(arch.component(f"c{i}").info_module).wiring["Message"]
+        wirings = [arch.mgr.module(arch.component(f"c{i}").info_module).imports["Message"]
                    for i in range(k)]
         first_bad = next((i for i in range(k - 1) if wirings[i] != wirings[i + 1]), None)
 
@@ -523,7 +546,7 @@ def test_swap_to_a_differently_named_content_class():
     assert arch.component("server").content.name == "AltServerImpl"
     assert record.new_module != old.defined_by
     # only the content entry moved: the old name is gone, interfaces untouched
-    wiring = arch.mgr.module(arch.component("server").info_module).wiring
+    wiring = arch.mgr.module(arch.component("server").info_module).imports
     assert "ServerImpl" not in wiring and wiring["AltServerImpl"] == record.new_module
     assert runtime.invoke(arch, "client", "s", "push",
                           [runtime.make_value(arch, arch.component("client"), "Request")]) is None
@@ -580,7 +603,7 @@ def test_add_refuses_a_file_that_other_components_hold_privately():
     corpus = _private_a_corpus()
     arch = _build_text(_definition_xml([_component_xml("a", "AImpl"),
                                         _component_xml("z", "AImpl")]), corpus)
-    private = sorted(arch.mgr.module(arch.component(c).info_module).wiring["A"] for c in "az")
+    private = sorted(arch.mgr.module(arch.component(c).info_module).imports["A"] for c in "az")
     assert private[0] != private[1]
     before, live = arch.report(), arch.mgr.live_ids()
     with pytest.raises(AmbiguousImport) as exc:
@@ -615,8 +638,9 @@ def test_swap_rewires_the_whole_private_closure():
     assert str(helper.definition.version) == "2.0"
     _, fresh = plan_component(arch.component("c").source, corpus, arch.public)
     info = arch.mgr.module(comp.info_module)
-    assert info.imports == {name: version for name, (version, _) in fresh.items()}
-    assert set(info.wiring.values()) == {record.new_module}
+    assert {n: arch.mgr.module(p).exports[n] for n, p in info.imports.items()} == \
+        {name: version for name, (version, _) in fresh.items()}
+    assert set(info.imports.values()) == {record.new_module}
 
 
 @st.composite
@@ -650,7 +674,7 @@ def _sharing_cases(draw):
 
 def _sharing(arch) -> dict[tuple[str, str, str], bool]:
     """For each pair of components and each name both import: one module or not?"""
-    wirings = {name: arch.mgr.module(comp.info_module).wiring
+    wirings = {name: arch.mgr.module(comp.info_module).imports
                for name, comp in arch.components.items() if comp is not arch.root}
     return {(x, y, t): wx[t] == wirings[y][t]
             for x, wx in wirings.items() for y in wirings if x < y
@@ -731,19 +755,26 @@ def _assert_each_info_module_is_wired_as_planned(arch, corpus) -> None:
             continue
         _, planned = plan_component(comp.source, corpus, arch.public)
         info = arch.mgr.module(comp.info_module)
-        assert info.imports == {n: v for n, (v, _) in planned.items()}
-        assert info.wiring == {n: comp.impl_modules[-1] if isinstance(p, ResourcePlan)
-                               else arch.public[(n, v)] for n, (v, p) in planned.items()}
+        assert {n: arch.mgr.module(p).exports[n] for n, p in info.imports.items()} == \
+            {n: v for n, (v, _) in planned.items()}
+        assert info.imports == {n: comp.impl_modules[-1] if isinstance(p, ResourcePlan)
+                                else arch.public[(n, v)] for n, (v, p) in planned.items()}
 
 
 def _assert_the_index_and_the_port_checks_match_their_scans(arch) -> None:
-    """``dependents_of`` equals a scan of every wiring; ``exporters_of`` equals a scan of
-    every live resource module's exports; ``link_checks(comp)`` is exactly the part of
-    ``binding_checks()`` with an end at ``comp``."""
+    """Every import of every live info module, the root's included, names a live resource
+    module exporting it; ``dependents_of`` equals a scan of every wiring; ``exporters_of``
+    equals a scan of every live resource module's exports; ``link_checks(comp)`` is exactly
+    the part of ``binding_checks()`` with an end at ``comp``."""
     mgr = arch.mgr
+    for info in mgr.info_modules():
+        for name, pid in info.imports.items():
+            assert pid in mgr.live_ids(), f"{info.id} imports {name} from dead {pid}"
+            provider = mgr.module(pid)
+            assert isinstance(provider, ResourceModule) and name in provider.exports
     for mid in mgr.live_ids():
         assert mgr.dependents_of(mid) == [i.id for i in mgr.info_modules()
-                                          if mid in i.wiring.values()]
+                                          if mid in i.imports.values()]
     exporters = {}
     for module in mgr.resource_modules():
         for pair in module.exports.items():
@@ -981,12 +1012,12 @@ def _chain_swap_corpus() -> CorpusStore:
 def _count_wiring_reads(patch, counts: Counter) -> None:
     def read(info):
         counts["wiring_reads"] += 1
-        return info.__dict__["wiring"]
+        return info.__dict__["imports"]
 
-    def write(info, wiring):
-        info.__dict__["wiring"] = wiring
+    def write(info, imports):
+        info.__dict__["imports"] = imports
 
-    patch.setattr(InfoModule, "wiring", property(read, write), raising=False)
+    patch.setattr(InfoModule, "imports", property(read, write), raising=False)
 
 
 def _count_calls(patch, owner, name: str, counts: Counter) -> None:
