@@ -14,8 +14,10 @@ first plans the public modules for whatever is not exported yet:
 module exporting the private remainder of the content closure, and a table
 ``{name: (version, provider)}`` of its content closure, declared signatures
 and shared-file closure. That table is the one record of an info module's
-plan: ``InfoPlan`` derives its imports and providers from it, and
-``planned_ids`` turns it into module ids for build, add and swap alike. Two
+plan: ``InfoPlan`` derives its imports and providers from it, and build, add
+and swap alike turn it into module ids with ``planned_ids`` and write it with
+the manager's ``rewire_import``, which refuses a provider that does not
+export its pair; nothing resolves the table a second time. Two
 components that exchange a type resolve it to one common module precisely when
 the type is interface-visible or file-declared; anything else stays a private
 copy per component, which is what makes undeclared exchange fail at invocation
@@ -386,7 +388,8 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
             info_ids: dict[str, ModuleId] = {}
             for ip in plan.infos:
                 location = f"info module {ip.component}"
-                info_ids[ip.component] = create_planned_info(mgr, ip.component, ip.table, ids)
+                info_id = info_ids[ip.component] = mgr.create_info_module(())
+                mgr.rewire_import(info_id, planned_ids(ip.table, ids))
 
             single = plan.granularity is Granularity.SINGLE_LOADER
             components: dict[str, ComponentInstance] = {}
@@ -415,24 +418,6 @@ def planned_ids(table: Mapping[str, tuple[VersionTag, object]],
     """A planned table in module ids: ``ids[p.label]`` for a ``ResourcePlan`` p, else p itself."""
     return {name: (version, ids[p.label] if isinstance(p, ResourcePlan) else p)
             for name, (version, p) in table.items()}
-
-
-def create_planned_info(mgr: ModuleManager, owner: str,
-                        table: Mapping[str, tuple[VersionTag, object]],
-                        ids: Mapping[str, ModuleId]) -> ModuleId:
-    """Create ``owner``'s info module from a planned ``{name: (version, provider)}`` table.
-
-    The manager resolves each import among the table's providers on its own; a
-    resolution that departs from the table raises ``InvariantViolation``."""
-    table = planned_ids(table, ids)
-    mid = mgr.create_info_module([(name, version) for name, (version, _) in table.items()],
-                                 providers={pid for _, pid in table.values()})
-    imports = mgr.module(mid).imports
-    for name, (_, planned) in table.items():
-        if imports[name] != planned:
-            raise InvariantViolation(
-                f"{owner} resolves {name} to {imports[name]}, the plan to {planned}")
-    return mid
 
 
 def attach_primitive(mgr: ModuleManager, corpus: CorpusStore, source: AdlComponent,

@@ -10,17 +10,20 @@ pulled from a corpus; at most one version per name may live in a single
 module, mirroring a loader's inability to hold two versions of one class.
 Info modules define nothing: their import table maps each name to the one
 resource module that defines it, and every load is delegated through it; the
-version imported is that module's export, not a second record. Wiring is
-resolved at creation time and only when each import has a single exporter
-among the candidates; ambiguity is an error, never a silent choice. The
-manager alone answers which live resource modules export a pair: creating and
-removing a resource module keep a pair → exporters index, which
-``exporters_of`` reads and info-module creation resolves against. Create,
-rewire and remove write imports through one manager method, which also keeps a
-reverse index from each provider to the info modules wired to it, so a
-module's dependents are a lookup, and feeds ``undo_on_error``, the one undo
-log. A resource module never changes its exports and is removed only once
-nothing is wired to it, so every import names a live module that exports it.
+version imported is that module's export, not a second record. An info
+module created from pairs resolves each one over every live resource module,
+and only when it has a single exporter; ambiguity is an error, never a silent
+choice. A planned ``{name: (version, provider)}`` table, which build, add and
+swap all write, enters through ``rewire_import``, which checks that each
+provider exports its pair. The manager alone answers which live resource
+modules export a pair: creating and removing a resource module keep a pair →
+exporters index, which ``exporters_of`` reads and info-module creation
+resolves against. Create, rewire and remove write imports through one manager
+method, which also keeps a reverse index from each provider to the info
+modules wired to it, so a module's dependents are a lookup, and feeds
+``undo_on_error``, the one undo log. A resource module never changes its
+exports and is removed only once nothing is wired to it, so every import names
+a live module that exports it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
@@ -241,19 +244,13 @@ class ModuleManager:
         self._emit(EventKind.ADDED, module.id)
         return module.id
 
-    def create_info_module(self, imports: Iterable[Pair],
-                           providers: Optional[Iterable[ModuleId]] = None) -> ModuleId:
-        """Create an info module, wiring each import to exactly one exporter.
+    def create_info_module(self, imports: Iterable[Pair]) -> ModuleId:
+        """Create an info module, wiring each import to its one live exporter.
 
-        ``providers`` restricts the search to the resource modules this module
-        knows; by default every live resource module is a candidate. The
-        module is only created if every import resolves uniquely, so creation
-        order of unrelated modules cannot change the outcome.
+        Every live resource module is a candidate. The module is only created
+        if every import resolves uniquely, so creation order of unrelated
+        modules cannot change the outcome.
         """
-        allowed = None if providers is None else set(providers)
-        for pid in sorted(allowed or ()):
-            if not isinstance(self.module(pid), ResourceModule):
-                raise UnknownModule(pid)
         declared: dict[str, VersionTag] = {}
         for name, version in sorted(imports):
             if name in declared:
@@ -262,8 +259,6 @@ class ModuleManager:
         wiring: dict[str, ModuleId] = {}
         for name, version in declared.items():
             exporters = self._exporters.get((name, version), set())
-            if allowed is not None:
-                exporters = exporters & allowed
             if not exporters:
                 raise MissingImport(name, version)
             if len(exporters) > 1:
@@ -329,9 +324,10 @@ class ModuleManager:
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
         """Replace an info module's whole import table from ``{name: (version, provider)}``.
 
-        Used by implementation swap. Every entry is validated first, so the move
-        is all or nothing; each name is then imported from its provider, whose
-        export of it is the version given.
+        The one write of a planned table: build and add fill a fresh info
+        module with it, swap moves an existing one. Every entry is validated
+        first, so the write is all or nothing; each name is then imported from
+        its provider, whose export of it is the version given.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):

@@ -60,7 +60,6 @@ from .factory import (
     ArchitectureInstance,
     Granularity,
     attach_primitive,
-    create_planned_info,
     file_pairs,
     plan_component,
     plan_public,
@@ -314,10 +313,11 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     Public modules are planned for the fragment's files and signatures that
     no public module exports yet, then the component against them. A new
     public type already held in implementation modules raises
-    ``AmbiguousImport`` before anything is created. The info module is
-    created through the same step as ``instantiate``'s, so a resolution that
-    departs from the plan raises ``InvariantViolation``. Creation runs under
-    the manager's undo log, so any failure leaves the modules as they were.
+    ``AmbiguousImport`` before anything is created. The planned table is
+    written as ``instantiate`` and swap write theirs, through ``rewire_import``,
+    so a provider that does not export its pair raises ``UnresolvableExport``.
+    Creation runs under the manager's undo log, so any failure leaves the
+    modules as they were.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     if component.name in arch.components:
@@ -336,7 +336,8 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     with arch.mgr.undo_on_error():
         ids = {rp.label: arch.mgr.create_resource_module(rp.exports, corpus)
                for rp in new_public + impls}
-        info_id = create_planned_info(arch.mgr, component.name, planned, ids)
+        info_id = arch.mgr.create_info_module(())
+        arch.mgr.rewire_import(info_id, planned_ids(planned, ids))
         inst = attach_primitive(arch.mgr, corpus, component, info_id,
                                 [ids[rp.label] for rp in impls])
 
@@ -354,7 +355,7 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
     """
     _guard_reconfig(arch, "structural reconfiguration")
     comp = arch.component(name)
-    if comp is arch.root or comp.kind is not ComponentKind.PRIMITIVE:
+    if comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
     for mid in [comp.info_module, *comp.impl_modules]:  # a direct removal may have taken one:
         arch.mgr.module(mid)  # refuse with UnknownModule before anything changes

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,16 +10,19 @@ import pytest
 from reconfig.adl import parse_adl, validate
 from reconfig.corpus import CorpusStore, TypeDef, TypeKind, TypeRef, VersionTag, load_corpus
 from reconfig.errors import InstantiationError, InvariantViolation, VersionConflict
+from reconfig import runtime
 from reconfig.factory import (
     Granularity,
+    ResourcePlan,
     instantiate,
     parse_granularity,
     plan_modules,
     render_plan,
 )
 from reconfig.modules import EventKind, ModuleId, ModuleManager, replay_live_set
+from reconfig.script import parse_script, run_script
 
-from conftest import adl_path, corpus_path
+from conftest import FIXTURES, adl_path, corpus_path
 
 V = VersionTag
 
@@ -253,6 +257,65 @@ def test_failed_instantiation_rolls_back_all_modules(hello):
     assert added == removed + 1  # the bystander stays
 
 
+def _assert_each_provider_is_the_only_exporter_of_its_pairs(table, mgr=None) -> None:
+    """Each import's planned provider, a ``ResourcePlan`` or a live module id, is the only
+    one of ``table``'s providers that exports the pair: resolving among them gives the plan."""
+    def exports(provider):
+        if isinstance(provider, ResourcePlan):
+            return provider.exports
+        return mgr.module(provider).exports.items()
+
+    providers = {provider for _, provider in table.values()}
+    for name, (version, planned) in table.items():
+        exporters = [p for p in providers if (name, version) in exports(p)]
+        assert exporters == [planned], (name, version, exporters)
+
+
+def _fixture_definitions():
+    """Every fixture ADL × corpus whose definition validates, with that corpus."""
+    for adl in sorted((FIXTURES / "adl").glob("*.fractal.xml")):
+        definition = parse_adl(adl.read_text(encoding="utf-8"))
+        for corpus_dir in sorted((FIXTURES / "corpora").iterdir()):
+            corpus = load_corpus(corpus_dir)
+            if not validate(definition, corpus):
+                yield definition, corpus
+
+
+def test_every_fixture_plan_takes_each_import_from_its_only_exporter_among_the_providers():
+    tables = [ip.table for definition, corpus in _fixture_definitions()
+              for ip in plan_modules(definition, Granularity.PER_COMPONENT, corpus).infos]
+    assert len(tables) > 10
+    for table in tables:
+        _assert_each_provider_is_the_only_exporter_of_its_pairs(table)
+
+
+ADD_SERVER2 = ('add <component name="server2">'
+               '<interface name="s" role="server" signature="Service" version="1.0"/>'
+               '<content class="ServerImpl" version="2.0"/>'
+               '<file name="Request" version="1.0"/></component>\nexpect-ok\n')
+
+
+def test_the_fixture_scripts_adds_and_swaps_plan_each_import_from_its_only_exporter(
+        monkeypatch):
+    scripts = [path.read_text(encoding="utf-8")
+               for path in sorted((FIXTURES / "scripts").glob("*.script"))] + [ADD_SERVER2]
+    original, checked, arch = runtime.plan_component, Counter(), None
+
+    def checked_plan(component, corpus, public):
+        impl, table = original(component, corpus, public)
+        _assert_each_provider_is_the_only_exporter_of_its_pairs(table, arch.mgr)
+        checked["swap" if component.name in arch.components else "add"] += 1
+        return impl, table
+
+    monkeypatch.setattr(runtime, "plan_component", checked_plan)
+    for definition, corpus in _fixture_definitions():
+        for text in scripts:
+            plan = plan_modules(definition, Granularity.PER_COMPONENT, corpus)
+            arch = instantiate(definition, plan, ModuleManager(), corpus)
+            run_script(arch, corpus, parse_script(text))
+    assert checked["swap"] > 0 and checked["add"] > 0, checked
+
+
 def test_plan_invariants_hold_on_random_architectures():
     """Every import has one provider among its candidates; shared types never
     leak into implementation modules; binding endpoints agree on a module."""
@@ -302,10 +365,7 @@ def test_plan_invariants_hold_on_random_architectures():
 
         exports = {rp.label: set(rp.exports) for rp in plan.resources}
         for ip in plan.infos:
-            for pair in ip.imports:
-                providers = [label for label in ip.providers if pair in exports[label]]
-                assert len(providers) == 1
-                assert ip.table[pair[0]][1].label == providers[0]
+            _assert_each_provider_is_the_only_exporter_of_its_pairs(ip.table)
         shared_types = {p for rp in plan.resources if rp.kind == "shared" for p in rp.exports}
         for pair in shared_types:
             owners = [label for label, exp in exports.items() if pair in exp]
@@ -331,15 +391,15 @@ def test_wiring_that_departs_from_the_plan_fails_instantiation(hello):
     client = next(ip for ip in plan.infos if ip.component == "client")
     table = dict(client.table)
     # Service is planned from the client's implementation module, and ClientImpl from
-    # Service's interface module: the providers stay the same, the resolution departs.
+    # Service's interface module: the providers stay the same, neither exports its pair.
     (sv, itf), (cv, impl) = table["Service"], table["ClientImpl"]
     table["Service"], table["ClientImpl"] = (sv, impl), (cv, itf)
     infos = tuple(replace(ip, table=table) if ip is client else ip for ip in plan.infos)
     mgr = ModuleManager()
     with pytest.raises(InstantiationError) as exc:
         instantiate(_definition(), replace(plan, infos=infos), mgr, hello)
-    assert exc.value.code == "InvariantViolation"
-    assert "client resolves" in str(exc.value)
+    assert exc.value.code == "UnresolvableExport"
+    assert exc.value.location == "info module client"
     assert mgr.live_ids() == frozenset()
 
 

@@ -21,6 +21,7 @@ from reconfig.model import (
     BindingKind,
     PortSpec,
     Role,
+    add_child,
     bind,
     check_binding,
     new_composite,
@@ -50,7 +51,7 @@ def world():
                  ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")), corpus)
     info = mgr.create_info_module(
         _pairs(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
-                 ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")), providers=[res])
+                 ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")))
     return mgr, corpus, info
 
 
@@ -113,6 +114,21 @@ def test_new_composite_and_shared_children(world):
         new_composite(mgr, "empty", [], [])
 
 
+def test_a_child_is_added_once_and_a_composite_with_ports_needs_an_info_module(world):
+    mgr, corpus, info = world
+    server = _server(mgr, info)
+    outer = new_composite(mgr, "outer", [], [server])
+    with pytest.raises(ValueError, match="already a child"):
+        add_child(outer, server)
+    assert outer.children == [server] and server.parents == [outer]
+
+    ports = [PortSpec("s", Role.SERVER, "Service", V("1.0"))]
+    with pytest.raises(ValueError, match="declares ports but has no info module"):
+        new_composite(mgr, "ported", ports, [server])
+    assert outer.children == [server] and server.parents == [outer]
+    assert server.children == []
+
+
 def test_containment_stays_a_dag(world):
     mgr, corpus, info = world
     leaf = _server(mgr, info)
@@ -143,9 +159,9 @@ def test_check_binding_detects_private_signature_copies(world):
     # a second world: same names wired to a different defining module
     res2 = mgr.create_resource_module(
         _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
-    info2 = mgr.create_info_module(
-        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
-        providers=[res2])
+    info2 = mgr.create_info_module(())
+    mgr.rewire_import(info2, {n: (v, res2) for n, v in _pairs(
+        ("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0"))})
     stranger = _server(mgr, info2, name="stranger")
     result = check_binding(mgr, client.port("s"), stranger.port("s"))
     assert not result.ok
@@ -194,9 +210,9 @@ def test_bind_raises_the_predicted_mismatch(world):
     client = _client(mgr, info)
     res2 = mgr.create_resource_module(
         _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
-    info2 = mgr.create_info_module(
-        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")),
-        providers=[res2])
+    info2 = mgr.create_info_module(())
+    mgr.rewire_import(info2, {n: (v, res2) for n, v in _pairs(
+        ("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0"))})
     stranger = _server(mgr, info2, name="stranger")
     with pytest.raises(TypeMismatch):
         bind(mgr, client.port("s"), stranger.port("s"))

@@ -70,9 +70,8 @@ def test_one_version_per_name_per_module(hello):
     with pytest.raises(ConflictingExports):
         mgr.create_resource_module([_pair("Request", "1.0"), _pair("Request", "2.0")], store)
     with pytest.raises(ConflictingImports):
-        src = mgr.create_resource_module([_pair("Request", "1.0")], store)
-        mgr.create_info_module([_pair("Request", "1.0"), _pair("Request", "2.0")],
-                               providers=[src])
+        mgr.create_resource_module([_pair("Request", "1.0")], store)
+        mgr.create_info_module([_pair("Request", "1.0"), _pair("Request", "2.0")])
 
 
 def test_info_module_wiring_and_missing_import(hello):
@@ -98,8 +97,9 @@ def test_two_exporters_make_an_import_ambiguous(hello):
     with pytest.raises(AmbiguousImport) as exc:
         mgr.create_info_module([_pair("Service", "1.0")])
     assert list(exc.value.candidates) == exporters
-    # restricting the candidates resolves it
-    info = mgr.create_info_module([_pair("Service", "1.0")], providers=[b])
+    # a planned table picks one
+    info = mgr.create_info_module([])
+    mgr.rewire_import(info, {"Service": (VersionTag("1.0"), b)})
     assert mgr.module(info).imports == {"Service": b}
 
 
@@ -115,14 +115,18 @@ def test_load_type_caches_and_is_idempotent(hello):
 def test_shared_provider_gives_one_identity_private_copies_two(hello):
     mgr = ModuleManager()
     shared = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    client = mgr.create_info_module([_pair("Service", "1.0")], providers=[shared])
-    server = mgr.create_info_module([_pair("Service", "1.0")], providers=[shared])
+    client = mgr.create_info_module([])
+    server = mgr.create_info_module([])
+    for info in (client, server):
+        mgr.rewire_import(info, {"Service": (VersionTag("1.0"), shared)})
     assert same_type(mgr.load_type(client, "Service"), mgr.load_type(server, "Service"))
 
     copy_a = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     copy_b = mgr.create_resource_module([_pair("Request", "1.0")], hello)
-    info_a = mgr.create_info_module([_pair("Request", "1.0")], providers=[copy_a])
-    info_b = mgr.create_info_module([_pair("Request", "1.0")], providers=[copy_b])
+    info_a = mgr.create_info_module([])
+    info_b = mgr.create_info_module([])
+    mgr.rewire_import(info_a, {"Request": (VersionTag("1.0"), copy_a)})
+    mgr.rewire_import(info_b, {"Request": (VersionTag("1.0"), copy_b)})
     assert not same_type(mgr.load_type(info_a, "Request"), mgr.load_type(info_b, "Request"))
 
 
@@ -202,7 +206,8 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
             other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-            mgr.create_info_module([_pair("Service", "1.0")], providers=[other])
+            created = mgr.create_info_module([])
+            mgr.rewire_import(created, {"Service": (VersionTag("1.0"), other)})
             mgr.rewire_import(info, {"Service": (VersionTag("1.0"), other)})
             with pytest.raises(InvariantViolation):
                 with mgr.undo_on_error():  # blocks do not nest
@@ -314,8 +319,7 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     mgr = ModuleManager()
     old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
     itf = mgr.create_resource_module([_pair("Service", "1.0")], swap_corpus)
-    info = mgr.create_info_module([_pair("ServerImpl", "1.0"), _pair("Service", "1.0")],
-                                  providers=[old, itf])
+    info = mgr.create_info_module([_pair("ServerImpl", "1.0"), _pair("Service", "1.0")])
     new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
     mgr.rewire_import(info, {"ServerImpl": (VersionTag("2.0"), new),
                              "Service": (VersionTag("1.0"), itf)})
@@ -328,6 +332,23 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     assert imports == {"ServerImpl": new, "Service": itf}
     assert {n: mgr.module(p).exports[n] for n, p in imports.items()} == {
         "ServerImpl": VersionTag("2.0"), "Service": VersionTag("1.0")}
+
+
+def test_rewire_import_refuses_a_resource_module_as_via_and_changes_nothing(hello):
+    mgr = ModuleManager()
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module([])
+    mgr.rewire_import(info, {"Service": (VersionTag("1.0"), itf)})
+
+    def state():
+        return ({m.id: dict(m.imports) for m in mgr.info_modules()},
+                {mid: mgr.dependents_of(mid) for mid in mgr.live_ids()})
+
+    before = state()
+    with pytest.raises(UnknownModule):  # the table itself is valid: only ``via`` is refused
+        mgr.rewire_import(other, {"Service": (VersionTag("1.0"), itf)})
+    assert state() == before
 
 
 # --- the one write path for wiring and its reverse index -----------------------------
@@ -350,8 +371,8 @@ def test_dependents_are_in_id_order_whatever_the_order_they_were_wired_in():
     mgr = ModuleManager()
     old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
     new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
-    first = mgr.create_info_module([_pair("ServerImpl", "1.0")], providers=[old])
-    second = mgr.create_info_module([_pair("ServerImpl", "2.0")], providers=[new])
+    first = mgr.create_info_module([_pair("ServerImpl", "1.0")])
+    second = mgr.create_info_module([_pair("ServerImpl", "2.0")])
     mgr.rewire_import(first, {"ServerImpl": (VersionTag("2.0"), new)})
     assert mgr.dependents_of(new) == [first, second] and mgr.dependents_of(old) == []
     with pytest.raises(InUse) as exc:

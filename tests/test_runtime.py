@@ -277,6 +277,14 @@ def test_add_bind_invoke_then_remove_component():
     assert replay_live_set(arch.mgr.events) == pre_live
 
 
+def test_removing_the_root_is_refused_as_not_a_primitive():
+    arch, _, _ = build_architecture("hello.fractal.xml", "hello")
+    before = arch.report()
+    with pytest.raises(NotAPrimitive):
+        runtime.remove_component(arch, arch.root.name)
+    assert arch.report() == before
+
+
 def test_add_component_failure_rolls_back_modules():
     arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
     before_live = arch.mgr.live_ids()
@@ -319,14 +327,14 @@ def test_add_refuses_a_plan_whose_wiring_the_manager_does_not_resolve_to(monkeyp
     plan = runtime.plan_component
 
     def crossed(component, corpus, public):
-        # Exchange the providers of Service and ServerImpl: both still resolve
-        # uniquely among the planned modules, each to the other's provider.
+        # Exchange the providers of Service and ServerImpl: the planned modules
+        # stay the same, but neither provider exports the pair it is given.
         impl, planned = plan(component, corpus, public)
         (sv, sp), (iv, ip) = planned["Service"], planned["ServerImpl"]
         return impl, {**planned, "Service": (sv, ip), "ServerImpl": (iv, sp)}
 
     monkeypatch.setattr(runtime, "plan_component", crossed)
-    with pytest.raises(InvariantViolation, match="server2 resolves"):
+    with pytest.raises(UnresolvableExport):
         runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
     assert arch.mgr.live_ids() == before_live
     assert arch.report() == before_report
