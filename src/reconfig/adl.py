@@ -10,12 +10,15 @@ parser honest under fuzzing: any input either yields a well-formed definition
 or a diagnostic error, never a crash.
 
 The scanner moves by spans: compiled patterns match whitespace and comments,
-names and attribute values. A line and column are worked out only where an
-element starts or an error is raised, by counting the newlines in the span
-consumed since the last position worked out. One child-element loop, driven by
-the table of the children each container allows, reads both ``<definition>``
-and ``<component>``; one leaf branch reads ``interface``, ``content``,
-``file`` and ``binding``. ``AdlDefinition.check_invariants`` is the structure
+names and attribute values. A tag whose attributes are well formed, known for
+it and each given once is read with one match of the whole tag and one
+``findall``; any other tag is read again step by step, which raises the
+positioned error. A line and column are worked out only where an element
+starts or an error is raised, by counting the newlines in the span consumed
+since the last position worked out. One child-element loop, driven by the
+table of the children each container allows, reads both ``<definition>`` and
+``<component>``; one leaf branch reads ``interface``, ``content``, ``file``
+and ``binding``. ``AdlDefinition.check_invariants`` is the structure
 check ``parse_adl`` runs; it and ``validate`` resolve binding endpoints
 through the definition's port index.
 """
@@ -37,6 +40,9 @@ _SPACE_RE = re.compile(r"[ \t\r\n]*")
 _SPACE_OR_COMMENT_RE = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.DOTALL)
 _NAME_RE = re.compile(r"[\w.-]+")
 _VALUE_RE = re.compile(r'[^"<&\n]*')
+#: A whole well-formed tag tail, ``attr="v" ... >`` or ``/>``; group 1 is the ``/``.
+_TAG_RE = re.compile(r'(?:[ \t\r\n]+[\w.-]+="[^"<&\n]*")*[ \t\r\n]*(/?)>')
+_ATTR_RE = re.compile(r'([\w.-]+)="([^"<&\n]*)"')
 
 _KNOWN_ATTRS = {
     "definition": {"name", "version"},
@@ -184,7 +190,12 @@ class _Tag:
 
 class _Scanner:
     """Span scanner: it moves a position over matched spans and works out a
-    line and column only where an element starts or an error is raised."""
+    line and column only where an element starts or an error is raised.
+
+    ``read_tag`` first tries the fast match of a whole tag; ``scan_tag``, the
+    step-by-step scan it falls back to, is the reference for what a tag may
+    be and for every error, its class, message and position.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -227,7 +238,24 @@ class _Scanner:
         return m.group()
 
     def read_tag(self, tag: str, line: int, col: int) -> _Tag:
-        """Read the attributes of ``<tag`` up to '>' or '/>'."""
+        """Read the attributes of ``<tag`` up to '>' or '/>'.
+
+        One match of ``_TAG_RE`` takes a well-formed tail whole and one
+        ``findall`` lists its attributes. When the pattern fails, an attribute
+        repeats, or one is not known for ``tag``, the step-by-step scan reads
+        the tag again from the same position and raises its positioned error.
+        """
+        m = _TAG_RE.match(self.text, self.pos)
+        if m is not None:
+            pairs = _ATTR_RE.findall(self.text, self.pos, m.end())
+            attrs = dict(pairs)
+            if len(attrs) == len(pairs) and attrs.keys() <= _KNOWN_ATTRS[tag]:
+                self.pos = m.end()
+                return _Tag(attrs, m.group(1) == "/", line, col)
+        return self.scan_tag(tag, line, col)
+
+    def scan_tag(self, tag: str, line: int, col: int) -> _Tag:
+        """``read_tag`` step by step: one attribute at a time, each error where it arises."""
         attrs: dict[str, str] = {}
         while True:
             start = self.pos

@@ -41,6 +41,7 @@ _SEGMENT = r"[A-Za-z_][A-Za-z0-9_]*"
 TYPE_NAME_RE = re.compile(rf"^{_SEGMENT}(\.{_SEGMENT})*$")
 VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)*$")
 _METHOD_RE = re.compile(rf"^(\S+)\s+({_SEGMENT})\((.*)\)$")
+_METHOD_NAME_RE = re.compile(rf"^{_SEGMENT}$")
 
 #: Name of the universal supertype; receiver checks treat it specially.
 OBJECT_TYPE = "object"
@@ -150,7 +151,7 @@ class MethodSig:
     returns: str
 
     def __post_init__(self):
-        if not re.match(rf"^{_SEGMENT}$", self.name):
+        if not _METHOD_NAME_RE.match(self.name):
             raise ValueError(f"malformed method name {self.name!r}")
         for p in self.params:
             if not is_type_name(p):
@@ -165,6 +166,9 @@ class MethodSig:
 class TypeKind(Enum):
     INTERFACE = "interface"
     CLASS = "class"
+
+
+_KINDS = {kind.value: kind for kind in TypeKind}
 
 
 @dataclass(frozen=True)
@@ -209,12 +213,13 @@ def parse_typedef(text: str, path) -> TypeDef:
     refs: list[TypeRef] = []
     methods: list[MethodSig] = []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
+        key, colon, value = raw.partition(":")
+        key = key.strip()
+        if not colon:
+            if not key:
+                continue
             raise MalformedTypeDef(path, f"line {raw!r} is not 'key: value'")
-        key, value = (part.strip() for part in line.split(":", 1))
+        value = value.strip()
         if key in ("name", "version", "kind"):
             if key in fields:
                 raise MalformedTypeDef(path, f"duplicate key {key}")
@@ -234,9 +239,8 @@ def parse_typedef(text: str, path) -> TypeDef:
         version = VersionTag(fields["version"])
     except ValueError as exc:
         raise MalformedTypeDef(path, str(exc)) from exc
-    try:
-        kind = TypeKind(fields["kind"])
-    except ValueError:
+    kind = _KINDS.get(fields["kind"])
+    if kind is None:
         raise MalformedTypeDef(path, f"kind must be interface or class, not {fields['kind']!r}")
     # References are a set; keep them canonically ordered so equality and
     # serialization are independent of file order. Method order is meaningful.
@@ -362,18 +366,24 @@ class CorpusStore:
 def load_corpus(root) -> CorpusStore:
     """Load every ``*.typedef`` file under ``root`` into a store.
 
-    Files are enumerated in sorted order so diagnostics are deterministic.
-    A duplicate (name, version) pair across two files is a load-time error,
-    as is any file whose name disagrees with its declared name/version.
+    Files are read in ``Path`` order, so diagnostics are deterministic: paths
+    compare component by component (``a/x`` before ``a-b/x``, although ``-``
+    sorts before ``/`` in a string). A duplicate (name, version) pair across
+    two files is a load-time error naming the earlier file first, as is any
+    file whose name disagrees with its declared name/version.
     """
     root = Path(root)
     if not root.is_dir():
         raise MalformedTypeDef(root, "corpus root is not a readable directory")
     index: dict[tuple[str, VersionTag], TypeDef] = {}
     origin: dict[tuple[str, VersionTag], Path] = {}
-    for path in sorted(root.rglob("*.typedef")):
+    # Sorting by ``parts`` gives ``PurePosixPath``'s order without its
+    # per-comparison Python calls.
+    for path in sorted(root.rglob("*.typedef"), key=lambda p: p.parts):
+        with open(path, "rb", buffering=0) as f:
+            data = f.read()
         try:
-            text = path.read_text(encoding="utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedTypeDef(path, f"not valid UTF-8: {exc}") from exc
         td = parse_typedef(text, path)

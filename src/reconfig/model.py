@@ -29,6 +29,7 @@ from .errors import (
     CrossBindingExists,
     DuplicatePort,
     EmptyComposite,
+    InvariantViolation,
     MissingMethod,
     NotAChild,
     RoleError,
@@ -179,7 +180,7 @@ def new_composite(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
     if not child_list:
         raise EmptyComposite(name)
     if ports and info_module is None:
-        raise ValueError(f"composite {name} declares ports but has no info module")
+        raise InvariantViolation(f"composite {name} declares ports but has no info module")
     inst = ComponentInstance(name, ComponentKind.COMPOSITE, ports, None, info_module)
     if ports:
         _check_signature_kinds(mgr, inst)
@@ -274,7 +275,7 @@ def add_child(composite: ComponentInstance, child: ComponentInstance) -> None:
     if child is composite or composite in child.descendants():
         raise ContainmentCycle(composite.name, child.name)
     if composite in child.parents:
-        raise ValueError(f"{child.name} is already a child of {composite.name}")
+        raise InvariantViolation(f"{child.name} is already a child of {composite.name}")
     composite.children.append(child)
     child.parents.append(composite)
 

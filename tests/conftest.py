@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,28 @@ def adl_path(name: str) -> Path:
 
 def script_path(name: str) -> Path:
     return FIXTURES / "scripts" / name
+
+
+def single_character_mutations(text: str, seed: int, count: int,
+                               pool: str = '<>/"= \nabczXY0189._-!&;:\'') -> list[str]:
+    """``count`` copies of ``text``, each with one seeded character replaced from ``pool``."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        pos = rng.randrange(len(text))
+        texts.append(text[:pos] + rng.choice(pool) + text[pos + 1:])
+    return texts
+
+
+def count_calls(patch: pytest.MonkeyPatch, owner, name: str, counts) -> None:
+    """Patch ``owner.name`` to add one to ``counts[name]`` on every call."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    patch.setattr(owner, name, counted)
 
 
 def build_architecture(adl_name: str, corpus_name: str,

@@ -44,7 +44,8 @@ from reconfig.modules import (
 )
 from reconfig import runtime
 
-from conftest import adl_path, build_architecture, corpus_path, script_path
+from conftest import (adl_path, build_architecture, corpus_path, script_path,
+                      single_character_mutations)
 
 V = VersionTag
 
@@ -332,12 +333,8 @@ def test_acceptance_5_atomicity_of_failed_reconfigurations():
 # -- criterion 6: parser fuzz ------------------------------------------------------
 
 def test_acceptance_6_ten_thousand_single_character_mutations():
-    rng = random.Random(0xF022)
-    pool = '<>/"= \nabczXY0189._-!&;:\''
     parsed = errored = 0
-    for _ in range(10_000):
-        pos = rng.randrange(len(FIG_TEXT))
-        mutated = FIG_TEXT[:pos] + rng.choice(pool) + FIG_TEXT[pos + 1:]
+    for mutated in single_character_mutations(FIG_TEXT, 0xF022, 10_000):
         try:
             definition = parse_adl(mutated)
         except AdlError:

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import sys
+from collections import Counter
 from pathlib import Path
+
+from conftest import count_calls, single_character_mutations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden" / "adl_outcomes.txt"
@@ -57,6 +61,28 @@ STRUCTURE_CASES = [
     + '</definition>',
 ]
 
+#: Tag tails at the edges of the fast match: a repeated, unknown or badly quoted attribute,
+#: missing whitespace, odd ends, and values holding '>' or '/'.
+_TAGS = ['name="p" name="q" role="server" signature="S"/>',
+         'name="p" bogus="1" name="q"/>',
+         'name="p"role="server" signature="S"/>',
+         'name="p" role = "server" signature="S"/>',
+         "name='p' role=\"server\" signature=\"S\"/>",
+         'name="p" role="ser&ver" signature="S"/>',
+         'name="p" role="server" signature="S/>',
+         'name="p" role="server" signature="S" / >',
+         'name="p" role="server" signature="S">',
+         '\tname="p"\r\nrole="server"  signature="S>/"\n/>',
+         'name="p" role="server" signature="S" version="1.0"version="2"/>',
+         'name="p" r\u00f4le="server"/>',
+         'name="p" role="server" signature="S"']
+TAG_CASES = ['<definition name="D" version="1"><interface ' + tail + '</definition>'
+             for tail in _TAGS] + [
+    '<definition name="D" version="1" version="2"></definition>',
+    '<definition name="D" version="1"><component name="c" name="d"></component></definition>',
+    '<definition name="D" version="1"><binding client="a.p>" server="b.q"/></definition>',
+]
+
 
 def _positions(ast) -> list[str]:
     elements = [ast] if not hasattr(ast, "components") else \
@@ -86,19 +112,30 @@ def _mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def outcomes() -> list[str]:
+def _sources() -> list:
     from reconfig.adl import parse_adl, parse_component_fragment
 
     sources = [(parse_adl, p.read_text(encoding="utf-8"))
                for p in sorted((FIXTURES / "adl").glob("*.xml"))]
     sources.append((parse_component_fragment, FRAGMENT))
+    return sources
+
+
+def cases() -> list:
+    """The golden file's ``(parse, text)`` cases, in its order."""
+    from reconfig.adl import parse_adl
+
     rng = random.Random(SEED)
-    lines = []
-    for parse, text in sources:
-        lines.append(outcome(parse, text))
-        lines.extend(outcome(parse, _mutate(rng, text)) for _ in range(CASES_PER_SOURCE))
-    lines.extend(outcome(parse_adl, text) for text in STRUCTURE_CASES)
-    return lines
+    found = []
+    for parse, text in _sources():
+        found.append((parse, text))
+        found.extend((parse, _mutate(rng, text)) for _ in range(CASES_PER_SOURCE))
+    found.extend((parse_adl, text) for text in STRUCTURE_CASES)
+    return found
+
+
+def outcomes() -> list[str]:
+    return [outcome(parse, text) for parse, text in cases()]
 
 
 def test_parse_outcomes_match_the_golden_file():
@@ -107,6 +144,31 @@ def test_parse_outcomes_match_the_golden_file():
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want), start=1):
         assert g == w, f"case {i}"
+
+
+def test_the_fast_tag_match_gives_the_step_by_step_outcomes(monkeypatch):
+    """``read_tag``'s one-match path and its step-by-step scan agree on every case:
+    the golden cases, every fixture ADL, ``TAG_CASES`` and acceptance #6's 10,000
+    mutations."""
+    from reconfig import adl
+
+    fig = (FIXTURES / "adl" / "hello.fractal.xml").read_text(encoding="utf-8")
+    inputs = cases() + [(adl.parse_adl, text) for text in TAG_CASES] + [
+        (adl.parse_component_fragment, '<component name="c" name="d"></component>')] + [
+        (adl.parse_adl, text) for text in single_character_mutations(fig, 0xF022, 10_000)]
+    scans = Counter()
+    count_calls(monkeypatch, adl._Scanner, "scan_tag", scans)
+    for parse, text in _sources():
+        outcome(parse, text)
+    assert scans["scan_tag"] == 0, "a well-formed tag left the fast match"
+    fast = [outcome(parse, text) for parse, text in inputs]
+
+    monkeypatch.setattr(adl, "_TAG_RE", re.compile(r"(?!)"))
+    slow = [outcome(parse, text) for parse, text in inputs]
+    assert {line.split()[0] for line in slow} == {"ok", "ParseError", "UnknownAttribute",
+                                                  "UnknownElement"}
+    for i, (f, s) in enumerate(zip(fast, slow)):
+        assert f == s, f"case {i}: {inputs[i][1]!r}"
 
 
 if __name__ == "__main__":

@@ -134,11 +134,15 @@ def test_empty_directory_gives_empty_store(tmp_path):
 
 
 def test_duplicate_name_version_across_files_is_an_error(tmp_path):
+    # Path order reads a/ before a-b/; string order would not, since "-" < "/".
     td = _typedef("Request", "1.0")
+    write_corpus(tmp_path / "a-b", [td])
     write_corpus(tmp_path / "a", [td])
-    write_corpus(tmp_path / "b", [td])
-    with pytest.raises(DuplicateTypeDef):
+    with pytest.raises(DuplicateTypeDef) as err:
         load_corpus(tmp_path)
+    first, second = (tmp_path / sub / "Request-1.0.typedef" for sub in ("a", "a-b"))
+    assert (err.value.path1, err.value.path2) == (first, second)
+    assert str(err.value) == f"duplicate typedef Request@1.0: {first} and {second}"
 
 
 def test_unknown_key_is_malformed(tmp_path):

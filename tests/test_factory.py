@@ -22,7 +22,7 @@ from reconfig.factory import (
 from reconfig.modules import EventKind, ModuleId, ModuleManager, replay_live_set
 from reconfig.script import parse_script, run_script
 
-from conftest import FIXTURES, adl_path, corpus_path
+from conftest import FIXTURES, adl_path, corpus_path, count_calls
 
 V = VersionTag
 
@@ -451,3 +451,72 @@ def test_a_single_loader_plan_takes_the_same_memory_per_primitive_at_100_and_100
     """Memory is counted, never timed: one table per info module, none per owner and pair."""
     small, large = _single_plan_peak_per_primitive(100), _single_plan_peak_per_primitive(1000)
     assert large <= 2 * small, (small, large)
+
+
+# --- a build costs the same per primitive at 250 and 2000 ---------------------------
+
+def _write_chain(root, n: int) -> str:
+    """Write the corpus of an ``n``-chain under ``root``; return the chain's ADL text.
+
+    Each primitive has its own content class and private helper class over one
+    shared interface and message type.
+    """
+    from reconfig.corpus import MethodSig, write_corpus
+
+    one = V("1.0")
+    push = (MethodSig("push", ("Message",), "void"),)
+    typedefs = [TypeDef("Message", one, TypeKind.CLASS, (), ()),
+                TypeDef("Push", one, TypeKind.INTERFACE, (TypeRef("Message", one),), push)]
+    for i in range(n):
+        typedefs.append(TypeDef(f"H{i}", one, TypeKind.CLASS, (), ()))
+        typedefs.append(TypeDef(f"Impl{i}", one, TypeKind.CLASS,
+                                (TypeRef("Push", one), TypeRef(f"H{i}", one)), push))
+    write_corpus(root, typedefs)
+    port = '<interface name="{}" role="{}" signature="Push" version="1.0"/>'
+    parts = ['<definition name="Chain" version="1.0">', port.format("head", "server")]
+    for i in range(n):
+        parts.append(f'<component name="c{i}">' + port.format("in", "server")
+                     + (port.format("out", "client") if i < n - 1 else "")
+                     + f'<content class="Impl{i}" version="1.0"/></component>')
+    parts.append('<binding client="this.head" server="c0.in"/>')
+    parts.extend(f'<binding client="c{i}.out" server="c{i + 1}.in"/>' for i in range(n - 1))
+    return "\n".join(parts + ["</definition>"])
+
+
+def _build_work_per_primitive(root, n: int) -> dict[tuple[str, str], float]:
+    """Counted work of each build layer, per primitive: ``(layer, counted call) -> calls / n``."""
+    from reconfig import adl, corpus, factory
+
+    text = _write_chain(root, n)
+    hooks = [(corpus, "parse_typedef"), (adl._Scanner, "read_tag"),
+             (CorpusStore, "closure"), (CorpusStore, "resolve"), (CorpusStore, "lookup"),
+             (ModuleManager, "create_resource_module"), (ModuleManager, "create_info_module"),
+             (factory, "bind"), (factory, "route")]
+    counts, work = Counter(), Counter()
+
+    def layer(name: str, result):
+        work.update({(name, call): k for call, k in counts.items()})
+        counts.clear()
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in hooks:
+            count_calls(patch, owner, name, counts)
+        store = layer("load", load_corpus(root))
+        definition = layer("parse", parse_adl(text))
+        assert layer("validate", validate(definition, store)) == []
+        plan = layer("plan", plan_modules(definition, Granularity.PER_COMPONENT, store))
+        layer("instantiate", instantiate(definition, plan, ModuleManager(), store))
+    return {key: k / n for key, k in work.items()}
+
+
+def test_a_build_does_the_same_work_per_primitive_at_250_and_2000(tmp_path):
+    """Counted, never timed. A count linear in the primitives differs per primitive
+    between the two sizes only by its constant part; a quadratic one grows eightfold."""
+    small = _build_work_per_primitive(tmp_path / "small", 250)
+    large = _build_work_per_primitive(tmp_path / "large", 2000)
+    assert small.keys() == large.keys()
+    for key in small:
+        assert large[key] <= 1.05 * small[key], (key, small[key], large[key])
+    assert small[("load", "parse_typedef")] == (2 * 250 + 2) / 250
+    assert large[("instantiate", "bind")] == 1999 / 2000

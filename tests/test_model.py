@@ -9,6 +9,7 @@ from reconfig.errors import (
     ContentNotAClass,
     CrossBindingExists,
     EmptyComposite,
+    InvariantViolation,
     MissingMethod,
     NotAChild,
     RoleError,
@@ -118,12 +119,12 @@ def test_a_child_is_added_once_and_a_composite_with_ports_needs_an_info_module(w
     mgr, corpus, info = world
     server = _server(mgr, info)
     outer = new_composite(mgr, "outer", [], [server])
-    with pytest.raises(ValueError, match="already a child"):
+    with pytest.raises(InvariantViolation, match="already a child"):
         add_child(outer, server)
     assert outer.children == [server] and server.parents == [outer]
 
     ports = [PortSpec("s", Role.SERVER, "Service", V("1.0"))]
-    with pytest.raises(ValueError, match="declares ports but has no info module"):
+    with pytest.raises(InvariantViolation, match="declares ports but has no info module"):
         new_composite(mgr, "ported", ports, [server])
     assert outer.children == [server] and server.parents == [outer]
     assert server.children == []

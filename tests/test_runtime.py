@@ -36,7 +36,7 @@ from reconfig.modules import (
     EventKind, InfoModule, ModuleManager, ResourceModule, replay_live_set, same_type)
 from reconfig import factory, model, runtime
 
-from conftest import adl_path, build_architecture, corpus_path
+from conftest import adl_path, build_architecture, corpus_path, count_calls
 
 V = VersionTag
 
@@ -1028,19 +1028,9 @@ def _count_wiring_reads(patch, counts: Counter) -> None:
     patch.setattr(InfoModule, "imports", property(read, write), raising=False)
 
 
-def _count_calls(patch, owner, name: str, counts: Counter) -> None:
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return real(*args, **kwargs)
-
-    patch.setattr(owner, name, counted)
-
-
 def _count_link_checks(patch, counts: Counter) -> None:
     for name in ("check_binding", "check_route"):
-        _count_calls(patch, factory, name, counts)
+        count_calls(patch, factory, name, counts)
 
 
 def _work_of_one_swap_and_one_remove(n: int) -> dict[str, Counter]:
@@ -1080,8 +1070,8 @@ def _corpus_walks_of_swapping_there_and_back(n: int) -> list[Counter]:
     for version in ("2.0", "1.0", "2.0"):
         counts = Counter()
         with pytest.MonkeyPatch.context() as patch:
-            _count_calls(patch, CorpusStore, "closure", counts)
-            _count_calls(patch, CorpusStore, "lookup", counts)
+            count_calls(patch, CorpusStore, "closure", counts)
+            count_calls(patch, CorpusStore, "lookup", counts)
             runtime.swap_implementation(arch, f"c{n // 2}", ("NodeImpl", version), corpus)
         work.append(counts)
     return work
@@ -1103,7 +1093,7 @@ def _module_reads_of_an_add_that_makes_a_pair_public(n: int) -> Counter:
     arch = _build_text(_chain_text(n, [True] * n), corpus)
     counts = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        _count_calls(patch, arch.mgr, "module", counts)
+        count_calls(patch, arch.mgr, "module", counts)
         runtime.add_component(arch, parse_component_fragment(
             _component_xml("x", "ExtraImpl", files=["Extra"])), corpus)
     assert ("Extra", V("1.0")) in arch.public
