@@ -9,13 +9,22 @@ The corpus directory comes from ``--corpus`` or the ``RECONFIG_CORPUS``
 environment variable. Exit codes: 0 success, 1 diagnostics or failed
 assertions, 2 I/O, parse, or setup errors. Output for check/plan/run is
 byte-deterministic for identical inputs; bench timings are not.
+
+Set-up (read, parse, corpus load, validate, plan and instantiate) runs with
+the cyclic collector paused: it builds a large, long-lived object graph and
+frees next to nothing, so automatic collections during it are pure cost.
+The script, the bench loop and the output run with the collector as the
+caller had it, and the caller's state is restored on every exit path, since
+``main`` may run inside a longer-lived process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -70,6 +79,18 @@ def _fail(message: str) -> int:
     return 2
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic collector; re-enable it on exit only if it was on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _corpus_path(args) -> Optional[str]:
     return args.corpus or os.environ.get("RECONFIG_CORPUS")
 
@@ -85,47 +106,49 @@ def _load_inputs(args):
 
 
 def cmd_check(args) -> int:
-    try:
-        definition, corpus = _load_inputs(args)
-    except SETUP_ERRORS as exc:
-        return _fail(str(exc))
-    diagnostics = validate(definition, corpus)
+    with _collector_paused():
+        try:
+            definition, corpus = _load_inputs(args)
+        except SETUP_ERRORS as exc:
+            return _fail(str(exc))
+        diagnostics = validate(definition, corpus)
     for diag in diagnostics:
         print(diag.render())
     return 1 if diagnostics else 0
 
 
 def cmd_plan(args) -> int:
-    try:
-        definition, corpus = _load_inputs(args)
-        granularity = parse_granularity(args.granularity)
-    except SETUP_ERRORS as exc:
-        return _fail(str(exc))
-    diagnostics = validate(definition, corpus)
-    if diagnostics:
-        for diag in diagnostics:
-            print(diag.render())
-        return 1
-    try:
-        plan = plan_modules(definition, granularity, corpus)
-    except VersionConflict as exc:
-        print(f"ERROR VersionConflict {exc}")
-        return 1
-    except SETUP_ERRORS as exc:
-        return _fail(str(exc))
+    with _collector_paused():
+        try:
+            definition, corpus = _load_inputs(args)
+            granularity = parse_granularity(args.granularity)
+        except SETUP_ERRORS as exc:
+            return _fail(str(exc))
+        diagnostics = validate(definition, corpus)
+        if diagnostics:
+            for diag in diagnostics:
+                print(diag.render())
+            return 1
+        try:
+            plan = plan_modules(definition, granularity, corpus)
+        except VersionConflict as exc:
+            print(f"ERROR VersionConflict {exc}")
+            return 1
+        except SETUP_ERRORS as exc:
+            return _fail(str(exc))
     print(render_plan(plan), end="")
     return 0
 
 
 def _build(args):
-    definition, corpus = _load_inputs(args)
-    granularity = parse_granularity(getattr(args, "granularity", "per-component"))
-    diagnostics = validate(definition, corpus)
-    if diagnostics:
-        raise ReconfigError("; ".join(d.render() for d in diagnostics))
-    plan = plan_modules(definition, granularity, corpus)
-    arch = instantiate(definition, plan, ModuleManager(), corpus)
-    return arch, corpus
+    with _collector_paused():
+        definition, corpus = _load_inputs(args)
+        granularity = parse_granularity(getattr(args, "granularity", "per-component"))
+        diagnostics = validate(definition, corpus)
+        if diagnostics:
+            raise ReconfigError("; ".join(d.render() for d in diagnostics))
+        plan = plan_modules(definition, granularity, corpus)
+        return instantiate(definition, plan, ModuleManager(), corpus), corpus
 
 
 def cmd_run(args) -> int:

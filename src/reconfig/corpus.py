@@ -29,6 +29,7 @@ per typedef. Failed resolutions and walks are never memoized.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -363,37 +364,64 @@ class CorpusStore:
         return seen
 
 
+def _typedef_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
+    """``(relative parts, path text)`` of every ``*.typedef`` entry under ``root``,
+    in ``Path`` order: the entries ``root.rglob("*.typedef")`` lists."""
+    top = str(root)
+    found = []
+    pending = [((), "" if top == "." else os.path.join(top, ""))]
+    while pending:
+        parts, prefix = pending.pop()
+        try:
+            with os.scandir(prefix or ".") as listing:
+                entries = list(listing)
+        except PermissionError:
+            continue
+        for entry in entries:
+            name = entry.name
+            if name.endswith(".typedef"):
+                found.append((parts + (name,), prefix + name))
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((parts + (name,), prefix + name + os.sep))
+    found.sort()
+    return found
+
+
 def load_corpus(root) -> CorpusStore:
     """Load every ``*.typedef`` file under ``root`` into a store.
 
-    Files are read in ``Path`` order, so diagnostics are deterministic: paths
-    compare component by component (``a/x`` before ``a-b/x``, although ``-``
-    sorts before ``/`` in a string). A duplicate (name, version) pair across
-    two files is a load-time error naming the earlier file first, as is any
-    file whose name disagrees with its declared name/version.
+    The listing keeps ``Path.rglob("*.typedef")``'s rules: every entry whose
+    name ends in ``.typedef`` (case-sensitively, dotfiles and directories
+    included) is read; directories are descended into, but never through a
+    symlink; a subdirectory whose listing raises ``PermissionError`` is
+    skipped. Files are read in ``Path`` order, so diagnostics are
+    deterministic: paths compare component by component (``a/x`` before
+    ``a-b/x``, although ``-`` sorts before ``/`` in a string). A duplicate
+    (name, version) pair across two files is a load-time error naming the
+    earlier file first, as is any file whose name disagrees with its declared
+    name/version. Every error names its file(s) as a ``Path``.
     """
     root = Path(root)
     if not root.is_dir():
         raise MalformedTypeDef(root, "corpus root is not a readable directory")
     index: dict[tuple[str, VersionTag], TypeDef] = {}
-    origin: dict[tuple[str, VersionTag], Path] = {}
-    # Sorting by ``parts`` gives ``PurePosixPath``'s order without its
-    # per-comparison Python calls.
-    for path in sorted(root.rglob("*.typedef"), key=lambda p: p.parts):
+    origin: dict[tuple[str, VersionTag], str] = {}
+    for parts, path in _typedef_files(root):
         with open(path, "rb", buffering=0) as f:
             data = f.read()
         try:
-            text = data.decode("utf-8")
+            td = parse_typedef(data.decode("utf-8"), path)
         except UnicodeDecodeError as exc:
-            raise MalformedTypeDef(path, f"not valid UTF-8: {exc}") from exc
-        td = parse_typedef(text, path)
-        if path.name != typedef_filename(td):
+            raise MalformedTypeDef(Path(path), f"not valid UTF-8: {exc}") from exc
+        except MalformedTypeDef as exc:
+            raise MalformedTypeDef(Path(path), exc.reason) from exc.__cause__
+        if parts[-1] != typedef_filename(td):
             raise MalformedTypeDef(
-                path, f"file name does not match declared {td.name}-{td.version}"
+                Path(path), f"file name does not match declared {td.name}-{td.version}"
             )
         key = (td.name, td.version)
         if key in index:
-            raise DuplicateTypeDef(td.name, td.version, origin[key], path)
+            raise DuplicateTypeDef(td.name, td.version, Path(origin[key]), Path(path))
         index[key] = td
         origin[key] = path
     return CorpusStore(root, index)

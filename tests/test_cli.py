@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import shutil
 
 import pytest
 
+from reconfig import cli
 from reconfig.cli import main
 from reconfig.errors import ScriptError
 from reconfig.script import Command, parse_script, run_script
 
 from conftest import adl_path, build_architecture, corpus_path, script_path
+from test_factory import _write_chain
 
 HELLO = str(adl_path("hello.fractal.xml"))
 HELLO_CORPUS = str(corpus_path("hello"))
@@ -397,3 +400,94 @@ def test_check_plan_run_are_byte_deterministic(capsys):
         outputs.add(_run(capsys, "run", HELLO, str(script_path("hello_run.script")),
                          "--corpus", HELLO_CORPUS)[1])
     assert len(outputs) == 3  # each command reproduced itself exactly
+
+
+def _failing_script(tmp):
+    script = tmp / "fail.script"
+    script.write_text("invoke HelloWorld.r walk\n")
+    return str(script)
+
+
+CHAIN3 = str(adl_path("chain3.fractal.xml"))
+CHAIN_CORPUS = str(corpus_path("chain"))
+# Each builds the argv of one command and one exit code: 0, 1 (diagnostics or a
+# failed assertion) or 2 (a set-up error). ``bench`` has no exit 1.
+EXITS = {
+    ("check", 0): lambda tmp: ["check", HELLO, "--corpus", HELLO_CORPUS],
+    ("check", 1): lambda tmp: ["check", HELLO, "--corpus", _corpus_with_a_dangling_ref(tmp)],
+    ("check", 2): lambda tmp: ["check", HELLO, "--corpus", str(tmp / "missing")],
+    ("plan", 0): lambda tmp: ["plan", HELLO, "--corpus", HELLO_CORPUS],
+    ("plan", 1): lambda tmp: ["plan", HELLO, "--corpus", _corpus_with_a_dangling_ref(tmp)],
+    ("plan", 2): lambda tmp: ["plan", HELLO, "--corpus", str(tmp / "missing")],
+    ("run", 0): lambda tmp: ["run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS],
+    ("run", 1): lambda tmp: ["run", HELLO, _failing_script(tmp), "--corpus", HELLO_CORPUS],
+    ("run", 2): lambda tmp: ["run", HELLO, HELLO_SCRIPT, "--corpus", str(tmp / "missing")],
+    ("bench", 0): lambda tmp: ["bench", CHAIN3, "3", "--corpus", CHAIN_CORPUS],
+    ("bench", 2): lambda tmp: ["bench", CHAIN3, "3", "--corpus", str(tmp / "missing")],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", sorted(EXITS), ids=lambda case: f"{case[0]}-exit{case[1]}")
+def test_every_command_leaves_the_collector_as_the_caller_had_it(capsys, tmp_path, case,
+                                                                   enabled):
+    argv = EXITS[case](tmp_path)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert (code, after) == (case[1], enabled)
+
+
+def test_an_escaping_exception_still_restores_the_collector(monkeypatch):
+    def broken(root):
+        raise RuntimeError("corpus loader broke")
+
+    monkeypatch.setattr(cli, "load_corpus", broken)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        main(["run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS])
+    assert gc.isenabled()
+
+
+def test_the_run_command_builds_with_no_automatic_collection(capsys, tmp_path, monkeypatch):
+    """Counted, never timed: a 250-primitive build allocates enough to start
+    several automatic collections unless set-up pauses the collector."""
+    adl = tmp_path / "chain.fractal.xml"
+    adl.write_text(_write_chain(tmp_path / "corpus", 250))
+    script = tmp_path / "build.script"
+    script.write_text("# build only\n")
+    starts, marks = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    # Marks from the first step of the build (reading its inputs) to the end
+    # of its last (instantiate).
+    real_load, real_instantiate = cli._load_inputs, cli.instantiate
+
+    def load_marked(*args):
+        marks.append(len(starts))
+        return real_load(*args)
+
+    def instantiate_marked(*args):
+        arch = real_instantiate(*args)
+        marks.append(len(starts))
+        return arch
+
+    monkeypatch.setattr(cli, "_load_inputs", load_marked)
+    monkeypatch.setattr(cli, "instantiate", instantiate_marked)
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        code = main(["run", str(adl), str(script), "--corpus", str(tmp_path / "corpus")])
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0 and capsys.readouterr().out == "PASS all assertions hold\n"
+    begin, end = marks
+    assert end - begin == 0, f"collections started during the build: {starts[begin:end]}"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from reconfig.corpus import (
     TypeKind,
     TypeRef,
     VersionTag,
+    _typedef_files,
     load_corpus,
     parse_typedef,
     serialize_typedef,
@@ -143,6 +146,45 @@ def test_duplicate_name_version_across_files_is_an_error(tmp_path):
     first, second = (tmp_path / sub / "Request-1.0.typedef" for sub in ("a", "a-b"))
     assert (err.value.path1, err.value.path2) == (first, second)
     assert str(err.value) == f"duplicate typedef Request@1.0: {first} and {second}"
+
+
+def _odd_layout(root):
+    """A tree that exercises each listing rule of ``load_corpus``."""
+    body = b"name: X\nversion: 1\nkind: class\n"
+    for sub in ("a/b/c", "a-b", "d.typedef", "outside/deep"):
+        (root / sub).mkdir(parents=True)
+    for name in ("a/b/c/X-1.typedef", "a/b/X-1.typedef", "a/X-1.typedef", "a-b/X-1.typedef",
+                 ".x.typedef", "X.TYPEDEF", "X-1.typedefs", "d.typedef/X-1.typedef",
+                 "outside/deep/X-1.typedef", ".typedef"):
+        (root / name).write_bytes(body)
+    (root / "linked").symlink_to(root / "outside", target_is_directory=True)
+    (root / "linked.typedef").symlink_to(root / "outside" / "deep", target_is_directory=True)
+    (root / "l.typedef").symlink_to(root / "a" / "X-1.typedef")
+
+
+def test_the_listing_matches_rglob_in_path_order(tmp_path, monkeypatch):
+    """The corpus listing gives ``rglob("*.typedef")``'s paths in ``Path.parts`` order:
+    dotfiles and directories named ``*.typedef`` are listed, ``X.TYPEDEF`` is not,
+    and neither symlinked directory is descended into."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    _odd_layout(root)
+
+    def listings(root_arg):
+        want = [str(p) for p in sorted(Path(root_arg).rglob("*.typedef"), key=lambda p: p.parts)]
+        got = [path for _, path in _typedef_files(Path(root_arg))]
+        return got, want
+
+    got, want = listings(root)
+    assert got == want
+    assert [os.path.relpath(p, root) for p in got] == [
+        ".typedef", ".x.typedef", "a/X-1.typedef", "a/b/X-1.typedef", "a/b/c/X-1.typedef",
+        "a-b/X-1.typedef", "d.typedef", "d.typedef/X-1.typedef", "l.typedef", "linked.typedef",
+        "outside/deep/X-1.typedef"]
+    monkeypatch.chdir(root)
+    for root_arg in (".", "a", "a/", "./a/b"):
+        got, want = listings(root_arg)
+        assert got == want and got, root_arg
 
 
 def test_unknown_key_is_malformed(tmp_path):
