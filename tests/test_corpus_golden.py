@@ -139,15 +139,15 @@ def outcome(root: Path) -> str:
     return f"ok {len(store)} {digest}"
 
 
-def outcomes(scratch: Path) -> list[str]:
+def outcomes(base: Path) -> list[str]:
     rng = random.Random(SEED)
     found = []
     for i in range(CASES):
-        root = scratch / f"m{i:03d}"
+        root = base / f"m{i:03d}"
         _mutated_case(rng, root)
         found.append(outcome(root))
     for layout in LAYOUTS:
-        root = scratch / layout.__name__
+        root = base / layout.__name__
         shutil.copytree(HELLO, root)
         layout(root)
         found.append(outcome(root))
@@ -163,5 +163,5 @@ def test_load_outcomes_match_the_golden_file(tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        sys.stdout.write("\n".join(outcomes(Path(scratch))) + "\n")
+    with tempfile.TemporaryDirectory() as base:
+        sys.stdout.write("\n".join(outcomes(Path(base))) + "\n")
