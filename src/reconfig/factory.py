@@ -24,10 +24,11 @@ copy per component, which is what makes undeclared exchange fail at invocation
 time. Each primitive of a built architecture owns its planner input and
 implementation modules; the architecture keeps the index of public modules the
 runtime plans against, while which modules export a pair is the module
-manager's to answer. Its links live on the ports; ``bindings``,
+manager's to answer. Its links live on the ports they leave; ``bindings``,
 ``binding_checks()``, ``link_checks()`` and ``report()`` are views read off
 them by one walk, ``model.links``, which ``link_checks()`` narrows to one
-component's links before it builds any label.
+component's links, those entering it included, before it builds any label.
+Each check pairs a link's label with its ``TypeMismatch``, or ``None``.
 
 Under the single-loader granularity everything collapses into one resource
 module and one info module, which forbids any coexistence of versions.
@@ -311,7 +312,7 @@ class ArchitectureInstance:
         return port
 
     def _links(self):
-        """``links`` over every component by name and the root's export routes."""
+        """``links`` over every component by name and the root's routes in."""
         return links(sorted(self.components.values(), key=lambda c: c.name), [self.root])
 
     @property
@@ -323,16 +324,13 @@ class ArchitectureInstance:
         return label, (check_binding if kind == "binding" else check_route)(self.mgr, a, b)
 
     def binding_checks(self):
-        """Re-evaluate every live binding and route against current modules."""
+        """Each live link's label with its mismatch, or ``None``, against current modules."""
         return [self._check(*link) for link in self._links()]
 
     def link_checks(self, comp: ComponentInstance):
         """Re-evaluate, like ``binding_checks()``, the links with an end at ``comp``'s ports."""
-        walked = [comp, *comp.children]  # a child's outbound route may end at a composite's port
-        touching = list(links(walked, [*comp.parents, comp], touching=comp))
-        touching += [("binding", str(rec), rec.client, rec.server) for port in comp.server_ports()
-                     for rec in port.inbound if rec.client.owner not in walked]
-        return [self._check(*link) for link in touching]
+        walked = [comp, *comp.children]  # a child's route out may end at comp's client port
+        return [self._check(*link) for link in links(walked, [*comp.parents, comp], touching=comp)]
 
     def report(self) -> str:
         """Stable full-state dump used for before/after comparisons."""

@@ -7,12 +7,14 @@ composites, so containment is a DAG, never a tree. Binding a client port to a
 server port is only legal when both ends resolve the signature to the *same*
 defined type, i.e. the same (name, defining module) pair.
 
-Links live on the ports alone (a client port's binding or outbound route, a
-composite's export routes), and only ``bind``, ``unbind`` and ``route`` write
-them; a client port holds at most one of the two.
-``links`` is the one walk over them: every view of an architecture's links
-and ``remove_child``'s crossing test read it. Asked for the links touching
-one component, it skips the others before formatting their labels.
+Links live on the port they leave, and only ``bind``, ``unbind`` and ``route``
+write them: a client port holds a binding (also in its server's ``inbound``)
+or a ``route`` out to its composite's client port; a composite's server port
+holds a ``route`` in to its child's. A route joins only a composite and its
+child, so every chain of routes ends. ``links`` is the one walk over them, and
+the one reader of ``inbound``; asked for the links touching one component, it
+skips the others before formatting their labels. A check returns its
+``TypeMismatch``, or ``None``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class InterfacePort:
         self.owner = owner
         self.binding: Optional[BindingRecord] = None   # client side, at most one
         self.inbound: list[BindingRecord] = []         # server side
-        self.outbound_route: Optional[InterfacePort] = None  # child client -> composite client
+        self.route: Optional[InterfacePort] = None     # the same-role port a call goes on to
 
     def __str__(self) -> str:
         return f"{self.owner.name}.{self.name}"
@@ -108,7 +110,6 @@ class ComponentInstance:
         self.children: list[ComponentInstance] = []
         self.parents: list[ComponentInstance] = []
         self.info_module = info_module
-        self.export_routes: dict[str, InterfacePort] = {}  # composite server port -> child server port
         self.source = None  # a primitive's AdlComponent, the planner's input
         # The implementation modules it owns, in creation order, pre-swap versions included.
         self.impl_modules: list[ModuleId] = []
@@ -189,33 +190,26 @@ def new_composite(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
     return inst
 
 
-@dataclass(frozen=True)
-class BindingCheck:
-    """Outcome of a bind-time type check; carries the mismatch when not ok."""
-
-    ok: bool
-    mismatch: Optional[TypeMismatch] = None
-
-
-def _compare_endpoint_types(mgr: ModuleManager, a: InterfacePort, b: InterfacePort) -> BindingCheck:
+def _compare_endpoint_types(mgr: ModuleManager, a: InterfacePort,
+                            b: InterfacePort) -> Optional[TypeMismatch]:
     ta = mgr.load_type(a.owner.info_module, a.signature)
     tb = mgr.load_type(b.owner.info_module, b.signature)
     if not same_type(ta, tb):
         detail = "" if ta.name == tb.name else f"{ta.name} vs {tb.name}"
-        return BindingCheck(False, TypeMismatch(ta.name, ta.defined_by, tb.defined_by, detail))
+        return TypeMismatch(ta.name, ta.defined_by, tb.defined_by, detail)
     if a.version != b.version:
-        return BindingCheck(False, TypeMismatch(
-            ta.name, ta.defined_by, tb.defined_by,
-            f"declared versions differ: {a.version} vs {b.version}"))
-    return BindingCheck(True)
+        return TypeMismatch(ta.name, ta.defined_by, tb.defined_by,
+                            f"declared versions differ: {a.version} vs {b.version}")
+    return None
 
 
-def check_binding(mgr: ModuleManager, client: InterfacePort, server: InterfacePort) -> BindingCheck:
+def check_binding(mgr: ModuleManager, client: InterfacePort,
+                  server: InterfacePort) -> Optional[TypeMismatch]:
     """Predict whether a binding will be type-safe without creating it.
 
-    Both ends load their declared signature through their own info module; the
-    check passes only when that produces one identical defined type and the
-    declared versions agree.
+    Both ends load their declared signature through their own info module; it
+    returns ``None`` only when that produces one identical defined type and the
+    declared versions agree, else the ``TypeMismatch`` that ``bind`` would raise.
     """
     if client.role is not Role.CLIENT:
         raise RoleError(f"{client} is not a client port")
@@ -224,8 +218,9 @@ def check_binding(mgr: ModuleManager, client: InterfacePort, server: InterfacePo
     return _compare_endpoint_types(mgr, client, server)
 
 
-def check_route(mgr: ModuleManager, outer: InterfacePort, inner: InterfacePort) -> BindingCheck:
-    """Type check for a composite export route (same-role pair)."""
+def check_route(mgr: ModuleManager, outer: InterfacePort,
+                inner: InterfacePort) -> Optional[TypeMismatch]:
+    """Type check for a route (same-role pair): the mismatch, or ``None``."""
     if outer.role is not inner.role:
         raise RoleError(f"route {outer} -> {inner} must connect same-role ports")
     return _compare_endpoint_types(mgr, outer, inner)
@@ -236,10 +231,10 @@ def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
     """Bind an unbound, not routed-out client port to a server port after a successful check."""
     if kind is not BindingKind.PRIMITIVE:
         raise UnsupportedBindingKind(kind.value)
-    result = check_binding(mgr, client, server)
-    if not result.ok:
-        raise result.mismatch
-    if client.binding is not None or client.outbound_route is not None:
+    mismatch = check_binding(mgr, client, server)
+    if mismatch is not None:
+        raise mismatch
+    if client.binding is not None or client.route is not None:
         raise AlreadyBound(str(client))
     record = BindingRecord(client, server)
     client.binding = record
@@ -249,16 +244,18 @@ def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
 
 def route(mgr: ModuleManager, a: InterfacePort, b: InterfacePort) -> None:
     """After a passing ``check_route``, route a composite's server port ``a`` in to its
-    child's port ``b``, or a child's client port ``a`` that holds no link out to ``b``."""
-    result = check_route(mgr, a, b)
-    if not result.ok:
-        raise result.mismatch
-    if a.role is Role.SERVER:
-        a.owner.export_routes[a.name] = b
-    elif a.binding is not None or a.outbound_route is not None:
+    child's port ``b`` (replacing any route it held), or a child's client port ``a``
+    that holds no link out to its composite's port ``b``. Any other pair of owners
+    is refused with ``NotAChild`` before anything is written."""
+    mismatch = check_route(mgr, a, b)
+    if mismatch is not None:
+        raise mismatch
+    composite, child = (a.owner, b.owner) if a.role is Role.SERVER else (b.owner, a.owner)
+    if child not in composite.children:
+        raise NotAChild(child.name, composite.name)
+    if a.role is Role.CLIENT and (a.binding is not None or a.route is not None):
         raise AlreadyBound(str(a))
-    else:
-        a.outbound_route = b
+    a.route = b
 
 
 def unbind(record: BindingRecord) -> None:
@@ -283,42 +280,51 @@ def add_child(composite: ComponentInstance, child: ComponentInstance) -> None:
 def links(components: Iterable[ComponentInstance], composites: Iterable[ComponentInstance],
           touching: Optional[ComponentInstance] = None):
     """Each link as (kind, label, from port, to port): the bindings of ``components``'
-    client ports, then ``composites``' export routes by name (``route-in``), then the
-    components' outbound routes (``route-out``); components as given, ports in order.
+    client ports, then ``composites``' routes in by port name (``route-in``), then the
+    components' routes out (``route-out``), then the bindings that enter the
+    components from a client outside them; components as given, ports in order.
     With ``touching``, only the links with an end at that component's ports, skipped
     before their labels are built."""
+    components = list(components)
+    walked = set(components)
+
     def keep(a: ComponentInstance, b: ComponentInstance) -> bool:
         return touching is None or touching is a or touching is b
 
-    routes_out = []
+    routes_out, entering = [], []
     for comp in components:
-        for port in comp.interfaces:  # only client ports hold a binding or an outbound route
-            binding, route = port.binding, port.outbound_route
+        for port in comp.interfaces:
+            if port.role is Role.SERVER:
+                entering += [rec for rec in port.inbound
+                             if rec.client.owner not in walked and keep(rec.client.owner, comp)]
+                continue
+            binding, target = port.binding, port.route
             if binding is not None and keep(comp, binding.server.owner):
                 yield "binding", str(binding), port, binding.server
-            if route is not None and keep(comp, route.owner):
-                routes_out.append(("route-out", f"{port} -> this.{route.name}", port, route))
+            if target is not None and keep(comp, target.owner):
+                routes_out.append(("route-out", f"{port} -> this.{target.name}", port, target))
     for composite in composites:
-        for name, target in sorted(composite.export_routes.items()):
-            if keep(composite, target.owner):
-                yield "route-in", f"this.{name} -> {target}", composite.port(name), target
+        for port in sorted(composite.server_ports(), key=lambda p: p.name):
+            target = port.route
+            if target is not None and keep(composite, target.owner):
+                yield "route-in", f"this.{port.name} -> {target}", port, target
     yield from routes_out
+    for rec in entering:
+        yield "binding", str(rec), rec.client, rec.server
 
 
 def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None:
     """Detach a child from one parent, leaving other memberships alone.
 
-    Refused while any link crosses the child's boundary: one of ``links`` over
-    the subtree and ``composite`` with one end outside, or a binding entering
-    the subtree; links wholly inside the child (or wholly outside) are fine.
+    Refused while any of ``links`` over the subtree and ``composite`` crosses
+    the child's boundary, one end outside; links wholly inside the child (or
+    wholly outside) are fine.
     """
     if child not in composite.children:
         raise NotAChild(child.name, composite.name)
     subtree = {child} | child.descendants()
     crossing = [label for _, label, a, b in links(subtree, [composite])
                 if (a.owner in subtree) != (b.owner in subtree)]
-    crossing += [str(rec) for comp in subtree for port in comp.server_ports()
-                 for rec in port.inbound if rec.client.owner not in subtree]
     if crossing:
         raise CrossBindingExists(crossing)
     composite.children.remove(child)

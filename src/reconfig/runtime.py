@@ -1,15 +1,17 @@
 """Simulated invocation, receiver-side identity checks, and hot swap.
 
-Calls traverse the architecture along bindings. A call enters each component
-it crosses into, in that component's context (its info module), and leaves it
-on the way out, error or not; the trace records each ENTER, with the info
-module, and each EXIT. There is no context stack: a call carries only its
-depth, which ``MAX_CALL_DEPTH`` caps. On entry, every argument is checked on
-the receiver side: the declared parameter type name is resolved through the
-callee's own wiring and must be the *same defined type* as the argument's
-runtime type. A parameter declared as the universal ``object`` defers the
-check to the argument's concrete type name, which is how an undeclared
-exchanged class surfaces as a mismatch at the boundary.
+Calls traverse the architecture along bindings and routes, read off the port
+they leave: a composite's server port routes a call in to its child, and a
+client port follows its routes out to the binding that ends them. A call
+enters each component it crosses into, in that component's context (its info
+module), and leaves it on the way out, error or not; the trace records each
+ENTER, with the info module, and each EXIT. There is no context stack: a call
+carries only its depth, which ``MAX_CALL_DEPTH`` caps. On entry, every
+argument is checked on the receiver side: the declared parameter type name is
+resolved through the callee's own wiring and must be the *same defined type*
+as the argument's runtime type. A parameter declared as the universal
+``object`` defers the check to the argument's concrete type name, which is how
+an undeclared exchanged class surfaces as a mismatch at the boundary.
 
 Content behavior is echo-style: a component that receives a call forwards one
 call through each of its bound client ports (the first method of the port's
@@ -133,20 +135,15 @@ def serialize_trace(arch: ArchitectureInstance) -> str:
     return "\n".join(event.render() for event in arch.trace) + ("\n" if arch.trace else "")
 
 
-def _client_target(cport: InterfacePort) -> InterfacePort:
-    """Follow a client port to the server port it ultimately reaches."""
-    visited: set[int] = set()
-    port = cport
-    while True:
-        if id(port) in visited:
+def _client_target(port: InterfacePort) -> InterfacePort:
+    """The server port that a client port's binding, or its routes out to one, reach.
+
+    Each route goes from a child up to its composite, so the walk ends."""
+    while port.binding is None:
+        if port.route is None:
             raise UnboundInterface(port.owner.name, port.name)
-        visited.add(id(port))
-        if port.binding is not None:
-            return port.binding.server
-        if port.outbound_route is not None:
-            port = port.outbound_route
-            continue
-        raise UnboundInterface(port.owner.name, port.name)
+        port = port.route
+    return port.binding.server
 
 
 def _receiver_check(arch: ArchitectureInstance, comp: ComponentInstance,
@@ -176,10 +173,9 @@ def _call_server(arch: ArchitectureInstance, depth: int,
             _receiver_check(arch, comp, param, arg)
 
         if comp.kind is ComponentKind.COMPOSITE:
-            inner = comp.export_routes.get(port.name)
-            if inner is None:
+            if port.route is None:
                 raise UnboundInterface(comp.name, port.name)
-            return _call_server(arch, depth + 1, inner, method_name, args)
+            return _call_server(arch, depth + 1, port.route, method_name, args)
 
         for cport in comp.client_ports():
             target = _client_target(cport)
@@ -201,10 +197,10 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
            args: Sequence[Value] = ()) -> Optional[Value]:
     """Invoke a method on a component port.
 
-    A server port is entered directly (a composite export routes inward); a
-    client port routes straight through its binding, which models a call
-    originating inside the owning component. Every ENTER is matched by an
-    EXIT, even on error paths.
+    A server port is entered directly (a composite's routes it inward); a
+    client port goes straight through its binding, or its routes out to one,
+    which models a call originating inside the owning component. Every ENTER
+    is matched by an EXIT, even on error paths.
     """
     if arch.in_call:
         raise ReconfigDuringCall()
@@ -264,7 +260,7 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
         ids = {impl.label: arch.mgr.create_resource_module(impl.exports, corpus)} if impl else {}
         arch.mgr.rewire_import(comp.info_module, planned_ids(planned, ids))
         content = arch.mgr.load_type(comp.info_module, name)
-        broken = [desc for desc, chk in arch.link_checks(comp) if not chk.ok]
+        broken = [desc for desc, mismatch in arch.link_checks(comp) if mismatch is not None]
         if broken:
             raise InvariantViolation(f"swap would break bindings: {broken}")
 
@@ -283,9 +279,9 @@ def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> Bi
         raise ReconfigDuringCall()
     cport = arch.find_port(client_spec)
     sport = arch.find_port(server_spec)
-    result = check_binding(arch.mgr, cport, sport)
-    if not result.ok:
-        raise result.mismatch
+    mismatch = check_binding(arch.mgr, cport, sport)
+    if mismatch is not None:
+        raise mismatch
     if cport.binding is not None:
         unbind(cport.binding)
     return bind(arch.mgr, cport, sport)
@@ -369,10 +365,10 @@ def bench_interception(arch: ArchitectureInstance, n: int,
                        entry: Optional[tuple[str, str, str]] = None) -> BenchReport:
     """Run ``n`` no-op invocations and report interceptor bookkeeping.
 
-    ``bookkeeping_ops`` counts ENTER, EXIT and CHECK events; it
-    is a pure function of the traversal structure, so two runs over the same
-    architecture always report the same count. Wall time is informational
-    only; no overhead percentage is asserted.
+    ``bookkeeping_ops`` is the trace's growth: the ENTER, EXIT and CHECK events,
+    the only ones ``invoke`` writes. It is a pure function of the traversal
+    structure, so two runs over the same architecture report the same count.
+    Wall time is informational only; no overhead percentage is asserted.
     """
     if n < 1:
         raise ValueError("bench needs n >= 1")
@@ -391,5 +387,4 @@ def bench_interception(arch: ArchitectureInstance, n: int,
     for _ in range(n):
         invoke(arch, component, port_name, method)
     elapsed = time.perf_counter() - t0
-    ops = sum(1 for event in arch.trace[start:] if event.kind in (ENTER, EXIT, CHECK))
-    return BenchReport(n, elapsed, ops)
+    return BenchReport(n, elapsed, len(arch.trace) - start)

@@ -101,6 +101,32 @@ def test_structural_invariants_are_parse_errors():
                   '</definition>')
 
 
+_D = '<definition name="X" version="1.0">'
+_C = '<content class="Request" version="1.0"/>'
+
+
+@pytest.mark.parametrize("text, where, message", [
+    (_D + '<component name="c"/></definition>', (1, 36),
+     "expected <component> with a <content> child"),
+    (_D + f'<component name="this">{_C}</component></definition>', (1, 36),
+     "expected component name other than reserved 'this'"),
+    ('<definition name="X" version="1.0"', (1, 35), "expected '>'"),
+    ('<definition name="X" name="Y" version="1.0"></definition>', (1, 22),
+     "expected attribute name given once"),
+    (_D + f'<component name="c">{_C}{_C}</component></definition>', (1, 96),
+     "expected a single <content> per component"),
+    (_D + f'<component name="c"><binding client="a.b" server="c.d"/>{_C}</component>'
+     '</definition>', (1, 56), "expected element allowed inside <component>, not <binding>"),
+], ids=["no-content", "reserved-this", "cut-off", "attribute-twice", "two-contents",
+        "binding-in-component"])
+def test_each_structural_refusal_names_its_place_and_rule(text, where, message):
+    with pytest.raises(ParseError) as exc:
+        parse_adl(text)
+    assert type(exc.value) is ParseError
+    assert (exc.value.line, exc.value.col) == where
+    assert str(exc.value) == f"{where[0]}:{where[1]}: {message}"
+
+
 def test_check_invariants_raises_parse_errors_on_a_built_definition():
     comp = AdlComponent("c", (AdlInterface("p", Role.SERVER, "Service", None),),
                         ("Impl", None), (), 4, 9)

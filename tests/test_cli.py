@@ -320,6 +320,31 @@ def _corpus_with_a_dangling_ref(tmp_path):
     return str(corpus_dir)
 
 
+def _methodless_export(tmp_path):
+    """A definition whose root's one server port has a signature with no methods."""
+    corpus_dir = tmp_path / "marker"
+    corpus_dir.mkdir()
+    (corpus_dir / "Marker-1.0.typedef").write_text("name: Marker\nversion: 1.0\nkind: interface\n")
+    (corpus_dir / "MarkerImpl-1.0.typedef").write_text(
+        "name: MarkerImpl\nversion: 1.0\nkind: class\nref: Marker@1.0\n")
+    adl = tmp_path / "marker.fractal.xml"
+    adl.write_text('<definition name="M" version="1.0">'
+                   '<interface name="m" role="server" signature="Marker" version="1.0"/>'
+                   '<component name="c">'
+                   '<interface name="m" role="server" signature="Marker" version="1.0"/>'
+                   '<content class="MarkerImpl" version="1.0"/></component>'
+                   '<binding client="this.m" server="c.m"/></definition>')
+    return ["bench", str(adl), "3", "--corpus", str(corpus_dir)]
+
+
+def _two_diagnostics(tmp_path):
+    adl = tmp_path / "unresolvable.fractal.xml"
+    adl.write_text(adl_path("hello.fractal.xml").read_text().replace(
+        'class="ClientImpl" version="1.0"', 'class="ClientImpl" version="4.0"').replace(
+        'class="ServerImpl" version="2.0"', 'class="ServerImpl" version="3.0"'))
+    return ["run", str(adl), HELLO_SCRIPT, "--corpus", HELLO_CORPUS]
+
+
 HELLO_SCRIPT = str(script_path("hello_run.script"))
 # Each builds, from a scratch directory, the argv of one I/O, parse or setup error.
 SETUP_FAILURES = {
@@ -334,6 +359,15 @@ SETUP_FAILURES = {
     "bench-an-architecture-that-exports-no-server-port": lambda tmp: [
         "bench", str(adl_path("push_opaque.fractal.xml")), "3",
         "--corpus", str(corpus_path("pushopaque"))],
+    "bench-an-export-whose-signature-has-no-methods": _methodless_export,
+    "run-a-definition-with-diagnostics": _two_diagnostics,
+}
+# The whole error line of those cases whose message is pinned.
+SETUP_MESSAGES = {
+    "bench-an-export-whose-signature-has-no-methods": "signature Marker has no methods",
+    "run-a-definition-with-diagnostics":
+        "ERROR UnresolvableContent 4:5 no typedef ClientImpl@4.0; "
+        "ERROR UnresolvableContent 12:5 no typedef ServerImpl@3.0",
 }
 
 
@@ -342,6 +376,8 @@ def test_every_setup_error_exits_two_with_an_error_line(capsys, tmp_path, case):
     code = main(SETUP_FAILURES[case](tmp_path))
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    if case in SETUP_MESSAGES:
+        assert err == f"error: {SETUP_MESSAGES[case]}\n"
 
 
 def test_check_and_plan_report_a_dangling_reference_with_exit_one(capsys, tmp_path):

@@ -136,6 +136,13 @@ def test_empty_directory_gives_empty_store(tmp_path):
     assert len(load_corpus(tmp_path)) == 0
 
 
+def test_a_root_that_is_no_directory_is_refused(tmp_path):
+    (tmp_path / "file.typedef").write_text("name: X\nversion: 1\nkind: class\n")
+    for root in (tmp_path / "missing", tmp_path / "file.typedef"):
+        with pytest.raises(MalformedTypeDef, match="corpus root is not a readable directory"):
+            load_corpus(root)
+
+
 def test_duplicate_name_version_across_files_is_an_error(tmp_path):
     # Path order reads a/ before a-b/; string order would not, since "-" < "/".
     td = _typedef("Request", "1.0")
@@ -239,6 +246,11 @@ def test_method_parsing_round_trips():
     assert td.methods == (MethodSig("push", ("Request", "Token"), "void"),
                           MethodSig("pull", (), "Reply"))
     assert parse_typedef(serialize_typedef(td), "p") == td
+
+
+def test_a_method_name_must_be_an_identifier():
+    with pytest.raises(ValueError, match="malformed method name '1x'"):
+        MethodSig("1x", (), "void")
 
 
 # --- lookups -----------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 
 from reconfig.adl import parse_adl, validate
 from reconfig.corpus import CorpusStore, TypeDef, TypeKind, TypeRef, VersionTag, load_corpus
-from reconfig.errors import InstantiationError, InvariantViolation, VersionConflict
+from reconfig.errors import (
+    InstantiationError,
+    InvariantViolation,
+    UnknownComponent,
+    UnknownPort,
+    VersionConflict,
+)
 from reconfig import runtime
 from reconfig.factory import (
     Granularity,
@@ -202,9 +208,21 @@ def test_instantiate_builds_a_checked_architecture(hello):
     assert set(arch.components) == {"client", "server", "HelloWorld"}
     assert arch.root.kind.value == "composite"
     assert len(arch.bindings) == 1  # client.s -> server.s
-    assert arch.root.export_routes["r"].owner.name == "client"
-    assert all(chk.ok for _, chk in arch.binding_checks())
+    assert arch.root.port("r").route.owner.name == "client"
+    assert all(chk is None for _, chk in arch.binding_checks())
     assert len(arch.mgr.live_ids()) == 8
+
+
+def test_a_port_spec_without_a_dot_names_no_port(hello):
+    definition = _definition()
+    arch = instantiate(definition, plan_modules(definition, Granularity.PER_COMPONENT, hello),
+                       ModuleManager(), hello)
+    assert arch.find_port("client.s") is arch.component("client").port("s")
+    with pytest.raises(UnknownPort) as exc:
+        arch.find_port("ghost")
+    assert not isinstance(exc.value, UnknownComponent)
+    with pytest.raises(UnknownComponent):
+        arch.find_port("ghost.s")
 
 
 def test_instantiate_under_single_loader_shares_one_info(hello):
@@ -213,7 +231,7 @@ def test_instantiate_under_single_loader_shares_one_info(hello):
     arch = instantiate(definition, plan, ModuleManager(), hello)
     infos = {comp.info_module for comp in arch.components.values()}
     assert len(infos) == 1
-    assert all(chk.ok for _, chk in arch.binding_checks())
+    assert all(chk is None for _, chk in arch.binding_checks())
 
 
 def test_single_loader_architecture_answers_invocations_identically(hello):
@@ -375,7 +393,7 @@ def test_plan_invariants_hold_on_random_architectures():
             assert tables[b.client[0]]["Push"] == tables[b.server[0]]["Push"]
         # the plan must instantiate and hold its binding checks
         arch = instantiate(definition, plan, ModuleManager(), corpus)
-        assert all(chk.ok for _, chk in arch.binding_checks())
+        assert all(chk is None for _, chk in arch.binding_checks())
 
 
 def test_failed_instantiation_reports_the_adl_location(hello):

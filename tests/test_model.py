@@ -25,6 +25,7 @@ from reconfig.model import (
     add_child,
     bind,
     check_binding,
+    check_route,
     new_composite,
     new_primitive,
     remove_child,
@@ -145,29 +146,25 @@ def test_containment_stays_a_dag(world):
 def test_check_binding_ok_and_role_errors(world):
     mgr, corpus, info = world
     client, server = _client(mgr, info), _server(mgr, info)
-    result = check_binding(mgr, client.port("s"), server.port("s"))
-    assert result.ok and result.mismatch is None
+    assert check_binding(mgr, client.port("s"), server.port("s")) is None
 
     with pytest.raises(RoleError):
         check_binding(mgr, server.port("s"), client.port("s"))
     with pytest.raises(RoleError):
         check_binding(mgr, client.port("s"), client.port("s"))
+    assert check_route(mgr, server.port("s"), server.port("s")) is None
+    with pytest.raises(RoleError, match="same-role"):
+        check_route(mgr, server.port("s"), client.port("s"))
 
 
 def test_check_binding_detects_private_signature_copies(world):
     mgr, corpus, info = world
     client = _client(mgr, info)
-    # a second world: same names wired to a different defining module
-    res2 = mgr.create_resource_module(
-        _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
-    info2 = mgr.create_info_module(())
-    mgr.rewire_import(info2, {n: (v, res2) for n, v in _pairs(
-        ("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0"))})
-    stranger = _server(mgr, info2, name="stranger")
-    result = check_binding(mgr, client.port("s"), stranger.port("s"))
-    assert not result.ok
-    assert result.mismatch.type_name == "Service"
-    assert result.mismatch.left_module != result.mismatch.right_module
+    stranger = _stranger(mgr, corpus)  # same names wired to a different defining module
+    mismatch = check_binding(mgr, client.port("s"), stranger.port("s"))
+    assert isinstance(mismatch, TypeMismatch)
+    assert mismatch.type_name == "Service"
+    assert mismatch.left_module != mismatch.right_module
 
 
 def test_bind_unbind_cycle(world):
@@ -196,25 +193,60 @@ def test_route_writes_in_and_out_and_refuses_a_client_port_that_holds_a_link(wor
                                          PortSpec("c", Role.CLIENT, "Service", V("1.0"))],
                           [client, server, bound], info_module=info)
     route(mgr, outer.port("s"), server.port("s"))
-    assert outer.export_routes == {"s": server.port("s")}
+    assert outer.port("s").route is server.port("s")
     route(mgr, client.port("s"), outer.port("c"))
-    assert client.port("s").outbound_route is outer.port("c")
+    assert client.port("s").route is outer.port("c")
     bind(mgr, bound.port("s"), server.port("s"))
     for held in (client, bound):
         with pytest.raises(AlreadyBound):
             route(mgr, held.port("s"), outer.port("c"))
-    assert client.port("s").binding is None and bound.port("s").outbound_route is None
+    assert client.port("s").binding is None and bound.port("s").route is None
 
 
-def test_bind_raises_the_predicted_mismatch(world):
-    mgr, corpus, info = world
-    client = _client(mgr, info)
+def _stranger(mgr, corpus):
+    """A server whose info module loads Service from a module of its own."""
     res2 = mgr.create_resource_module(
         _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
     info2 = mgr.create_info_module(())
     mgr.rewire_import(info2, {n: (v, res2) for n, v in _pairs(
         ("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0"))})
-    stranger = _server(mgr, info2, name="stranger")
+    return _server(mgr, info2, name="stranger")
+
+
+def test_route_between_different_types_raises_the_mismatch_and_writes_nothing(world):
+    mgr, corpus, info = world
+    stranger = _stranger(mgr, corpus)
+    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service", V("1.0"))],
+                          [stranger], info_module=info)
+    with pytest.raises(TypeMismatch):
+        route(mgr, outer.port("s"), stranger.port("s"))
+    assert outer.port("s").route is None
+
+
+def test_route_joins_only_a_composite_and_its_child(world):
+    mgr, corpus, info = world
+    client, other = _client(mgr, info), _client(mgr, info, "other")
+    server, spare = _server(mgr, info), _server(mgr, info, "spare")
+    new_composite(mgr, "outer", [], [client, other, server, spare])
+    with pytest.raises(NotAChild, match="^client is not a child of other$"):
+        route(mgr, client.port("s"), other.port("s"))
+    with pytest.raises(NotAChild, match="^spare is not a child of server$"):
+        route(mgr, server.port("s"), spare.port("s"))
+    assert all(p.route is None for c in (client, other, server, spare) for p in c.interfaces)
+
+
+def test_only_a_composite_takes_children(world):
+    mgr, corpus, info = world
+    client, server = _client(mgr, info), _server(mgr, info)
+    with pytest.raises(RoleError, match="server is not a composite"):
+        add_child(server, client)
+    assert server.children == [] and client.parents == []
+
+
+def test_bind_raises_the_predicted_mismatch(world):
+    mgr, corpus, info = world
+    client = _client(mgr, info)
+    stranger = _stranger(mgr, corpus)
     with pytest.raises(TypeMismatch):
         bind(mgr, client.port("s"), stranger.port("s"))
     assert client.port("s").binding is None

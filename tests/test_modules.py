@@ -151,6 +151,15 @@ def test_load_type_requires_an_info_module_and_a_wired_name(hello):
         mgr.load_type(res, "Service")
 
 
+def test_a_resource_module_defines_only_what_it_exports(hello):
+    mgr = ModuleManager()
+    res = mgr.module(mgr.create_resource_module([_pair("Service", "1.0")], hello))
+    assert _pair("Request", "1.0") in hello  # the corpus holds it; the module does not export it
+    with pytest.raises(NotImported, match="type Request is not wired"):
+        res.define("Request")
+    assert res.define("Service").defined_by == res.id
+
+
 def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
     mgr = ModuleManager()
     mgr.create_resource_module([_pair("Service", "1.0")], hello)
@@ -468,8 +477,17 @@ class _Writes(ast.NodeVisitor):
         super().generic_visit(node)
 
 
-def _scan_src(*attrs: str) -> _Writes:
-    visitor = _Writes(set(attrs))
+class _Reads(_Writes):
+    """Collects the qualified name of every function that reads some ``x.<attr>``."""
+
+    def generic_visit(self, node):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            self._note(node)
+        ast.NodeVisitor.generic_visit(self, node)
+
+
+def _scan_src(*attrs: str, visitor_class=_Writes) -> _Writes:
+    visitor = visitor_class(set(attrs))
     for path in sorted(SRC.glob("*.py")):
         visitor.scope = [path.stem]
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
@@ -482,5 +500,10 @@ def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
 
 
 def test_links_are_written_only_by_the_model():
-    found = _scan_src("binding", "outbound_route", "export_routes", "inbound").found
+    found = _scan_src("binding", "route", "inbound").found
     assert {scope.split(".")[0] for scope in found} == {"model"}, sorted(found)
+
+
+def test_only_the_link_walk_reads_the_bindings_that_enter_a_port():
+    assert _scan_src("inbound", visitor_class=_Reads).found == \
+        {"model.bind", "model.unbind", "model.links"}  # bind and unbind to append and remove

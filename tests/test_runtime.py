@@ -20,6 +20,7 @@ from reconfig.errors import (
     GranularityForbidsSwap,
     InvariantViolation,
     MissingMethod,
+    NotAChild,
     NotAPrimitive,
     ReconfigDuringCall,
     ReconfigError,
@@ -31,7 +32,7 @@ from reconfig.errors import (
     UnresolvableExport,
 )
 from reconfig.factory import Granularity, ResourcePlan, instantiate, plan_component, plan_modules
-from reconfig.model import BindingCheck, ComponentKind, bind, unbind
+from reconfig.model import ComponentKind, bind, unbind
 from reconfig.modules import (
     EventKind, InfoModule, ModuleManager, ResourceModule, replay_live_set, same_type)
 from reconfig import factory, model, runtime
@@ -146,7 +147,7 @@ def test_values_created_before_a_swap_still_pass_unchanged_wirings():
     assert runtime.invoke(arch, "client", "s", "push", [request]) is None
     runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     assert runtime.invoke(arch, "client", "s", "push", [request]) is None
-    assert all(chk.ok for _, chk in arch.binding_checks())
+    assert all(chk is None for _, chk in arch.binding_checks())
 
 
 def test_swap_to_a_malformed_version_or_class_name_is_unresolvable():
@@ -531,11 +532,29 @@ def test_outbound_export_routes_type_check_and_dead_end_at_the_root():
             '</definition>')
     arch = _build_text(text, corpus)
     inner_port = arch.component("inner").port("p")
-    assert inner_port.outbound_route is arch.root.port("q")
+    assert inner_port.route is arch.root.port("q")
     # the root's own client port is bound to nothing, so the call dead-ends there
     value = runtime.make_value(arch, arch.component("inner"), "Message")
     with pytest.raises(UnboundInterface):
         runtime.invoke(arch, "inner", "p", "push", [value])
+
+
+def test_a_route_between_two_siblings_is_refused_before_anything_is_written():
+    """Routed at each other, two siblings' client ports would send a call nowhere."""
+    arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
+    runtime.add_component(arch, parse_component_fragment(
+        '<component name="c2">'
+        '<interface name="r" role="server" signature="java.lang.Runnable"/>'
+        '<interface name="s" role="client" signature="Service" version="1.0"/>'
+        '<content class="ClientImpl" version="1.0"/>'
+        '<file name="Request" version="1.0"/></component>'), corpus)
+    runtime.unbind_port(arch, "client.s")
+    before = arch.report()
+    with pytest.raises(NotAChild, match="^client is not a child of c2$"):
+        model.route(arch.mgr, arch.find_port("client.s"), arch.find_port("c2.s"))
+    assert arch.report() == before
+    with pytest.raises(UnboundInterface, match="client.s"):
+        runtime.invoke(arch, "HelloWorld", "r", "run")
 
 
 def test_swap_to_a_differently_named_content_class():
@@ -558,7 +577,7 @@ def test_swap_to_a_differently_named_content_class():
     assert "ServerImpl" not in wiring and wiring["AltServerImpl"] == record.new_module
     assert runtime.invoke(arch, "client", "s", "push",
                           [runtime.make_value(arch, arch.component("client"), "Request")]) is None
-    assert all(chk.ok for _, chk in arch.binding_checks())
+    assert all(chk is None for _, chk in arch.binding_checks())
 
 
 # --- bench --------------------------------------------------------------------
@@ -709,7 +728,7 @@ def test_build_then_add_shares_like_a_one_step_build(case):
 def test_swap_that_would_break_a_binding_is_refused_and_undone(monkeypatch):
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
     before, live = arch.report(), arch.mgr.live_ids()
-    broken = BindingCheck(False, TypeMismatch("Service", "m1", "m2"))
+    broken = TypeMismatch("Service", "m1", "m2")
     monkeypatch.setattr(arch, "link_checks", lambda comp: [("client.s -> server.s", broken)])
     with pytest.raises(InvariantViolation):
         runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
@@ -790,10 +809,10 @@ def _assert_the_index_and_the_port_checks_match_their_scans(arch) -> None:
     assert set(mgr._exporters) == set(exporters)
     for pair, ids in exporters.items():
         assert mgr.exporters_of(pair) == ids
-    every = [((label, chk.ok), (a.owner, b.owner))
+    every = [((label, chk is None), (a.owner, b.owner))
              for (label, chk), (_, _, a, b) in zip(arch.binding_checks(), arch._links())]
     for comp in arch.components.values():
-        assert sorted((label, chk.ok) for label, chk in arch.link_checks(comp)) == \
+        assert sorted((label, chk is None) for label, chk in arch.link_checks(comp)) == \
             sorted(check for check, ends in every if comp in ends)
 
 
@@ -923,9 +942,10 @@ _LINK_OPS = ("bind_ports", "unbind_port", "rebind", "bind", "unbind", "remove")
 def _crosses_its_boundary(arch, comp) -> bool:
     """Whether any link has exactly one end at ``comp``, read off the raw port attributes."""
     return (any(p.binding is not None and p.binding.server.owner is not comp
-                or p.outbound_route is not None for p in comp.interfaces)
+                or p.route is not None for p in comp.interfaces)
             or any(rec.client.owner is not comp for p in comp.interfaces for rec in p.inbound)
-            or any(target.owner is comp for target in arch.root.export_routes.values()))
+            or any(p.route is not None and p.route.owner is comp
+                   for p in arch.root.server_ports()))
 
 
 def _remove_checking_the_crossing_oracle(arch, pick: int) -> None:
@@ -967,7 +987,7 @@ def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture
         except ReconfigError:
             pass
         comps = sorted(arch.components.values(), key=lambda c: c.name)
-        assert not any(p.binding is not None and p.outbound_route is not None
+        assert not any(p.binding is not None and p.route is not None
                        for c in comps for p in c.interfaces)
         live = [p.binding for c in comps for p in c.client_ports() if p.binding is not None]
         assert arch.bindings == live
@@ -975,8 +995,7 @@ def test_every_view_of_the_links_matches_the_ports_after_every_operation(fixture
             sorted(id(r) for r in live)
         assert sorted(line for line in arch.report().splitlines()
                       if line.startswith("binding ")) == sorted(f"binding {r}" for r in live)
-        routes = len(arch.root.export_routes) + sum(
-            p.outbound_route is not None for c in comps for p in c.interfaces)
+        routes = sum(p.route is not None for c in comps for p in c.interfaces)
         checks = [desc for desc, _ in arch.binding_checks()]
         assert len(checks) == len(live) + routes
         assert checks[:len(live)] == [str(r) for r in live]
