@@ -19,12 +19,14 @@ the universal supertype ``object`` are ordinary entries carrying the reserved
 version ``0``.
 
 A type is resolved once, as a JVM resolves a (name, loader) pair once.
-``VersionTag`` is interned, one instance per version text, so a resolved
-``(name, VersionTag)`` pair is cheap to build, hash and compare. A store
-memoizes each reference it resolves (``resolve``) and the closure of each
-single root (``closure_of``): the store never changes once loaded, so neither
-memo can go stale or needs invalidating, and each holds at most a few entries
-per typedef. Failed resolutions and walks are never memoized.
+``VersionTag`` is the tuple of its version's numbers, interned one instance
+per version text, so a resolved ``(name, VersionTag)`` pair is cheap to build
+and hashes, compares and sorts as a plain tuple, in C; a tag also equals the
+plain tuple of its numbers. A store memoizes each reference it resolves
+(``resolve``) and the closure of each single root (``closure_of``): the store
+never changes once loaded, so neither memo can go stale or needs invalidating,
+and each holds at most a few entries per typedef. Failed resolutions and walks
+are never memoized.
 """
 
 from __future__ import annotations
@@ -52,22 +54,25 @@ def is_type_name(text: str) -> bool:
     return bool(TYPE_NAME_RE.match(text))
 
 
-class VersionTag:
+class VersionTag(tuple):
     """A dot-separated decimal version such as ``1.0``.
 
-    Ordering and equality are on the integer components, with missing trailing
-    components reading as zero, so ``1`` and ``1.0`` denote the same version.
-    The original text is kept for display.
+    A tag is the tuple of its integer components with trailing zeros dropped,
+    so ``1`` and ``1.0`` are the same version, and tags hash, compare and sort
+    as that tuple, in C. A tag therefore also equals the plain tuple of its
+    numbers (``VersionTag("1") == (1,)``); no caller mixes the two. The
+    original text is kept for display: ``str``, ``format`` and ``repr`` print
+    it, but ``%`` formatting would take a tag for its argument tuple, so the
+    package never uses ``%`` on strings.
 
     Tags are interned: ``VersionTag(text)`` hands out one shared, immutable
-    instance per text, validated once, with its hash computed once. A
-    malformed text raises ``ValueError`` on every call and is never kept.
-    Equal tags of different texts (``1`` and ``1.0``) stay distinct
-    instances. The intern table stops growing at ``_INTERN_LIMIT`` texts;
-    past it, tags are still correct, only not shared.
+    instance per text, validated once; ``copy``, ``deepcopy`` and ``pickle``
+    hand it back. A malformed text raises ``ValueError`` on every call and is
+    never kept. Equal tags of different texts (``1`` and ``1.0``) stay
+    distinct instances. The intern table stops growing at ``_INTERN_LIMIT``
+    texts; past it, tags are still correct, only not shared.
     """
 
-    __slots__ = ("text", "key", "_hash")
     _interned: dict[str, "VersionTag"] = {}
     _INTERN_LIMIT = 4096
 
@@ -77,16 +82,19 @@ class VersionTag:
             return tag
         if not VERSION_RE.match(text):
             raise ValueError(f"malformed version {text!r}")
-        parts = tuple(int(p) for p in text.split("."))
+        parts = [int(p) for p in text.split(".")]
         while len(parts) > 1 and parts[-1] == 0:
-            parts = parts[:-1]
-        tag = object.__new__(cls)
+            parts.pop()
+        tag = tuple.__new__(cls, parts)
         object.__setattr__(tag, "text", text)
-        object.__setattr__(tag, "key", parts)
-        object.__setattr__(tag, "_hash", hash(parts))
         if len(cls._interned) < cls._INTERN_LIMIT:
             cls._interned[text] = tag
         return tag
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The integer components as a plain tuple."""
+        return tuple(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"VersionTag is immutable; cannot set {name!r}")
@@ -96,22 +104,6 @@ class VersionTag:
 
     def __reduce__(self):
         return VersionTag, (self.text,)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not VersionTag:
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "VersionTag") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "VersionTag") -> bool:
-        return self.key <= other.key
 
     def __str__(self) -> str:
         return self.text
@@ -197,7 +189,7 @@ class TypeDef:
 def serialize_typedef(td: TypeDef) -> str:
     """Render a TypeDef back to the file grammar (round-trip safe)."""
     lines = [f"name: {td.name}", f"version: {td.version}", f"kind: {td.kind.value}"]
-    for ref in sorted(td.references, key=lambda r: (r.name, r.version.key if r.version else ())):
+    for ref in sorted(td.references, key=lambda r: (r.name, r.version or ())):
         lines.append(f"ref: {ref}")
     for m in td.methods:
         lines.append(f"method: {m}")
@@ -245,8 +237,7 @@ def parse_typedef(text: str, path) -> TypeDef:
         raise MalformedTypeDef(path, f"kind must be interface or class, not {fields['kind']!r}")
     # References are a set; keep them canonically ordered so equality and
     # serialization are independent of file order. Method order is meaningful.
-    unique_refs = sorted(dict.fromkeys(refs),
-                         key=lambda r: (r.name, r.version.key if r.version else ()))
+    unique_refs = sorted(dict.fromkeys(refs), key=lambda r: (r.name, r.version or ()))
     try:
         return TypeDef(fields["name"], version, kind, tuple(unique_refs), tuple(methods))
     except ValueError as exc:

@@ -264,8 +264,10 @@ class DuplicateComponent(ReconfigError):
 
 
 class UnknownPort(ReconfigError):
-    def __init__(self, component: str, port: str):
-        super().__init__(f"component {component} has no port {port}")
+    def __init__(self, component: str, port: str | None = None):
+        # Without ``port``, ``component`` is a whole spec that has no dot.
+        super().__init__(f"port spec {component!r} is not component.port" if port is None
+                         else f"component {component} has no port {port}")
 
 
 class UnboundInterface(ReconfigError):

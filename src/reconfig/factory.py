@@ -304,7 +304,7 @@ class ArchitectureInstance:
     def find_port(self, spec: str):
         comp_name, sep, port_name = spec.partition(".")
         if not sep:
-            raise UnknownPort(spec, "")
+            raise UnknownPort(spec)
         comp = self.component(comp_name)
         port = comp.port(port_name)
         if port is None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import random
 from pathlib import Path
 
@@ -90,6 +92,24 @@ def test_one_tag_per_version_text():
     with pytest.raises(AttributeError):
         del one.key
     assert (one.text, one.key) == ("1", (1,))
+
+
+def test_a_version_tag_is_the_tuple_of_its_numbers_that_prints_as_its_text():
+    assert VersionTag.__hash__ is tuple.__hash__ and VersionTag.__eq__ is tuple.__eq__
+    assert VersionTag.__lt__ is tuple.__lt__ and VersionTag.__le__ is tuple.__le__
+    tag = VersionTag("1.0")
+    assert tag == (1,) and VersionTag("1.2.0") == (1, 2) and hash(tag) == hash((1,))
+    assert [str(tag), f"{tag}", format(tag)] == ["1.0"] * 3
+    assert repr(tag) == f"{[tag]}"[1:-1] == "VersionTag(text='1.0', key=(1,))"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda tag: pickle.loads(pickle.dumps(tag))])
+def test_copies_of_a_tag_are_the_interned_tag(clone):
+    for text in ("1.0", "1", "2.10.3"):
+        assert clone(VersionTag(text)) is VersionTag(text)
+    pair = ("Service", VersionTag("1.0"))
+    assert clone(pair)[1] is VersionTag("1.0")
 
 
 def test_a_malformed_version_raises_on_every_call_and_is_never_kept():

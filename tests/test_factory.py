@@ -221,6 +221,10 @@ def test_a_port_spec_without_a_dot_names_no_port(hello):
     with pytest.raises(UnknownPort) as exc:
         arch.find_port("ghost")
     assert not isinstance(exc.value, UnknownComponent)
+    assert exc.value.code == "UnknownPort"
+    assert str(exc.value) == "port spec 'ghost' is not component.port"
+    with pytest.raises(UnknownPort, match="^component client has no port t$"):
+        arch.find_port("client.t")
     with pytest.raises(UnknownComponent):
         arch.find_port("ghost.s")
 
