@@ -9,16 +9,21 @@ Everything outside this subset is rejected with a position, which keeps the
 parser honest under fuzzing: any input either yields a well-formed definition
 or a diagnostic error, never a crash.
 
-The scanner moves by spans: compiled patterns match whitespace and comments,
-names and attribute values. A tag whose attributes are well formed, known for
-it and each given once is read with one match of the whole tag and one
-``findall``; any other tag is read again step by step, which raises the
-positioned error. A line and column are worked out only where an element
-starts or an error is raised, by counting the newlines in the span consumed
-since the last position worked out. One child-element loop, driven by the
-table of the children each container allows, reads both ``<definition>`` and
-``<component>``; one leaf branch reads ``interface``, ``content``, ``file``
-and ``binding``. ``AdlDefinition.check_invariants`` is the structure
+A document is read by one of two paths that build the same tree. The fast
+path is one pass over the whole text: one compiled match per element, in the
+scanner's own grammar, takes the space and comments before the element and
+the whole tag, and one ``findall`` lists its attributes. The pass gives up on
+any text it does not accept (a tag with a repeated or unknown attribute, a
+comment inside a closing tag, any error at all), and the exact path, the
+span scanner, reads the text again from the start and raises the positioned
+error. The scanner moves by spans: compiled patterns match whitespace and
+comments, names and attribute values, one attribute at a time. Both paths
+work out a line and column only where an element starts (the scanner also
+where an error is raised), by counting the newlines since the last position
+worked out. Both run the same element checks (``_Tag``), the same functions
+that make ``<definition>`` and ``<component>`` (driven by the table of the
+children each container allows) and one leaf branch for ``interface``,
+``content``, ``file`` and ``binding``. ``AdlDefinition.check_invariants`` is the structure
 check ``parse_adl`` runs; it and ``validate`` resolve binding endpoints
 through the definition's port index.
 """
@@ -32,7 +37,8 @@ from functools import cached_property
 from typing import Optional
 
 from .corpus import CorpusStore, TypeDef, TypeKind, VersionTag, is_type_name
-from .errors import AmbiguousVersion, NotFound, ParseError, UnknownAttribute, UnknownElement
+from .errors import (AdlError, AmbiguousVersion, NotFound, ParseError, UnknownAttribute,
+                     UnknownElement)
 from .model import Role
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -40,8 +46,14 @@ _SPACE_RE = re.compile(r"[ \t\r\n]*")
 _SPACE_OR_COMMENT_RE = re.compile(r"(?:[ \t\r\n]+|<!--.*?-->)*", re.DOTALL)
 _NAME_RE = re.compile(r"[\w.-]+")
 _VALUE_RE = re.compile(r'[^"<&\n]*')
-#: A whole well-formed tag tail, ``attr="v" ... >`` or ``/>``; group 1 is the ``/``.
-_TAG_RE = re.compile(r'(?:[ \t\r\n]+[\w.-]+="[^"<&\n]*")*[ \t\r\n]*(/?)>')
+#: One element with the space and comments before it. Group 1 is a closing
+#: tag's name; otherwise group 2 is an opening tag's name, group 3 its
+#: ``attr="v"`` list and group 4 the ``/`` of a self-closing tag. A comment
+#: holds no ``-->``, so, as in the scanner, it ends at the first one: backing
+#: off cannot stretch it over the next one. Space is taken one character per
+#: repeat, so backing off is linear.
+_ELEMENT_RE = re.compile(r'(?:[ \t\r\n]|<!--(?:[^-]|-(?!->))*-->)*<(?:/([\w.-]+)[ \t\r\n]*'
+                         r'|([\w.-]+)((?:[ \t\r\n]+[\w.-]+="[^"<&\n]*")*)[ \t\r\n]*(/?))>')
 _ATTR_RE = re.compile(r'([\w.-]+)="([^"<&\n]*)"')
 
 _KNOWN_ATTRS = {
@@ -188,13 +200,84 @@ class _Tag:
         return parts[0], parts[1]
 
 
+class _Off(Exception):
+    """The one-pass read does not accept the text; the scanner reads it."""
+
+
+class _OnePass:
+    """The fast path: one pass of ``_ELEMENT_RE`` over the whole document.
+
+    It accepts only texts whose elements follow one another with nothing but
+    space and comments between them, whose tags each give known attributes
+    once, and whose closing tags hold no comment; anywhere else it raises
+    ``_Off``. Element checks raise the scanner's errors, which ``_read`` also
+    takes as a refusal.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.elements = _ELEMENT_RE.finditer(text)
+        self.pos = 0
+        # The last element start located, its line and the start of that line.
+        self._mark, self._line, self._line_start = 0, 1, 0
+
+    def next_element(self) -> re.Match:
+        """The next element's match, which must start where the last one ended."""
+        m = next(self.elements, None)
+        if m is None or m.start() != self.pos:
+            raise _Off
+        self.pos = m.end()
+        return m
+
+    def tag(self, m: re.Match, tag: str) -> _Tag:
+        """The opening tag ``m`` matched, located by the newlines since the last one."""
+        text, start = self.text, m.start(2) - 1
+        newlines = text.count("\n", self._mark, start)
+        if newlines:
+            self._line += newlines
+            self._line_start = text.rfind("\n", self._mark, start) + 1
+        self._mark = start
+        pairs = _ATTR_RE.findall(text, *m.span(3))
+        attrs = dict(pairs)
+        if len(attrs) != len(pairs) or not attrs.keys() <= _KNOWN_ATTRS[tag]:
+            raise _Off
+        return _Tag(attrs, m.group(4) == "/", self._line, start - self._line_start + 1)
+
+    def read_root(self, root: str):
+        m = self.next_element()
+        if m.group(2) != root:
+            raise _Off
+        element = _CONTAINERS[root](self, self.tag(m, root))
+        if _SPACE_OR_COMMENT_RE.match(self.text, self.pos).end() != len(self.text):
+            raise _Off
+        return element
+
+    def read_children(self, container: str) -> dict[str, list]:
+        found: dict[str, list] = {tag: [] for tag in _CHILDREN[container]}
+        while True:
+            m = self.next_element()
+            closing, tag = m.group(1, 2)
+            if closing is not None:
+                if closing != container:
+                    raise _Off
+                return found
+            if tag not in found or tag == "content" and found["content"]:
+                raise _Off
+            element = self.tag(m, tag)
+            if tag in _CONTAINERS:
+                found[tag].append(_CONTAINERS[tag](self, element))
+                continue
+            if not element.closed:
+                raise _Off
+            found[tag].append(_LEAVES[tag](element))
+
+
 class _Scanner:
     """Span scanner: it moves a position over matched spans and works out a
     line and column only where an element starts or an error is raised.
 
-    ``read_tag`` first tries the fast match of a whole tag; ``scan_tag``, the
-    step-by-step scan it falls back to, is the reference for what a tag may
-    be and for every error, its class, message and position.
+    It is the exact path: the reference for what a document may be and for
+    every error, its class, message and position.
     """
 
     def __init__(self, text: str):
@@ -238,24 +321,8 @@ class _Scanner:
         return m.group()
 
     def read_tag(self, tag: str, line: int, col: int) -> _Tag:
-        """Read the attributes of ``<tag`` up to '>' or '/>'.
-
-        One match of ``_TAG_RE`` takes a well-formed tail whole and one
-        ``findall`` lists its attributes. When the pattern fails, an attribute
-        repeats, or one is not known for ``tag``, the step-by-step scan reads
-        the tag again from the same position and raises its positioned error.
-        """
-        m = _TAG_RE.match(self.text, self.pos)
-        if m is not None:
-            pairs = _ATTR_RE.findall(self.text, self.pos, m.end())
-            attrs = dict(pairs)
-            if len(attrs) == len(pairs) and attrs.keys() <= _KNOWN_ATTRS[tag]:
-                self.pos = m.end()
-                return _Tag(attrs, m.group(1) == "/", line, col)
-        return self.scan_tag(tag, line, col)
-
-    def scan_tag(self, tag: str, line: int, col: int) -> _Tag:
-        """``read_tag`` step by step: one attribute at a time, each error where it arises."""
+        """Read the attributes of ``<tag`` up to '>' or '/>', one at a time,
+        each error where it arises."""
         attrs: dict[str, str] = {}
         while True:
             start = self.pos
@@ -344,7 +411,7 @@ _LEAVES = {
 }
 
 
-def _definition(sc: _Scanner, el: _Tag) -> AdlDefinition:
+def _definition(sc: _Scanner | _OnePass, el: _Tag) -> AdlDefinition:
     if el.closed:
         raise el.error("paired <definition>...</definition>")
     name = el.identifier("name", "definition name")
@@ -354,7 +421,7 @@ def _definition(sc: _Scanner, el: _Tag) -> AdlDefinition:
                          tuple(children["component"]), tuple(children["binding"]))
 
 
-def _component(sc: _Scanner, el: _Tag) -> AdlComponent:
+def _component(sc: _Scanner | _OnePass, el: _Tag) -> AdlComponent:
     if el.closed:
         raise el.error("<component> with a <content> child")
     name = el.identifier("name", "component name")
@@ -370,16 +437,25 @@ def _component(sc: _Scanner, el: _Tag) -> AdlComponent:
 _CONTAINERS = {"definition": _definition, "component": _component}
 
 
+def _read(text: str, root: str):
+    """The document's ``root`` element: the one pass's, or, for any text it
+    refuses, the scanner's, which raises the positioned error."""
+    try:
+        return _OnePass(text).read_root(root)
+    except (_Off, AdlError):
+        return _Scanner(text).read_root(root)
+
+
 def parse_adl(text: str) -> AdlDefinition:
     """Parse ADL text into a definition or raise a positioned AdlError."""
-    definition = _Scanner(text).read_root("definition")
+    definition = _read(text, "definition")
     definition.check_invariants()
     return definition
 
 
 def parse_component_fragment(text: str) -> AdlComponent:
     """Parse a standalone ``<component>...</component>`` element."""
-    return _Scanner(text).read_root("component")
+    return _read(text, "component")
 
 
 def render_adl(definition: AdlDefinition) -> str:

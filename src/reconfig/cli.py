@@ -13,9 +13,12 @@ byte-deterministic for identical inputs; bench timings are not.
 Set-up (read, parse, corpus load, validate, plan and instantiate) runs with
 the cyclic collector paused: it builds a large, long-lived object graph and
 frees next to nothing, so automatic collections during it are pure cost.
-The script, the bench loop and the output run with the collector as the
-caller had it, and the caller's state is restored on every exit path, since
-``main`` may run inside a longer-lived process.
+When set-up ends, what it built is frozen, so the collections that the
+script, the bench loop and the output start with the collector back on never
+walk it; ``main`` unfreezes it on every exit path. The caller's collector
+state and freeze count are restored on every exit path, since ``main`` may
+run inside a longer-lived process. The collector is named in this module
+alone.
 """
 
 from __future__ import annotations
@@ -81,13 +84,23 @@ def _fail(message: str) -> int:
 
 @contextmanager
 def _collector_paused():
-    """Disable the cyclic collector; re-enable it on exit only if it was on."""
+    """Disable the cyclic collector; re-enable it on exit only if it was on.
+
+    When the caller's collector is on and nothing is frozen yet, every object
+    tracked on exit (what set-up built) is frozen before the collector comes
+    back on. The freeze also parks the caller's own objects until ``main``'s
+    unfreeze returns them, with everything set-up built, to the oldest
+    generation. A caller that froze objects of its own, or that has the
+    collector off, gets no freeze.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
             gc.enable()
 
 
@@ -185,7 +198,13 @@ def cmd_bench(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"check": cmd_check, "plan": cmd_plan, "run": cmd_run, "bench": cmd_bench}
-    return handler[args.command](args)
+    # Only a command that starts with nothing frozen can freeze (``_collector_paused``).
+    thaw = gc.get_freeze_count() == 0
+    try:
+        return handler[args.command](args)
+    finally:
+        if thaw:
+            gc.unfreeze()
 
 
 def entry() -> None:

@@ -378,6 +378,28 @@ def _typedef_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
     return found
 
 
+#: ``os.read``'s request size. Typedef files are a few hundred bytes; a larger
+#: request costs a larger allocation per file, and peak memory with it.
+_READ_SIZE = 4096
+
+
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``: ``os.open``, ``os.read`` until end of
+    file and ``os.close``. A failure raises the ``OSError`` that
+    ``open(path, "rb")`` would: its class, errno, message and file name."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return b"".join(chunks)
+
+
 def load_corpus(root) -> CorpusStore:
     """Load every ``*.typedef`` file under ``root`` into a store.
 
@@ -387,7 +409,10 @@ def load_corpus(root) -> CorpusStore:
     symlink; a subdirectory whose listing raises ``PermissionError`` is
     skipped. Files are read in ``Path`` order, so diagnostics are
     deterministic: paths compare component by component (``a/x`` before
-    ``a-b/x``, although ``-`` sorts before ``/`` in a string). A duplicate
+    ``a-b/x``, although ``-`` sorts before ``/`` in a string). Each file is
+    read with OS-level calls, and an entry that cannot be read (a directory
+    named ``d.typedef``, a dangling symlink) raises the ``OSError`` that
+    ``open`` would, naming its path as a string. A duplicate
     (name, version) pair across two files is a load-time error naming the
     earlier file first, as is any file whose name disagrees with its declared
     name/version. Every error names its file(s) as a ``Path``.
@@ -398,10 +423,8 @@ def load_corpus(root) -> CorpusStore:
     index: dict[tuple[str, VersionTag], TypeDef] = {}
     origin: dict[tuple[str, VersionTag], str] = {}
     for parts, path in _typedef_files(root):
-        with open(path, "rb", buffering=0) as f:
-            data = f.read()
         try:
-            td = parse_typedef(data.decode("utf-8"), path)
+            td = parse_typedef(_read_bytes(path).decode("utf-8"), path)
         except UnicodeDecodeError as exc:
             raise MalformedTypeDef(Path(path), f"not valid UTF-8: {exc}") from exc
         except MalformedTypeDef as exc:

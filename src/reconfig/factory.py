@@ -308,7 +308,7 @@ class ArchitectureInstance:
         comp = self.component(comp_name)
         port = comp.port(port_name)
         if port is None:
-            raise UnknownPort(comp_name, port_name)
+            raise UnknownPort(comp_name, port_name) if port_name else UnknownPort(spec)
         return port
 
     def _links(self):

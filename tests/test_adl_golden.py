@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -82,6 +81,24 @@ TAG_CASES = ['<definition name="D" version="1"><interface ' + tail + '</definiti
     '<definition name="D" version="1"><component name="c" name="d"></component></definition>',
     '<definition name="D" version="1"><binding client="a.p>" server="b.q"/></definition>',
 ]
+
+_D = '<definition name="D" version="1">'
+#: Whole documents at the edges of the one pass: text or a second comment
+#: after a comment, comments and space in and after a closing tag, a closing
+#: tag of another element, and text after the root.
+DOCUMENT_CASES = [_D + '<!-- a --> x <!-- b --></definition>',
+                  _D + '<!-- a --><!-- b -- c ---></definition>',
+                  _D + '<!-- a -->\n<!--></definition>',
+                  _D + '</definition <!-- c -->>',
+                  _D + '</definition\n>\n<!-- trailing -->\n',
+                  _D + '</definition><!-- open',
+                  _D + '</definition>x',
+                  _D + '</component></definition>',
+                  _D + '</definition.x>',
+                  _D + 'text</definition>',
+                  _D + '<component name="c"><content class="K"/></definition></component>',
+                  '</definition>' + _D,
+                  '<!-- --> <definition name="D" version="1"/>']
 
 
 def _positions(ast) -> list[str]:
@@ -146,29 +163,123 @@ def test_parse_outcomes_match_the_golden_file():
         assert g == w, f"case {i}"
 
 
-def test_the_fast_tag_match_gives_the_step_by_step_outcomes(monkeypatch):
-    """``read_tag``'s one-match path and its step-by-step scan agree on every case:
-    the golden cases, every fixture ADL, ``TAG_CASES`` and acceptance #6's 10,000
-    mutations."""
+_SPACE = [" ", "\n", "\t", "\r\n", "  \n    ", "\n\n"]
+_BETWEEN = _SPACE + ["<!-- c -->", "\n<!-- two\nlines -->\n", "<!--<a>-->", "<!-- a -- b --->"]
+
+
+def _generated(rng: random.Random) -> str:
+    """A definition in the grammar, laid out with seeded space, comments and
+    attribute order, so that every element's ``line:col`` is a fresh case."""
+
+    def tag(name: str, attrs: dict, close: str) -> str:
+        items = list(attrs.items())
+        rng.shuffle(items)
+        body = "".join(f'{rng.choice(_SPACE)}{k}="{v}"' for k, v in items)
+        return f"<{name}{body}{rng.choice(['', *_SPACE])}{close}"
+
+    def version(attrs: dict) -> dict:
+        return {**attrs, "version": rng.choice(["1", "1.0", "2.0.1"])} if rng.random() < 0.6 \
+            else attrs
+
+    def port(i: int) -> str:
+        return tag("interface", version({"name": f"p{i}", "role": rng.choice(["client", "server"]),
+                                         "signature": rng.choice(["S", "a.b.C"])}), "/>")
+
+    parts = [tag("definition", {"name": "D", "version": "1.0"}, ">")]
+    parts += [port(i) for i in range(rng.randint(0, 2))]
+    for c in range(rng.randint(0, 4)):
+        children = [port(i) for i in range(rng.randint(0, 3))]
+        children += [tag("file", version({"name": f"F{f}"}), "/>")
+                     for f in range(rng.randint(0, 2))]
+        children.insert(rng.randint(0, len(children)),
+                        tag("content", version({"class": f"K{c}"}), "/>"))
+        parts += [tag("component", {"name": f"c{c}"}, ">"), *children, "</component>"]
+        if c:
+            parts.append(tag("binding", {"client": f"c{c - 1}.p0", "server": f"c{c}.p1"}, "/>"))
+    parts.append(f"</definition{rng.choice(['', *_SPACE])}>")
+    return "".join(rng.choice(_BETWEEN) + part for part in parts) + rng.choice(_BETWEEN)
+
+
+def test_the_one_pass_gives_the_scanner_outcomes(monkeypatch):
+    """The whole-document pass and the scanner agree on every case: the golden
+    cases, ``TAG_CASES``, ``DOCUMENT_CASES``, acceptance #6's 10,000 mutations
+    and generated definitions, each the whole AST with every position, or the
+    error's class, message and position. No fixture or generated document
+    leaves the one pass."""
     from reconfig import adl
 
     fig = (FIXTURES / "adl" / "hello.fractal.xml").read_text(encoding="utf-8")
-    inputs = cases() + [(adl.parse_adl, text) for text in TAG_CASES] + [
+    rng = random.Random(0x1E5)
+    generated = [(adl.parse_adl, _generated(rng)) for _ in range(300)]
+    inputs = cases() + [(adl.parse_adl, text) for text in TAG_CASES + DOCUMENT_CASES] + [
         (adl.parse_component_fragment, '<component name="c" name="d"></component>')] + [
-        (adl.parse_adl, text) for text in single_character_mutations(fig, 0xF022, 10_000)]
+        (adl.parse_adl, text) for text in single_character_mutations(fig, 0xF022, 10_000)] + \
+        generated
     scans = Counter()
-    count_calls(monkeypatch, adl._Scanner, "scan_tag", scans)
-    for parse, text in _sources():
+    count_calls(monkeypatch, adl._Scanner, "read_root", scans)
+    for parse, text in _sources() + generated:
         outcome(parse, text)
-    assert scans["scan_tag"] == 0, "a well-formed tag left the fast match"
+    assert scans["read_root"] == 0, "a fixture or generated document left the one pass"
     fast = [outcome(parse, text) for parse, text in inputs]
 
-    monkeypatch.setattr(adl, "_TAG_RE", re.compile(r"(?!)"))
+    def refuse(self, root):
+        raise adl._Off
+
+    monkeypatch.setattr(adl._OnePass, "read_root", refuse)
     slow = [outcome(parse, text) for parse, text in inputs]
     assert {line.split()[0] for line in slow} == {"ok", "ParseError", "UnknownAttribute",
                                                   "UnknownElement"}
     for i, (f, s) in enumerate(zip(fast, slow)):
         assert f == s, f"case {i}: {inputs[i][1]!r}"
+
+
+#: The ports, content and files of a ``<component>`` fragment, in the shapes
+#: the fixtures and the benchmark's ``add`` fragments give them.
+_FRAGMENT_SHAPES = [
+    ('<interface name="in" role="server" signature="Sig{k}" version="1.0"/>',
+     '<content class="Frag{k}" version="1.0"/>', '<file name="Shared{k}" version="1.0"/>'),
+    ('<interface name="s" role="server" signature="Service" version="1.0"/>',
+     '<content class="ServerImpl" version="2.0"/>', '<file name="Request" version="1.0"/>'),
+    ('<interface name="r" role="client" signature="java.lang.Runnable"/>',
+     '<content class="ClientImpl"/>', '<file name="Message"/>'),
+    ('<interface name="out" role="client" signature="Sig{k}" version="1"/>',
+     '<content class="Impl{k}" version="1.0.0"/>', ""),
+]
+
+
+def _fragment(name: str, shape: int, k: int) -> str:
+    """A fragment laid out as ``benchmarks/gen.py``'s ``component_xml`` writes one."""
+    port, content, file = (part.format(k=k) for part in _FRAGMENT_SHAPES[shape])
+    lines = [f'<component name="{name}">', f"    {port}", f"    {content}"]
+    lines += [f"    {file}"] * (k % 3 if file else 0)
+    return "\n".join(lines + ["</component>"])
+
+
+def test_fragments_read_by_the_one_pass_equal_the_scanner_reading():
+    """Fragments named ``x0`` to ``x20000``, as the ``reconfig`` workload's adds
+    name them, in every shape, and the golden ``FRAGMENT`` mutations: the one
+    pass accepts each well-formed one and gives the scanner's AST and positions."""
+    from reconfig import adl
+    from reconfig.errors import AdlError
+
+    def read(reader, text):
+        """The AST and its positions, or None where ``reader`` refuses the text."""
+        try:
+            ast = reader(text).read_root("component")
+        except (adl._Off, AdlError):
+            return None
+        return ast, _positions(ast)
+
+    for n in range(20_001):
+        text = _fragment(f"x{n}", n % len(_FRAGMENT_SHAPES), n % 16)
+        fast = read(adl._OnePass, text)
+        assert fast is not None and fast == read(adl._Scanner, text), text
+    mutated = [text for parse, text in cases()
+               if parse is adl.parse_component_fragment and text != FRAGMENT]
+    assert len(mutated) == CASES_PER_SOURCE
+    for text in [FRAGMENT] + mutated:
+        fast = read(adl._OnePass, text)
+        assert fast is None or fast == read(adl._Scanner, text), text
 
 
 if __name__ == "__main__":

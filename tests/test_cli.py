@@ -472,22 +472,54 @@ def test_every_command_leaves_the_collector_as_the_caller_had_it(capsys, tmp_pat
     (gc.enable if enabled else gc.disable)()
     try:
         code = main(argv)
-        after = gc.isenabled()
+        after = gc.isenabled(), gc.get_freeze_count()
     finally:
         (gc.enable if was_enabled else gc.disable)()
     capsys.readouterr()
-    assert (code, after) == (case[1], enabled)
+    assert (code, after) == (case[1], (enabled, 0))
 
 
 def test_an_escaping_exception_still_restores_the_collector(monkeypatch):
-    def broken(root):
-        raise RuntimeError("corpus loader broke")
+    def broken(*args):
+        raise RuntimeError("broke")
 
-    monkeypatch.setattr(cli, "load_corpus", broken)
-    assert gc.isenabled()
-    with pytest.raises(RuntimeError):
-        main(["run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS])
-    assert gc.isenabled()
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    # Raised inside set-up, then after it, while what set-up built is frozen.
+    for name in ("load_corpus", "run_script"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, broken)
+            with pytest.raises(RuntimeError):
+                main(["run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS])
+        assert gc.isenabled() and gc.get_freeze_count() == 0, name
+
+
+@pytest.mark.parametrize("enabled, frozen", [(True, False), (False, False), (True, True)],
+                         ids=["collector-on", "collector-off", "caller-froze"])
+def test_the_script_runs_with_set_up_frozen_only_for_a_caller_with_nothing_frozen(
+        capsys, monkeypatch, enabled, frozen):
+    """Counted, never timed: set-up is frozen while the script runs only when
+    the collector was on and nothing was frozen; a caller's own freeze stays."""
+    seen = []
+
+    def run_script_seen(*args):
+        seen.append(gc.get_freeze_count())
+        return run_script(*args)
+
+    monkeypatch.setattr(cli, "run_script", run_script_seen)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    if frozen:
+        gc.freeze()
+    before = gc.get_freeze_count()
+    try:
+        code = main(["run", HELLO, HELLO_SCRIPT, "--corpus", HELLO_CORPUS])
+        after = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert (code, after) == (0, (enabled, before))
+    assert seen[0] > 0 if enabled and not frozen else seen == [before]
 
 
 def test_the_run_command_builds_with_no_automatic_collection(capsys, tmp_path, monkeypatch):

@@ -163,6 +163,21 @@ def test_a_root_that_is_no_directory_is_refused(tmp_path):
             load_corpus(root)
 
 
+@pytest.mark.parametrize("entry", ["d.typedef", "x.typedef"], ids=["directory", "dangling-link"])
+def test_a_typedef_entry_that_cannot_be_read_raises_what_open_raises(tmp_path, entry):
+    write_corpus(tmp_path, [_typedef("A", "1")])
+    path = tmp_path / entry
+    if entry == "d.typedef":
+        path.mkdir()
+    else:
+        path.symlink_to(tmp_path / "missing")
+    with pytest.raises(OSError) as want:
+        open(str(path), "rb")
+    with pytest.raises(OSError) as got:
+        load_corpus(tmp_path)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 def test_duplicate_name_version_across_files_is_an_error(tmp_path):
     # Path order reads a/ before a-b/; string order would not, since "-" < "/".
     td = _typedef("Request", "1.0")

@@ -229,6 +229,19 @@ def test_a_port_spec_without_a_dot_names_no_port(hello):
         arch.find_port("ghost.s")
 
 
+def test_a_port_spec_with_an_empty_port_part_names_no_port(hello):
+    definition = _definition()
+    arch = instantiate(definition, plan_modules(definition, Granularity.PER_COMPONENT, hello),
+                       ModuleManager(), hello)
+    with pytest.raises(UnknownPort) as exc:
+        arch.find_port("client.")
+    assert exc.value.code == "UnknownPort"
+    assert str(exc.value) == "port spec 'client.' is not component.port"
+    for spec in (".s", "ghost."):
+        with pytest.raises(UnknownComponent):
+            arch.find_port(spec)
+
+
 def test_instantiate_under_single_loader_shares_one_info(hello):
     definition = _definition()
     plan = plan_modules(definition, Granularity.SINGLE_LOADER, hello)
