@@ -9,23 +9,24 @@ Everything outside this subset is rejected with a position, which keeps the
 parser honest under fuzzing: any input either yields a well-formed definition
 or a diagnostic error, never a crash.
 
-A document is read by one of two paths that build the same tree. The fast
-path is one pass over the whole text: one compiled match per element, in the
-scanner's own grammar, takes the space and comments before the element and
-the whole tag, and one ``findall`` lists its attributes. The pass gives up on
-any text it does not accept (a tag with a repeated or unknown attribute, a
-comment inside a closing tag, any error at all), and the exact path, the
-span scanner, reads the text again from the start and raises the positioned
-error. The scanner moves by spans: compiled patterns match whitespace and
-comments, names and attribute values, one attribute at a time. Both paths
-work out a line and column only where an element starts (the scanner also
-where an error is raised), by counting the newlines since the last position
-worked out. Both run the same element checks (``_Tag``), the same functions
-that make ``<definition>`` and ``<component>`` (driven by the table of the
-children each container allows) and one leaf branch for ``interface``,
-``content``, ``file`` and ``binding``. ``AdlDefinition.check_invariants`` is the structure
-check ``parse_adl`` runs; it and ``validate`` resolve binding endpoints
-through the definition's port index.
+A document is read by one walk over its elements, with two ways to read an
+element. The walk first tries one compiled match, anchored where the last
+element ended and in the scanner's own grammar: it takes the space and
+comments before the element and the whole tag, and one ``findall`` lists the
+tag's attributes. On a miss, or on a tag it does not accept (a repeated or
+unknown attribute, an element the container does not allow, a comment inside
+a closing tag), it consumes nothing, and the span scanner reads that one
+element from the same place and raises any positioned error. The scanner
+moves by spans: compiled patterns match whitespace and comments, names and
+attribute values, one attribute at a time. A line and column are worked out
+only where an element starts or an error is raised, by counting the newlines
+since the last position worked out. Both readers share the element checks
+(``_Tag``), the functions that make ``<definition>`` and ``<component>``
+(driven by the table of the children each container allows) and one leaf
+branch for ``interface``, ``content``, ``file`` and ``binding``.
+``AdlDefinition.check_invariants`` is the structure check ``parse_adl`` runs;
+it and ``validate`` resolve binding endpoints through the definition's port
+index.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from functools import cached_property
 from typing import Optional
 
 from .corpus import CorpusStore, TypeDef, TypeKind, VersionTag, is_type_name
-from .errors import (AdlError, AmbiguousVersion, NotFound, ParseError, UnknownAttribute,
-                     UnknownElement)
+from .errors import AmbiguousVersion, NotFound, ParseError, UnknownAttribute, UnknownElement
 from .model import Role
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -200,101 +200,39 @@ class _Tag:
         return parts[0], parts[1]
 
 
-class _Off(Exception):
-    """The one-pass read does not accept the text; the scanner reads it."""
-
-
-class _OnePass:
-    """The fast path: one pass of ``_ELEMENT_RE`` over the whole document.
-
-    It accepts only texts whose elements follow one another with nothing but
-    space and comments between them, whose tags each give known attributes
-    once, and whose closing tags hold no comment; anywhere else it raises
-    ``_Off``. Element checks raise the scanner's errors, which ``_read`` also
-    takes as a refusal.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.elements = _ELEMENT_RE.finditer(text)
-        self.pos = 0
-        # The last element start located, its line and the start of that line.
-        self._mark, self._line, self._line_start = 0, 1, 0
-
-    def next_element(self) -> re.Match:
-        """The next element's match, which must start where the last one ended."""
-        m = next(self.elements, None)
-        if m is None or m.start() != self.pos:
-            raise _Off
-        self.pos = m.end()
-        return m
-
-    def tag(self, m: re.Match, tag: str) -> _Tag:
-        """The opening tag ``m`` matched, located by the newlines since the last one."""
-        text, start = self.text, m.start(2) - 1
-        newlines = text.count("\n", self._mark, start)
-        if newlines:
-            self._line += newlines
-            self._line_start = text.rfind("\n", self._mark, start) + 1
-        self._mark = start
-        pairs = _ATTR_RE.findall(text, *m.span(3))
-        attrs = dict(pairs)
-        if len(attrs) != len(pairs) or not attrs.keys() <= _KNOWN_ATTRS[tag]:
-            raise _Off
-        return _Tag(attrs, m.group(4) == "/", self._line, start - self._line_start + 1)
-
-    def read_root(self, root: str):
-        m = self.next_element()
-        if m.group(2) != root:
-            raise _Off
-        element = _CONTAINERS[root](self, self.tag(m, root))
-        if _SPACE_OR_COMMENT_RE.match(self.text, self.pos).end() != len(self.text):
-            raise _Off
-        return element
-
-    def read_children(self, container: str) -> dict[str, list]:
-        found: dict[str, list] = {tag: [] for tag in _CHILDREN[container]}
-        while True:
-            m = self.next_element()
-            closing, tag = m.group(1, 2)
-            if closing is not None:
-                if closing != container:
-                    raise _Off
-                return found
-            if tag not in found or tag == "content" and found["content"]:
-                raise _Off
-            element = self.tag(m, tag)
-            if tag in _CONTAINERS:
-                found[tag].append(_CONTAINERS[tag](self, element))
-                continue
-            if not element.closed:
-                raise _Off
-            found[tag].append(_LEAVES[tag](element))
-
-
 class _Scanner:
-    """Span scanner: it moves a position over matched spans and works out a
-    line and column only where an element starts or an error is raised.
+    """The one walk over a document, with two ways to read an element.
 
-    It is the exact path: the reference for what a document may be and for
-    every error, its class, message and position.
+    At each element the walk first tries one anchored ``_ELEMENT_RE`` match
+    of the space and comments before the element and its whole tag, and takes
+    it when the tag is one the container allows and gives known attributes
+    once. On a miss, on a closing tag of another element, or on a tag that
+    test refuses, it consumes nothing, and the scanner's code reads that one
+    element by spans from the same place. The scanner is the reference for
+    what a document may be and for every error, its class, message and
+    position.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self._mark, self._line = 0, 1  # the last position located, and its line
+        # The last position located, its line and the start of that line.
+        self._mark, self._line, self._line_start = 0, 1, 0
 
     def where(self, pos: Optional[int] = None) -> tuple[int, int]:
         """Line and column of ``pos`` (default: here).
 
         Positions are located in text order, so each call counts only the
-        newlines in the span consumed since the previous one.
+        newlines in the span consumed since the previous one, and looks for
+        the start of its line only among them.
         """
         pos = self.pos if pos is None else pos
-        self._line += self.text.count("\n", self._mark, pos)
+        newlines = self.text.count("\n", self._mark, pos)
+        if newlines:
+            self._line += newlines
+            self._line_start = self.text.rfind("\n", self._mark, pos) + 1
         self._mark = pos
-        return self._line, pos - self.text.rfind("\n", 0, pos)
+        return self._line, pos - self._line_start + 1
 
     def error(self, expected: str) -> ParseError:
         return ParseError(*self.where(), expected)
@@ -350,47 +288,77 @@ class _Scanner:
             self.pos += 1
             attrs[name] = value
 
+    def matched_tag(self, m: re.Match, tag: str) -> Optional[_Tag]:
+        """The opening ``<tag`` that ``m`` matched, consumed, if it gives known
+        attributes once; else None, and nothing is consumed."""
+        pairs = _ATTR_RE.findall(self.text, *m.span(3))
+        attrs = dict(pairs)
+        if len(attrs) != len(pairs) or not attrs.keys() <= _KNOWN_ATTRS[tag]:
+            return None
+        self.pos = m.end()
+        return _Tag(attrs, m.group(4) == "/", *self.where(m.start(2) - 1))
+
     def read_root(self, root: str):
         """Read a whole document made of one ``root`` element."""
-        self.skip_space_and_comments()
-        line, col = self.where()
-        self.expect("<")
-        tag = self.read_name()
-        if tag != root:
-            raise UnknownElement(line, col, tag)
-        element = _CONTAINERS[root](self, self.read_tag(root, line, col))
+        m = _ELEMENT_RE.match(self.text)
+        element = self.matched_tag(m, root) if m is not None and m.group(2) == root else None
+        if element is None:
+            self.skip_space_and_comments()
+            line, col = self.where()
+            self.expect("<")
+            tag = self.read_name()
+            if tag != root:
+                raise UnknownElement(line, col, tag)
+            element = self.read_tag(root, line, col)
+        element = _CONTAINERS[root](self, element)
         self.skip_space_and_comments()
         if self.pos != len(self.text):
             raise self.error("end of input")
         return element
 
+    def read_child(self, container: str, found: dict[str, list]) -> Optional[tuple[str, _Tag]]:
+        """The next child's name and opening tag, or None past ``</container>``:
+        read by the anchored match where it is a tag ``found`` still allows
+        that gives known attributes once, else by the scanner from here."""
+        m = _ELEMENT_RE.match(self.text, self.pos)
+        if m is not None:
+            closing, tag = m.group(1, 2)
+            if closing == container:
+                self.pos = m.end()
+                return None
+            if tag in found and not (tag == "content" and found["content"]):
+                element = self.matched_tag(m, tag)
+                if element is not None:
+                    return tag, element
+        self.skip_space_and_comments()
+        line, col = self.where()
+        self.expect("<")
+        if self.text.startswith("/", self.pos):
+            self.expect("/" + container)
+            self.skip_space_and_comments()
+            self.expect(">")
+            return None
+        tag = self.read_name()
+        if tag not in found:
+            if tag in _KNOWN_ATTRS:
+                raise ParseError(line, col, f"element allowed inside <{container}>, not <{tag}>")
+            raise UnknownElement(line, col, tag)
+        if tag == "content" and found["content"]:
+            raise ParseError(line, col, "a single <content> per component")
+        return tag, self.read_tag(tag, line, col)
+
     def read_children(self, container: str) -> dict[str, list]:
         """Read child elements up to ``</container>``, grouped by tag in document order."""
         found: dict[str, list] = {tag: [] for tag in _CHILDREN[container]}
-        while True:
-            self.skip_space_and_comments()
-            line, col = self.where()
-            self.expect("<")
-            if self.text.startswith("/", self.pos):
-                self.expect("/" + container)
-                self.skip_space_and_comments()
-                self.expect(">")
-                return found
-            tag = self.read_name()
-            if tag not in found:
-                if tag in _KNOWN_ATTRS:
-                    raise ParseError(line, col,
-                                     f"element allowed inside <{container}>, not <{tag}>")
-                raise UnknownElement(line, col, tag)
-            if tag == "content" and found["content"]:
-                raise ParseError(line, col, "a single <content> per component")
-            element = self.read_tag(tag, line, col)
+        while (child := self.read_child(container, found)) is not None:
+            tag, element = child
             if tag in _CONTAINERS:
                 found[tag].append(_CONTAINERS[tag](self, element))
                 continue
             if not element.closed:
                 raise element.error(f"self-closing <{tag} .../>")
             found[tag].append(_LEAVES[tag](element))
+        return found
 
 
 def _interface(el: _Tag) -> AdlInterface:
@@ -411,7 +379,7 @@ _LEAVES = {
 }
 
 
-def _definition(sc: _Scanner | _OnePass, el: _Tag) -> AdlDefinition:
+def _definition(sc: _Scanner, el: _Tag) -> AdlDefinition:
     if el.closed:
         raise el.error("paired <definition>...</definition>")
     name = el.identifier("name", "definition name")
@@ -421,7 +389,7 @@ def _definition(sc: _Scanner | _OnePass, el: _Tag) -> AdlDefinition:
                          tuple(children["component"]), tuple(children["binding"]))
 
 
-def _component(sc: _Scanner | _OnePass, el: _Tag) -> AdlComponent:
+def _component(sc: _Scanner, el: _Tag) -> AdlComponent:
     if el.closed:
         raise el.error("<component> with a <content> child")
     name = el.identifier("name", "component name")
@@ -437,25 +405,16 @@ def _component(sc: _Scanner | _OnePass, el: _Tag) -> AdlComponent:
 _CONTAINERS = {"definition": _definition, "component": _component}
 
 
-def _read(text: str, root: str):
-    """The document's ``root`` element: the one pass's, or, for any text it
-    refuses, the scanner's, which raises the positioned error."""
-    try:
-        return _OnePass(text).read_root(root)
-    except (_Off, AdlError):
-        return _Scanner(text).read_root(root)
-
-
 def parse_adl(text: str) -> AdlDefinition:
     """Parse ADL text into a definition or raise a positioned AdlError."""
-    definition = _read(text, "definition")
+    definition = _Scanner(text).read_root("definition")
     definition.check_invariants()
     return definition
 
 
 def parse_component_fragment(text: str) -> AdlComponent:
     """Parse a standalone ``<component>...</component>`` element."""
-    return _read(text, "component")
+    return _Scanner(text).read_root("component")
 
 
 def render_adl(definition: AdlDefinition) -> str:

@@ -227,15 +227,18 @@ def check_route(mgr: ModuleManager, outer: InterfacePort,
 
 
 def bind(mgr: ModuleManager, client: InterfacePort, server: InterfacePort,
-         kind: BindingKind = BindingKind.PRIMITIVE) -> BindingRecord:
-    """Bind an unbound, not routed-out client port to a server port after a successful check."""
+         kind: BindingKind = BindingKind.PRIMITIVE, *, replace: bool = False) -> BindingRecord:
+    """Bind an unbound, not routed-out client port to a server port after a successful check.
+    With ``replace`` the port may be bound; its binding is dropped once nothing can refuse."""
     if kind is not BindingKind.PRIMITIVE:
         raise UnsupportedBindingKind(kind.value)
     mismatch = check_binding(mgr, client, server)
     if mismatch is not None:
         raise mismatch
-    if client.binding is not None or client.route is not None:
+    if client.route is not None or client.binding is not None and not replace:
         raise AlreadyBound(str(client))
+    if client.binding is not None:
+        unbind(client.binding)
     record = BindingRecord(client, server)
     client.binding = record
     server.inbound.append(record)

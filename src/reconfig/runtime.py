@@ -76,7 +76,6 @@ from .model import (
     Role,
     add_child,
     bind,
-    check_binding,
     check_conformance,
     remove_child,
     unbind,
@@ -273,18 +272,12 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
 def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:
     """Re-point a client port at a new server port, atomically.
 
-    The new target is checked first; on mismatch the old binding is untouched.
+    The new target is checked once, before anything is written; on any refusal
+    the old binding is untouched.
     """
     if arch.in_call:
         raise ReconfigDuringCall()
-    cport = arch.find_port(client_spec)
-    sport = arch.find_port(server_spec)
-    mismatch = check_binding(arch.mgr, cport, sport)
-    if mismatch is not None:
-        raise mismatch
-    if cport.binding is not None:
-        unbind(cport.binding)
-    return bind(arch.mgr, cport, sport)
+    return bind(arch.mgr, arch.find_port(client_spec), arch.find_port(server_spec), replace=True)
 
 
 def bind_ports(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:

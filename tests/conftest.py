@@ -30,6 +30,20 @@ def script_path(name: str) -> Path:
     return FIXTURES / "scripts" / name
 
 
+def chain_adl(n: int) -> str:
+    """The ADL of an ``n``-chain: one ``Push`` port in and one out per primitive, one
+    element per line, bound head to tail."""
+    port = '<interface name="{}" role="{}" signature="Push" version="1.0"/>'
+    parts = ['<definition name="Chain" version="1.0">', port.format("head", "server")]
+    for i in range(n):
+        parts.append(f'<component name="c{i}">' + port.format("in", "server")
+                     + (port.format("out", "client") if i < n - 1 else "")
+                     + f'<content class="Impl{i}" version="1.0"/></component>')
+    parts.append('<binding client="this.head" server="c0.in"/>')
+    parts.extend(f'<binding client="c{i}.out" server="c{i + 1}.in"/>' for i in range(n - 1))
+    return "\n".join(parts + ["</definition>"])
+
+
 def single_character_mutations(text: str, seed: int, count: int,
                                pool: str = '<>/"= \nabczXY0189._-!&;:\'') -> list[str]:
     """``count`` copies of ``text``, each with one seeded character replaced from ``pool``."""

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 
-from conftest import count_calls, single_character_mutations
+import pytest
+
+from conftest import chain_adl, count_calls, single_character_mutations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden" / "adl_outcomes.txt"
@@ -83,7 +86,7 @@ TAG_CASES = ['<definition name="D" version="1"><interface ' + tail + '</definiti
 ]
 
 _D = '<definition name="D" version="1">'
-#: Whole documents at the edges of the one pass: text or a second comment
+#: Whole documents at the edges of the fast match: text or a second comment
 #: after a comment, comments and space in and after a closing tag, a closing
 #: tag of another element, and text after the root.
 DOCUMENT_CASES = [_D + '<!-- a --> x <!-- b --></definition>',
@@ -200,39 +203,6 @@ def _generated(rng: random.Random) -> str:
     return "".join(rng.choice(_BETWEEN) + part for part in parts) + rng.choice(_BETWEEN)
 
 
-def test_the_one_pass_gives_the_scanner_outcomes(monkeypatch):
-    """The whole-document pass and the scanner agree on every case: the golden
-    cases, ``TAG_CASES``, ``DOCUMENT_CASES``, acceptance #6's 10,000 mutations
-    and generated definitions, each the whole AST with every position, or the
-    error's class, message and position. No fixture or generated document
-    leaves the one pass."""
-    from reconfig import adl
-
-    fig = (FIXTURES / "adl" / "hello.fractal.xml").read_text(encoding="utf-8")
-    rng = random.Random(0x1E5)
-    generated = [(adl.parse_adl, _generated(rng)) for _ in range(300)]
-    inputs = cases() + [(adl.parse_adl, text) for text in TAG_CASES + DOCUMENT_CASES] + [
-        (adl.parse_component_fragment, '<component name="c" name="d"></component>')] + [
-        (adl.parse_adl, text) for text in single_character_mutations(fig, 0xF022, 10_000)] + \
-        generated
-    scans = Counter()
-    count_calls(monkeypatch, adl._Scanner, "read_root", scans)
-    for parse, text in _sources() + generated:
-        outcome(parse, text)
-    assert scans["read_root"] == 0, "a fixture or generated document left the one pass"
-    fast = [outcome(parse, text) for parse, text in inputs]
-
-    def refuse(self, root):
-        raise adl._Off
-
-    monkeypatch.setattr(adl._OnePass, "read_root", refuse)
-    slow = [outcome(parse, text) for parse, text in inputs]
-    assert {line.split()[0] for line in slow} == {"ok", "ParseError", "UnknownAttribute",
-                                                  "UnknownElement"}
-    for i, (f, s) in enumerate(zip(fast, slow)):
-        assert f == s, f"case {i}: {inputs[i][1]!r}"
-
-
 #: The ports, content and files of a ``<component>`` fragment, in the shapes
 #: the fixtures and the benchmark's ``add`` fragments give them.
 _FRAGMENT_SHAPES = [
@@ -255,31 +225,57 @@ def _fragment(name: str, shape: int, k: int) -> str:
     return "\n".join(lines + ["</component>"])
 
 
-def test_fragments_read_by_the_one_pass_equal_the_scanner_reading():
-    """Fragments named ``x0`` to ``x20000``, as the ``reconfig`` workload's adds
-    name them, in every shape, and the golden ``FRAGMENT`` mutations: the one
-    pass accepts each well-formed one and gives the scanner's AST and positions."""
+def test_the_fast_match_gives_the_scanner_outcomes(monkeypatch):
+    """The walk gives the same outcome with the fast match as shipped and with
+    it never matching, so that the scanner reads every element: over the
+    golden cases, ``TAG_CASES``, ``DOCUMENT_CASES``, acceptance #6's 10,000
+    mutations, generated definitions and fragments ``x0`` to ``x20000``, each
+    the whole AST with every position, or the error's class, message and
+    position. The scanner reads no tag of a fixture, generated definition or
+    fragment."""
     from reconfig import adl
-    from reconfig.errors import AdlError
 
-    def read(reader, text):
-        """The AST and its positions, or None where ``reader`` refuses the text."""
-        try:
-            ast = reader(text).read_root("component")
-        except (adl._Off, AdlError):
-            return None
-        return ast, _positions(ast)
+    fig = (FIXTURES / "adl" / "hello.fractal.xml").read_text(encoding="utf-8")
+    rng = random.Random(0x1E5)
+    generated = [(adl.parse_adl, _generated(rng)) for _ in range(300)]
+    fragments = [(adl.parse_component_fragment,
+                  _fragment(f"x{n}", n % len(_FRAGMENT_SHAPES), n % 16)) for n in range(20_001)]
+    clean = _sources() + generated + fragments
+    inputs = clean + cases() + [(adl.parse_adl, text) for text in TAG_CASES + DOCUMENT_CASES] + [
+        (adl.parse_component_fragment, '<component name="c" name="d"></component>')] + [
+        (adl.parse_adl, text) for text in single_character_mutations(fig, 0xF022, 10_000)]
+    scans = Counter()
+    count_calls(monkeypatch, adl._Scanner, "read_tag", scans)
+    fast = [outcome(parse, text) for parse, text in clean]
+    assert scans["read_tag"] == 0, "the scanner read a tag of a fixture or generated document"
+    assert all(line.startswith("ok ") for line in fast[-len(fragments):])
+    fast += [outcome(parse, text) for parse, text in inputs[len(clean):]]
 
-    for n in range(20_001):
-        text = _fragment(f"x{n}", n % len(_FRAGMENT_SHAPES), n % 16)
-        fast = read(adl._OnePass, text)
-        assert fast is not None and fast == read(adl._Scanner, text), text
-    mutated = [text for parse, text in cases()
-               if parse is adl.parse_component_fragment and text != FRAGMENT]
-    assert len(mutated) == CASES_PER_SOURCE
-    for text in [FRAGMENT] + mutated:
-        fast = read(adl._OnePass, text)
-        assert fast is None or fast == read(adl._Scanner, text), text
+    monkeypatch.setattr(adl, "_ELEMENT_RE", re.compile(r"(?!)"))
+    slow = [outcome(parse, text) for parse, text in inputs]
+    assert {line.split()[0] for line in slow} == {"ok", "ParseError", "UnknownAttribute",
+                                                  "UnknownElement"}
+    for i, (f, s) in enumerate(zip(fast, slow)):
+        assert f == s, f"case {i}: {inputs[i][1]!r}"
+
+
+def test_a_late_refusal_is_read_by_the_scanner_from_that_element_on(monkeypatch):
+    """Counted, never timed: in a 2000-component chain with ``<bogus/>`` before
+    its last binding, the fast match reads every element up to it, and the
+    scanner reads that one element and the space before it."""
+    from reconfig import adl
+    from reconfig.errors import UnknownElement
+
+    text = chain_adl(2000)
+    last = text.rindex("<binding")
+    text = text[:last] + "<bogus/>" + text[last:]
+    calls = Counter()
+    for name in ("read_name", "read_tag"):
+        count_calls(monkeypatch, adl._Scanner, name, calls)
+    with pytest.raises(UnknownElement) as refused:
+        adl.parse_adl(text)
+    assert (refused.value.line, refused.value.col, refused.value.tag) == (4002, 1, "bogus")
+    assert (calls["read_name"], calls["read_tag"]) == (1, 0)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from reconfig.factory import (
 from reconfig.modules import EventKind, ModuleId, ModuleManager, replay_live_set
 from reconfig.script import parse_script, run_script
 
-from conftest import FIXTURES, adl_path, corpus_path, count_calls
+from conftest import FIXTURES, adl_path, chain_adl, corpus_path, count_calls
 
 V = VersionTag
 
@@ -507,15 +507,7 @@ def _write_chain(root, n: int) -> str:
         typedefs.append(TypeDef(f"Impl{i}", one, TypeKind.CLASS,
                                 (TypeRef("Push", one), TypeRef(f"H{i}", one)), push))
     write_corpus(root, typedefs)
-    port = '<interface name="{}" role="{}" signature="Push" version="1.0"/>'
-    parts = ['<definition name="Chain" version="1.0">', port.format("head", "server")]
-    for i in range(n):
-        parts.append(f'<component name="c{i}">' + port.format("in", "server")
-                     + (port.format("out", "client") if i < n - 1 else "")
-                     + f'<content class="Impl{i}" version="1.0"/></component>')
-    parts.append('<binding client="this.head" server="c0.in"/>')
-    parts.extend(f'<binding client="c{i}.out" server="c{i + 1}.in"/>' for i in range(n - 1))
-    return "\n".join(parts + ["</definition>"])
+    return chain_adl(n)
 
 
 def _build_work_per_primitive(root, n: int) -> dict[tuple[str, str], float]:

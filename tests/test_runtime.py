@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from reconfig.adl import parse_adl, parse_component_fragment, validate
 from reconfig.corpus import CorpusStore, MethodSig, TypeDef, TypeKind, TypeRef, VersionTag, load_corpus
 from reconfig.errors import (
+    AlreadyBound,
     AmbiguousImport,
     ArityError,
     CallDepthExceeded,
@@ -252,6 +253,24 @@ def test_failed_rebind_keeps_the_old_binding():
         runtime.rebind(arch, "client.s", "server2.s")
     assert arch.report() == before
     assert arch.bindings[0].server.owner.name == "server"
+
+
+def test_rebind_checks_the_new_link_once(monkeypatch):
+    """Counted: one check loads each end's signature once, and nothing checks it again."""
+    arch, _, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    loads = Counter()
+    count_calls(monkeypatch, ModuleManager, "load_type", loads)
+    runtime.rebind(arch, "client.s", "server.s")
+    assert loads["load_type"] == 2
+    assert [str(b) for b in arch.bindings] == ["client.s -> server.s"]
+
+
+def test_a_rebind_of_a_routed_out_port_is_refused_and_keeps_the_route():
+    arch = _link_fixture("route_out")
+    before = arch.report()
+    with pytest.raises(AlreadyBound):
+        runtime.rebind(arch, "a.p", "b.i")
+    assert arch.report() == before
 
 
 def test_add_bind_invoke_then_remove_component():
