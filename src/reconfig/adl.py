@@ -24,6 +24,13 @@ since the last position worked out. Both readers share the element checks
 (``_Tag``), the functions that make ``<definition>`` and ``<component>``
 (driven by the table of the children each container allows) and one leaf
 branch for ``interface``, ``content``, ``file`` and ``binding``.
+
+A document repeats itself, and each distinct declaration is read once per
+parse: the match reads each distinct attribute text of a tag once, and a leaf
+whose tag and attributes match an earlier clean one reuses its checked values
+and takes only its own position. Refusals are never kept, so an element that
+fails a check fails it, with its own position, however often it repeats.
+Nothing read outlives the parse.
 ``AdlDefinition.check_invariants`` is the structure check ``parse_adl`` runs;
 it and ``validate`` resolve binding endpoints through the definition's port
 index.
@@ -218,6 +225,11 @@ class _Scanner:
         self.pos = 0
         # The last position located, its line and the start of that line.
         self._mark, self._line, self._line_start = 0, 1, 0
+        # (tag, attribute text) of each tag the match took -> its attributes, a
+        # dict that tags of that text share and nothing changes.
+        self._attrs: dict[tuple[str, str], dict[str, str]] = {}
+        # (tag, attributes) of each leaf read cleanly -> its checked values.
+        self._leaves: dict[tuple[str, tuple[tuple[str, str], ...]], tuple] = {}
 
     def where(self, pos: Optional[int] = None) -> tuple[int, int]:
         """Line and column of ``pos`` (default: here).
@@ -290,11 +302,16 @@ class _Scanner:
 
     def matched_tag(self, m: re.Match, tag: str) -> Optional[_Tag]:
         """The opening ``<tag`` that ``m`` matched, consumed, if it gives known
-        attributes once; else None, and nothing is consumed."""
-        pairs = _ATTR_RE.findall(self.text, *m.span(3))
-        attrs = dict(pairs)
-        if len(attrs) != len(pairs) or not attrs.keys() <= _KNOWN_ATTRS[tag]:
-            return None
+        attributes once; else None, and nothing is consumed. An attribute text
+        already taken for this tag is not read again."""
+        key = (tag, m.group(3))
+        attrs = self._attrs.get(key)
+        if attrs is None:
+            pairs = _ATTR_RE.findall(self.text, *m.span(3))
+            attrs = dict(pairs)
+            if len(attrs) != len(pairs) or not attrs.keys() <= _KNOWN_ATTRS[tag]:
+                return None
+            self._attrs[key] = attrs
         self.pos = m.end()
         return _Tag(attrs, m.group(4) == "/", *self.where(m.start(2) - 1))
 
@@ -348,7 +365,12 @@ class _Scanner:
         return tag, self.read_tag(tag, line, col)
 
     def read_children(self, container: str) -> dict[str, list]:
-        """Read child elements up to ``</container>``, grouped by tag in document order."""
+        """Read child elements up to ``</container>``, grouped by tag in document order.
+
+        A leaf's checks depend on its tag and attributes alone, so a leaf whose
+        tag and attributes (in order) match an earlier clean one reuses its
+        checked values, and only its record takes its own position.
+        """
         found: dict[str, list] = {tag: [] for tag in _CHILDREN[container]}
         while (child := self.read_child(container, found)) is not None:
             tag, element = child
@@ -357,25 +379,33 @@ class _Scanner:
                 continue
             if not element.closed:
                 raise element.error(f"self-closing <{tag} .../>")
-            found[tag].append(_LEAVES[tag](element))
+            check, record = _LEAVES[tag]
+            key = (tag, tuple(element.attrs.items()))
+            values = self._leaves.get(key)
+            if values is None:
+                values = self._leaves[key] = check(element)
+            found[tag].append(values if record is None
+                              else record(*values, element.line, element.col))
         return found
 
 
-def _interface(el: _Tag) -> AdlInterface:
+def _interface(el: _Tag) -> tuple[str, Role, str, Optional[VersionTag]]:
     name = el.identifier("name", "port name")
     role = el.require("role")
     if role not in ("client", "server"):
         raise el.error(f"role client or server, not {role!r}")
     signature, version = el.typed("signature", "signature")
-    return AdlInterface(name, Role(role), signature, version, el.line, el.col)
+    return name, Role(role), signature, version
 
 
+#: Each leaf's check, which gives its values from its attributes alone, and the
+#: record made of those values and the leaf's position (None: the values are
+#: the record).
 _LEAVES = {
-    "interface": _interface,
-    "content": lambda el: el.typed("class", "content class"),
-    "file": lambda el: el.typed("name", "file name"),
-    "binding": lambda el: AdlBinding(el.endpoint("client"), el.endpoint("server"),
-                                     el.line, el.col),
+    "interface": (_interface, AdlInterface),
+    "content": (lambda el: el.typed("class", "content class"), None),
+    "file": (lambda el: el.typed("name", "file name"), None),
+    "binding": (lambda el: (el.endpoint("client"), el.endpoint("server")), AdlBinding),
 }
 
 

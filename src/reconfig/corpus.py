@@ -27,6 +27,13 @@ plain tuple of its numbers. A store memoizes each reference it resolves
 never changes once loaded, so neither memo can go stale or needs invalidating,
 and each holds at most a few entries per typedef. Failed resolutions and walks
 are never memoized.
+
+Inputs repeat themselves, and each distinct declaration is read once per
+input: one ``load_corpus`` parses each distinct ``ref:`` and ``method:`` value
+once, and its typedefs share the frozen ``TypeRef`` and ``MethodSig``. Nothing
+read outlives the call, so a second load reads everything again. A closure
+walk keeps, for each pair it reaches, the pair that reached it first, and
+spells the ``name@version`` chain from those links only when a lookup fails.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -197,11 +205,20 @@ def serialize_typedef(td: TypeDef) -> str:
 
 
 def typedef_filename(td: TypeDef) -> str:
-    return f"{td.name}-{td.version}.typedef"
+    return f"{td.name}-{td.version.text}.typedef"
 
 
 def parse_typedef(text: str, path) -> TypeDef:
     """Parse one typedef file; every deviation is a MalformedTypeDef."""
+    return _parse_typedef(text, path, {}, {})
+
+
+def _parse_typedef(text: str, path, refs_read: dict[str, TypeRef],
+                   methods_read: dict[str, MethodSig]) -> TypeDef:
+    """``parse_typedef``, where a ``ref:`` or ``method:`` value already in
+    ``refs_read`` or ``methods_read`` is not parsed again, and each new one that
+    parses is added. Both records are frozen, so files may share them; a value
+    that does not parse is never added and raises, naming ``path``, every time."""
     fields: dict[str, str] = {}
     refs: list[TypeRef] = []
     methods: list[MethodSig] = []
@@ -218,9 +235,15 @@ def parse_typedef(text: str, path) -> TypeDef:
                 raise MalformedTypeDef(path, f"duplicate key {key}")
             fields[key] = value
         elif key == "ref":
-            refs.append(_parse_ref(value, path))
+            ref = refs_read.get(value)
+            if ref is None:
+                ref = refs_read[value] = _parse_ref(value, path)
+            refs.append(ref)
         elif key == "method":
-            methods.append(_parse_method(value, path))
+            method = methods_read.get(value)
+            if method is None:
+                method = methods_read[value] = _parse_method(value, path)
+            methods.append(method)
         else:
             raise MalformedTypeDef(path, f"unknown key {key!r}")
     for key in ("name", "version", "kind"):
@@ -340,19 +363,44 @@ class CorpusStore:
         Unversioned references resolve by the unique-version rule; resolution
         errors carry the reference chain that led to them. Cycles terminate
         because the result set grows monotonically.
+
+        The walk pops references depth first. Each pair reached links to the
+        pair whose reference reached it on its first pop (``None`` for a root),
+        and a failed lookup spells its chain from those links: the ``name@version``
+        of each pair from the root down to the one whose reference failed.
         """
-        seen: set[tuple[str, VersionTag]] = set()
-        work: list[tuple[TypeRef, tuple[str, ...]]] = [(r, ()) for r in roots]
+        # Each pair reached -> the pair whose reference first reached it (None
+        # for a root). The chain is spelled from these links only on failure.
+        reached: dict[Pair, Optional[Pair]] = {}
+        work: list[tuple[TypeRef, Optional[Pair]]] = [(r, None) for r in roots]
+        index = self._index
         while work:
-            ref, chain = work.pop()
-            td = self.lookup(ref, chain)
+            ref, via = work.pop()
+            # A versioned reference is found in the index; no key has a None version.
+            td = index.get((ref.name, ref.version))
+            if td is None:
+                try:
+                    td = self.lookup(ref)
+                except NotFound as exc:
+                    raise NotFound(exc.name, exc.version, _chain(via, reached)) from None
+                except AmbiguousVersion as exc:
+                    raise AmbiguousVersion(exc.name, exc.versions,
+                                           _chain(via, reached)) from None
             key = (td.name, td.version)
-            if key in seen:
-                continue
-            seen.add(key)
-            next_chain = chain + (f"{td.name}@{td.version}",)
-            work.extend((sub, next_chain) for sub in td.references)
-        return seen
+            if key not in reached:
+                reached[key] = via
+                work.extend(zip(td.references, repeat(key)))
+        return set(reached)
+
+
+def _chain(pair: Optional[Pair], reached: dict[Pair, Optional[Pair]]) -> tuple[str, ...]:
+    """``name@version`` of each pair from a root down to ``pair``, following
+    ``reached`` from each pair to the pair that first reached it."""
+    chain = []
+    while pair is not None:
+        chain.append(f"{pair[0]}@{pair[1]}")
+        pair = reached[pair]
+    return tuple(reversed(chain))
 
 
 def _typedef_files(root: Path) -> list[tuple[tuple[str, ...], str]]:
@@ -416,15 +464,21 @@ def load_corpus(root) -> CorpusStore:
     (name, version) pair across two files is a load-time error naming the
     earlier file first, as is any file whose name disagrees with its declared
     name/version. Every error names its file(s) as a ``Path``.
+
+    Each distinct ``ref:`` and ``method:`` value is parsed once per call, on
+    the first file that gives it, and later files share its record; a value
+    that does not parse raises on the first file that gives it, as before.
     """
     root = Path(root)
     if not root.is_dir():
         raise MalformedTypeDef(root, "corpus root is not a readable directory")
     index: dict[tuple[str, VersionTag], TypeDef] = {}
     origin: dict[tuple[str, VersionTag], str] = {}
+    refs_read: dict[str, TypeRef] = {}
+    methods_read: dict[str, MethodSig] = {}
     for parts, path in _typedef_files(root):
         try:
-            td = parse_typedef(_read_bytes(path).decode("utf-8"), path)
+            td = _parse_typedef(_read_bytes(path).decode("utf-8"), path, refs_read, methods_read)
         except UnicodeDecodeError as exc:
             raise MalformedTypeDef(Path(path), f"not valid UTF-8: {exc}") from exc
         except MalformedTypeDef as exc:

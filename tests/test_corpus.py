@@ -446,6 +446,63 @@ def test_a_failing_root_raises_the_same_error_every_time():
         assert raised[0] == raised[1] and raised[0][0] == chain
 
 
+# --- the walk against a walk that carries every chain --------------------------------
+
+def _chain_carrying_closure(store: CorpusStore, roots) -> set:
+    """The oracle: each reference carries the whole chain of pairs that led to it,
+    built as it is pushed, and ``lookup`` gets that chain on every call."""
+    seen = set()
+    work = [(r, ()) for r in roots]
+    while work:
+        ref, chain = work.pop()
+        td = store.lookup(ref, chain)
+        key = (td.name, td.version)
+        if key in seen:
+            continue
+        seen.add(key)
+        next_chain = chain + (f"{td.name}@{td.version}",)
+        work.extend((sub, next_chain) for sub in td.references)
+    return seen
+
+
+_NAMES = ("A", "B", "C", "Ghost")
+_VERSIONS = ("1", "1.0", "2")
+
+
+@st.composite
+def _walk_cases(draw):
+    """A small corpus, with cycles, unversioned references and missing and
+    ambiguous targets, and a list of roots over it."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_NAMES[:-1]), st.sampled_from(_VERSIONS)),
+                          min_size=1, max_size=6, unique_by=lambda p: (p[0], VersionTag(p[1]))))
+    ref = st.one_of(st.sampled_from(pairs),
+                    st.tuples(st.sampled_from(_NAMES), st.sampled_from(_VERSIONS + (None,))))
+    typedefs = []
+    for name, version in pairs:
+        refs = draw(st.lists(ref.filter(lambda r: r[0] != name or r[1] is None
+                                        or VersionTag(r[1]) != VersionTag(version)),
+                             max_size=3))
+        typedefs.append(TypeDef(name, VersionTag(version), TypeKind.CLASS,
+                                tuple(TypeRef(n, v and VersionTag(v)) for n, v in refs), ()))
+    roots = [TypeRef(n, v and VersionTag(v)) for n, v in draw(st.lists(ref, min_size=1, max_size=3))]
+    return _store(*typedefs), roots
+
+
+def _outcome(walk, store, roots):
+    try:
+        return "ok", walk(store, roots)
+    except (NotFound, AmbiguousVersion) as exc:
+        return type(exc), str(exc), exc.chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_cases())
+def test_the_walk_returns_and_raises_as_a_walk_carrying_every_chain(case):
+    store, roots = case
+    assert _outcome(CorpusStore.closure, store, roots) \
+        == _outcome(_chain_carrying_closure, store, roots)
+
+
 # --- round trip ----------------------------------------------------------------
 
 def test_reserializing_a_corpus_reloads_identically(tmp_path):

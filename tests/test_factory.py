@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -515,7 +516,7 @@ def _build_work_per_primitive(root, n: int) -> dict[tuple[str, str], float]:
     from reconfig import adl, corpus, factory
 
     text = _write_chain(root, n)
-    hooks = [(corpus, "parse_typedef"), (adl._Scanner, "read_tag"),
+    hooks = [(corpus, "_parse_typedef"), (adl._Scanner, "read_tag"),
              (CorpusStore, "closure"), (CorpusStore, "resolve"), (CorpusStore, "lookup"),
              (ModuleManager, "create_resource_module"), (ModuleManager, "create_info_module"),
              (factory, "bind"), (factory, "route")]
@@ -545,5 +546,80 @@ def test_a_build_does_the_same_work_per_primitive_at_250_and_2000(tmp_path):
     assert small.keys() == large.keys()
     for key in small:
         assert large[key] <= 1.05 * small[key], (key, small[key], large[key])
-    assert small[("load", "parse_typedef")] == (2 * 250 + 2) / 250
+    assert small[("load", "_parse_typedef")] == (2 * 250 + 2) / 250
     assert large[("instantiate", "bind")] == 1999 / 2000
+
+
+# --- a build reads each distinct declaration once per input --------------------------
+
+def _distinct_values(root, key: str) -> set[str]:
+    """The distinct values of ``key:`` lines across the typedef files under ``root``."""
+    return {line.partition(":")[2].strip()
+            for path in root.rglob("*.typedef")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.partition(":")[0].strip() == key}
+
+
+def test_one_load_parses_each_distinct_ref_and_method_once(tmp_path):
+    """Counted, never timed. What one load read is not kept for the next."""
+    from reconfig import corpus
+
+    _write_chain(tmp_path, 2000)
+    refs, methods = _distinct_values(tmp_path, "ref"), _distinct_values(tmp_path, "method")
+    assert (len(refs), len(methods)) == (2002, 1)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        count_calls(patch, corpus, "_parse_ref", counts)
+        count_calls(patch, corpus, "_parse_method", counts)
+        store = load_corpus(tmp_path)
+        assert counts == {"_parse_ref": len(refs), "_parse_method": len(methods)}
+        load_corpus(tmp_path)
+        assert counts == {"_parse_ref": 2 * len(refs), "_parse_method": 2 * len(methods)}
+    by_text: dict[str, set[int]] = {}
+    for td in store.entries():
+        for ref in td.references:
+            by_text.setdefault(str(ref), set()).add(id(ref))
+    assert by_text.keys() == refs
+    assert all(len(ids) == 1 for ids in by_text.values())
+
+
+def test_one_parse_checks_each_distinct_leaf_once():
+    """Counted, never timed: each leaf check runs once per distinct attribute text
+    of its tag, and every element keeps its own position."""
+    from reconfig import adl
+
+    text = chain_adl(2000)
+    leaves = Counter(re.findall(r"<(interface|content|file|binding) ([^>]*)/>", text))
+    distinct = Counter(tag for tag, _ in leaves)
+    assert distinct == {"interface": 3, "content": 2000, "binding": 2000}
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for tag, (check, record) in list(adl._LEAVES.items()):
+            def counted(el, tag=tag, check=check):
+                counts[tag] += 1
+                return check(el)
+            patch.setitem(adl._LEAVES, tag, (counted, record))
+        definition = parse_adl(text)
+    assert counts == distinct
+
+    def at(tag: str) -> list[tuple[int, int]]:
+        """Line and column of each ``<tag`` in the text."""
+        return [(text.count("\n", 0, m.start()) + 1, m.start() - text.rfind("\n", 0, m.start()))
+                for m in re.finditer(f"<{tag} ", text)]
+
+    ports = [(i.line, i.col) for i in definition.interfaces] \
+        + [(i.line, i.col) for c in definition.components for i in c.interfaces]
+    assert len(ports) == 4000 and ports == at("interface")
+    assert [(b.line, b.col) for b in definition.bindings] == at("binding")
+
+
+def test_closure_of_spells_no_version_on_clean_walks():
+    """Counted, never timed: a walk that succeeds formats no ``name@version`` chain."""
+    stores = [load_corpus(path) for path in sorted(corpus_path("hello").parent.iterdir())]
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        count_calls(patch, VersionTag, "__str__", counts)
+        walked = [store.closure_of((td.name, td.version))
+                  for store in stores for td in store.entries()]
+    assert len(walked) == sum(len(store) for store in stores) > 0
+    assert counts["__str__"] == 0
