@@ -20,19 +20,19 @@ modules export a pair: creating and removing a resource module keep a pair →
 exporters index, which ``exporters_of`` reads and info-module creation
 resolves against. Create, rewire and remove write imports through one manager
 method, which also keeps a reverse index from each provider to the info
-modules wired to it, so a module's dependents are a lookup, and feeds
-``undo_on_error``, the one undo log. A resource module never changes its
-exports and is removed only once nothing is wired to it, so every import names
-a live module that exports it.
+modules wired to it, so a module's dependents are a lookup. While an
+``undo_on_error`` block is open, every write (creating, rewiring, removing)
+logs its inverse in one journal, which a failed block runs backwards. A
+resource module never changes its exports and is removed only once nothing is
+wired to it, so every import names a live module that exports it.
 """
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
@@ -159,8 +159,9 @@ class ModuleManager:
         self._exporters: dict[Pair, set[ModuleId]] = {}
         self._events: list[ModuleEvent] = []
         self._next_seq = 1
-        self._undo_from = 0  # the open undo_on_error block's first id; 0 while none is open
-        self._undo: dict[InfoModule, dict[str, ModuleId]] = {}  # older imports it restores
+        # The open undo_on_error block's inverse of each write, as (method, *args), oldest
+        # first; None while no block is open.
+        self._journal: Optional[list[tuple]] = None
 
     # -- introspection ------------------------------------------------------
 
@@ -177,12 +178,12 @@ class ModuleManager:
             raise UnknownModule(module_id)
         return mod
 
-    # Ids only increase and are never reused, so the registry is in id order.
+    # A module put back by an undo re-enters the registry last, so these sort by id.
     def resource_modules(self) -> list[ResourceModule]:
-        return [m for m in self._modules.values() if isinstance(m, ResourceModule)]
+        return [m for _, m in sorted(self._modules.items()) if isinstance(m, ResourceModule)]
 
     def info_modules(self) -> list[InfoModule]:
-        return [m for m in self._modules.values() if isinstance(m, InfoModule)]
+        return [m for _, m in sorted(self._modules.items()) if isinstance(m, InfoModule)]
 
     # -- transitions ----------------------------------------------------------
 
@@ -192,9 +193,9 @@ class ModuleManager:
         return mid
 
     def _set_wiring(self, info: InfoModule, imports: dict[str, ModuleId]) -> None:
-        """The one write of an info module's imports; keeps ``_dependents`` and the undo log."""
-        if info.id < self._undo_from:  # older than the open block: keep its first state
-            self._undo.setdefault(info, info.imports)
+        """The one write of an info module's imports; keeps ``_dependents`` and the journal."""
+        if self._journal is not None:
+            self._journal.append((self._set_wiring, info, info.imports))
         old, new = set(info.imports.values()), set(imports.values())
         for pid in old - new:
             entry = self._dependents[pid]
@@ -208,40 +209,41 @@ class ModuleManager:
     def _emit(self, kind: EventKind, module_id: ModuleId) -> None:
         self._events.append(ModuleEvent(kind, module_id))
 
+    def _make_live(self, module: Module) -> None:
+        """Register ``module``, index the pairs it exports and log ADDED: creation and undo alike."""
+        self._modules[module.id] = module
+        if isinstance(module, ResourceModule):
+            for pair in module.exports.items():
+                self._exporters.setdefault(pair, set()).add(module.id)
+        self._emit(EventKind.ADDED, module.id)
+        if self._journal is not None:
+            self._journal.append((self.remove_module, module.id))
+
     @contextmanager
     def undo_on_error(self) -> Iterator[None]:
         """Run a block that either completes or leaves every module as it found it.
 
-        On an exception each older info module gets back its imports,
-        then the modules the block created are removed, info modules first, each
-        kind newest first (their events stay logged, their ids used), and the
+        On an exception the journal runs backwards: each rewired info module
+        gets back its imports, each created module is removed and each removed
+        one is put back with its id (the events of both stay logged), then the
         exception propagates. Blocks do not nest.
         """
-        if self._undo_from:
+        if self._journal is not None:
             raise InvariantViolation("an undo_on_error block is already open")
-        self._undo_from = first = self._next_seq
+        self._journal = journal = []
         try:
             yield
         except BaseException:
-            undo, self._undo_from = self._undo, 0
-            for info, imports in undo.items():
-                self._set_wiring(info, imports)
-            # Ids only increase and the registry is in id order, so the created modules
-            # are the newest. Info modules go first, so no resource module keeps a dependent.
-            created = itertools.takewhile(lambda m: m >= first, reversed(self._modules))
-            for mid in sorted(created, key=lambda m: isinstance(self._modules[m], ResourceModule)):
-                self.remove_module(mid)
+            self._journal = None  # the inverses are not journaled
+            for undo, *args in reversed(journal):
+                undo(*args)
             raise
-        finally:
-            self._undo_from, self._undo = 0, {}
+        self._journal = None
 
     def create_resource_module(self, exports: Iterable[Pair],
                                source: CorpusStore) -> ModuleId:
         module = ResourceModule(self._fresh_id(), exports, source)
-        self._modules[module.id] = module
-        for pair in module.exports.items():
-            self._exporters.setdefault(pair, set()).add(module.id)
-        self._emit(EventKind.ADDED, module.id)
+        self._make_live(module)
         return module.id
 
     def create_info_module(self, imports: Iterable[Pair]) -> ModuleId:
@@ -265,9 +267,8 @@ class ModuleManager:
                 raise AmbiguousImport(name, version, sorted(exporters))
             (wiring[name],) = exporters
         module = InfoModule(self._fresh_id())
+        self._make_live(module)
         self._set_wiring(module, wiring)
-        self._modules[module.id] = module
-        self._emit(EventKind.ADDED, module.id)
         return module.id
 
     def load_type(self, via: ModuleId, name: str) -> DefinedType:
@@ -297,19 +298,16 @@ class ModuleManager:
         return sorted(self._dependents.get(module_id, ()))
 
     def remove_module(self, module_id: ModuleId) -> None:
-        """Remove a module that nothing is wired to.
+        """Remove a module that nothing is wired to; refused with ``InUse`` while one is.
 
-        Refused with ``InUse`` while an info module is wired to it, and with
-        ``InvariantViolation`` while an ``undo_on_error`` block it predates is open.
-        Already-defined types stay valid; removal never unloads them.
+        Inside an ``undo_on_error`` block a failure puts it back, with its id,
+        its exports indexed and its imports. Already-defined types stay valid;
+        removal never unloads them.
         """
-        self.module(module_id)
+        removed = self.module(module_id)
         dependents = self.dependents_of(module_id)
         if dependents:
             raise InUse(module_id, dependents)
-        if module_id < self._undo_from:
-            raise InvariantViolation(f"{module_id} is older than the open undo_on_error block")
-        removed = self._modules.pop(module_id)
         if isinstance(removed, InfoModule):
             self._set_wiring(removed, {})
         else:
@@ -318,7 +316,10 @@ class ModuleManager:
                 entry.discard(module_id)
                 if not entry:
                     del self._exporters[pair]
+        del self._modules[module_id]
         self._emit(EventKind.REMOVED, module_id)
+        if self._journal is not None:
+            self._journal.append((self._make_live, removed))
 
     def rewire_import(self, via: ModuleId,
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:

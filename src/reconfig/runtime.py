@@ -31,6 +31,12 @@ module changes, so the post-swap check covers the links at the swapped
 component's ports and no others; a swap costs what the component touches,
 not the size of the architecture. The old module stays the component's until
 it is removed; its types live on while referenced.
+
+Add, swap and remove each run in one ``undo_on_error`` block of the manager,
+whose journal puts back every module the operation created, rewired or
+removed. Attaching a component to the root, or detaching it, is the block's
+last write, so a refusal at any step leaves the modules and the tree as they
+were.
 """
 
 from __future__ import annotations
@@ -305,8 +311,8 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     ``AmbiguousImport`` before anything is created. The planned table is
     written as ``instantiate`` and swap write theirs, through ``rewire_import``,
     so a provider that does not export its pair raises ``UnresolvableExport``.
-    Creation runs under the manager's undo log, so any failure leaves the
-    modules as they were.
+    Creation, then attaching the component to the root, runs under the
+    manager's undo log, so any failure leaves the modules as they were.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     if component.name in arch.components:
@@ -329,8 +335,8 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
         arch.mgr.rewire_import(info_id, planned_ids(planned, ids))
         inst = attach_primitive(arch.mgr, corpus, component, info_id,
                                 [ids[rp.label] for rp in impls])
+        add_child(arch.root, inst)
 
-    add_child(arch.root, inst)
     arch.components[component.name] = inst
     arch.public.update({pair: ids[rp.label] for pair, rp in new_index.items()})
     return inst
@@ -341,16 +347,19 @@ def remove_component(arch: ArchitectureInstance, name: str) -> None:
 
     The component's info module and the implementation modules it owns go
     away; interface and shared modules stay, they may serve other components.
+    The removals run under the manager's undo log, and detaching the component
+    from the root is the last write, so a refusal at any step, such as
+    ``CrossBindingExists`` or ``UnknownModule`` for a module already removed
+    directly, puts every module back.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     comp = arch.component(name)
     if comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
-    for mid in [comp.info_module, *comp.impl_modules]:  # a direct removal may have taken one:
-        arch.mgr.module(mid)  # refuse with UnknownModule before anything changes
-    remove_child(arch.root, comp)
-    for mid in [comp.info_module, *comp.impl_modules]:
-        arch.mgr.remove_module(mid)
+    with arch.mgr.undo_on_error():
+        for mid in [comp.info_module, *comp.impl_modules]:
+            arch.mgr.remove_module(mid)
+        remove_child(arch.root, comp)
     del arch.components[name]
 
 

@@ -230,32 +230,47 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
         mgr.create_resource_module([], hello)
 
 
-def test_an_undo_block_refuses_to_remove_an_older_module_and_may_remove_its_own(hello):
+def test_a_failed_block_puts_back_an_older_module_it_removed_and_forgets_its_own(hello):
     mgr = ModuleManager()
     resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     info = mgr.create_info_module([_pair("Service", "1.0")])
-    with pytest.raises(InvariantViolation, match="older than the open undo_on_error block"):
+    later = mgr.create_info_module([_pair("Service", "1.0")])
+    module, seen = mgr.module(info), len(mgr.events)
+    with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
             own = mgr.create_resource_module([_pair("Service", "1.0")], hello)
             mgr.remove_module(own)
             mgr.remove_module(info)
-    assert mgr.live_ids() == {resource, info} and mgr.dependents_of(resource) == [info]
-    assert mgr.module(info).imports == {"Service": resource}
+            raise RuntimeError
+    assert mgr.live_ids() == {resource, info, later}
+    assert mgr.module(info) is module and module.imports == {"Service": resource}
+    assert mgr.dependents_of(resource) == [info, later]
+    assert mgr.exporters_of(_pair("Service", "1.0")) == [resource]
+    assert [m.id for m in mgr.info_modules()] == [info, later]  # put back last, listed by id
+    added, removed = EventKind.ADDED, EventKind.REMOVED  # the block, then each write undone
+    assert [(e.kind, e.module_id) for e in mgr.events[seen:]] == [
+        (added, own), (removed, own), (removed, info),
+        (added, info), (added, own), (removed, own)]
     assert replay_live_set(mgr.events) == mgr.live_ids()
 
 
-def test_a_failed_block_cannot_remove_the_older_provider_it_rewired_away_from(hello):
+def test_a_failed_block_puts_back_the_older_provider_it_rewired_away_from_and_removed(hello):
     mgr = ModuleManager()
     r1 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     i = mgr.create_info_module([_pair("Service", "1.0")])
-    with pytest.raises(InvariantViolation):
+    other = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
             r2 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
             mgr.rewire_import(i, {"Service": (VersionTag("1.0"), r2)})
             mgr.remove_module(r1)
-    assert mgr.live_ids() == {r1, i} and mgr.module(i).imports == {"Service": r1}
+            raise RuntimeError
+    assert mgr.live_ids() == {r1, i, other} and mgr.module(i).imports == {"Service": r1}
     assert mgr.dependents_of(r1) == [i] and mgr.dependents_of(r2) == []
+    assert mgr.exporters_of(_pair("Service", "1.0")) == [r1]
+    assert [m.id for m in mgr.resource_modules()] == [r1, other]  # put back last, listed by id
     assert mgr.load_type(i, "Service").defined_by == r1
+    assert replay_live_set(mgr.events) == mgr.live_ids()
 
 
 def test_the_undo_log_removes_a_created_info_module_rewired_to_a_newer_created_one(hello):

@@ -365,16 +365,24 @@ class _Injected(Exception):
 
 
 def _fail_kth_write(mgr: ModuleManager, monkeypatch, k: int) -> list[int]:
-    """Make the k-th manager write from now on raise ``_Injected`` (none for k=0); return the count."""
+    """Make the k-th manager or structural write from now on raise ``_Injected`` (none for
+    k=0); return the count. The structural writes are runtime's ``add_child`` and
+    ``remove_child``."""
     count = [0]
-    for name in ("create_resource_module", "create_info_module", "rewire_import",
-                 "_set_wiring", "remove_module"):
-        def write(*args, _original=getattr(mgr, name), **kwargs):
+
+    def wrap(owner, name):
+        def write(*args, _original=getattr(owner, name), **kwargs):
             count[0] += 1
             if count[0] == k:
                 raise _Injected(k)
             return _original(*args, **kwargs)
-        monkeypatch.setattr(mgr, name, write)
+        monkeypatch.setattr(owner, name, write)
+
+    for name in ("create_resource_module", "create_info_module", "rewire_import",
+                 "_set_wiring", "_make_live", "remove_module"):
+        wrap(mgr, name)
+    for name in ("add_child", "remove_child"):
+        wrap(runtime, name)
     return count
 
 
@@ -395,23 +403,52 @@ _FAULTED_OPS = {
         arch, "server", ("ServerImpl", "2.0"), corpus),
     "add": lambda arch, corpus: runtime.add_component(
         arch, parse_component_fragment(SERVER2), corpus),
+    "remove": lambda arch, corpus: runtime.remove_component(arch, "server2"),
 }
+
+# Every pair a faulted op can make a module export.
+_FAULTED_PAIRS = {(td.name, td.version) for name in ("hello", "hello_swap")
+                  for td in load_corpus(corpus_path(name)).entries()}
+
+
+def _faulted_arch(op: str):
+    """hello_v1 over hello_swap; the remove op removes a server2 added here, with no links."""
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    if op == "remove":
+        runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
+    return arch, corpus
+
+
+def _faulted_state(arch) -> tuple:
+    """What a failed op must leave as it found it, each index copied as it is read.
+
+    Indexes are read for every pair a module may export and every id ever used, and
+    only their non-empty entries kept, so an entry left behind for a module the op
+    created shows too."""
+    mgr = arch.mgr
+    ids = {event.module_id for event in mgr.events}
+    return (arch.report(), mgr.live_ids(),
+            {pair: found for pair in _FAULTED_PAIRS if (found := mgr.exporters_of(pair))},
+            {mid: found for mid in ids if (found := mgr.dependents_of(mid))},
+            {name: (comp.content, list(comp.impl_modules), list(comp.children))
+             for name, comp in arch.components.items()})
 
 
 @pytest.mark.parametrize("op", sorted(_FAULTED_OPS))
 def test_a_failure_at_any_manager_write_leaves_everything_as_it_was(op, monkeypatch):
-    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    arch, corpus = _faulted_arch(op)
     writes = _fail_kth_write(arch.mgr, monkeypatch, 0)
     _FAULTED_OPS[op](arch, corpus)
     assert writes[0] > 0
     for k in range(1, writes[0] + 1):
-        arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
-        before, live, seen = arch.report(), arch.mgr.live_ids(), len(arch.mgr.events)
+        monkeypatch.undo()
+        arch, corpus = _faulted_arch(op)
+        before, seen = _faulted_state(arch), len(arch.mgr.events)
         _fail_kth_write(arch.mgr, monkeypatch, k)
         with pytest.raises(Exception) as exc:
             _FAULTED_OPS[op](arch, corpus)
         assert isinstance(exc.value, _Injected) or isinstance(exc.value.__cause__, _Injected), k
-        assert arch.report() == before and arch.mgr.live_ids() == live, k
+        assert _faulted_state(arch) == before, k
         assert replay_live_set(arch.mgr.events) == arch.mgr.live_ids()
         events = arch.mgr.events[seen:]
         added = [e.module_id for e in events if e.kind is EventKind.ADDED]
@@ -1095,6 +1132,29 @@ def test_a_swap_and_a_remove_do_the_same_work_at_100_and_1000_primitives():
     assert small == large
     assert small["swap"]["check_binding"] == 2  # the bindings into and out of the middle
     assert small["remove"]["wiring_reads"] > 0
+
+
+def _manager_writes_of_a_refused_remove(n: int) -> Counter:
+    """Manager writes, undo included, of removing the still-bound middle of an n-chain."""
+    arch = _build_text(_chain_text(n, [True] * n), _chain_swap_corpus())
+    middle = f"c{n // 2}"
+    before, live = arch.report(), arch.mgr.live_ids()
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("remove_module", "_set_wiring", "_make_live"):
+            count_calls(patch, arch.mgr, name, counts)
+        with pytest.raises(CrossBindingExists):
+            runtime.remove_component(arch, middle)
+    assert arch.report() == before and arch.mgr.live_ids() == live
+    return counts
+
+
+def test_undoing_a_refused_remove_writes_the_same_at_100_and_1000_primitives():
+    small = _manager_writes_of_a_refused_remove(100)
+    assert small == _manager_writes_of_a_refused_remove(1000)
+    # the info and the implementation module go, unwiring the info module, then each is put
+    # back and the info module rewired: the undo writes only what the block wrote
+    assert small == {"remove_module": 2, "_set_wiring": 2, "_make_live": 2}
 
 
 # --- re-planning a component is mostly dictionary hits ---------------------------------
