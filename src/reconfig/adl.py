@@ -79,7 +79,7 @@ _CHILDREN = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdlInterface:
     name: str
     role: Role
@@ -89,7 +89,7 @@ class AdlInterface:
     col: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdlComponent:
     name: str
     interfaces: tuple[AdlInterface, ...]
@@ -99,7 +99,7 @@ class AdlComponent:
     col: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdlBinding:
     client: tuple[str, str]
     server: tuple[str, str]
@@ -476,7 +476,7 @@ def render_adl(definition: AdlDefinition) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     level: str
     code: str

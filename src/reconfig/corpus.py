@@ -124,7 +124,7 @@ class VersionTag(tuple):
 Pair = tuple[str, VersionTag]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     """Symbolic reference to a type, optionally pinned to a version."""
 
@@ -139,7 +139,7 @@ class TypeRef:
         return self.name if self.version is None else f"{self.name}@{self.version}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSig:
     """A method signature: name, ordered parameter type names, return type.
 
@@ -172,7 +172,7 @@ class TypeKind(Enum):
 _KINDS = {kind.value: kind for kind in TypeKind}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeDef:
     """One versioned code unit as read from a ``.typedef`` file."""
 

@@ -14,10 +14,11 @@ first plans the public modules for whatever is not exported yet:
 module exporting the private remainder of the content closure, and a table
 ``{name: (version, provider)}`` of its content closure, declared signatures
 and shared-file closure. That table is the one record of an info module's
-plan: ``InfoPlan`` derives its imports and providers from it, and build, add
-and swap alike turn it into module ids with ``planned_ids`` and write it with
-the manager's ``rewire_import``, which refuses a provider that does not
-export its pair; nothing resolves the table a second time. Two
+plan: ``InfoPlan`` derives its imports and providers from it, build and add
+read their ports' versions off it, and build, add and swap alike turn it into
+module ids with ``planned_ids`` and write it with the manager's
+``rewire_import``, which refuses a provider that does not export its pair;
+nothing resolves the table a second time. Two
 components that exchange a type resolve it to one common module precisely when
 the type is interface-visible or file-declared; anything else stays a private
 copy per component, which is what makes undeclared exchange fail at invocation
@@ -82,7 +83,7 @@ def parse_granularity(text: str) -> Granularity:
     raise ValueError(f"unknown granularity {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourcePlan:
     label: str
     exports: tuple[Pair, ...]
@@ -90,7 +91,7 @@ class ResourcePlan:
     owner: Optional[str] = None    # the component an "impl" module serves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfoPlan:
     component: str
     table: Mapping[str, tuple[VersionTag, ResourcePlan]]   # {name: (version, provider)}
@@ -104,7 +105,7 @@ class InfoPlan:
         return tuple(sorted({provider.label for _, provider in self.table.values()}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModulePlan:
     granularity: Granularity
     resources: tuple[ResourcePlan, ...]
@@ -367,48 +368,60 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
     """Create modules, components, and bindings, all or nothing.
 
     The work runs under the manager's undo log, so an error leaves the modules
-    as they were; it is re-raised wrapped with the ADL location.
+    as they were; it is re-raised wrapped with the ADL location of the step
+    being built, which is spelled only then.
     """
-    location = f"definition {definition.name}"
+    step = definition  # the step being built, which _location names if it fails
     try:
         with mgr.undo_on_error():
             ids: dict[str, ModuleId] = {}
             public: dict[Pair, ModuleId] = {}
             owned: dict[str, list[ModuleId]] = {}
-            for rp in plan.resources:
-                location = f"module {rp.label}"
-                mid = ids[rp.label] = mgr.create_resource_module(rp.exports, corpus)
-                if rp.kind == "impl":
-                    owned.setdefault(rp.owner, []).append(mid)
+            for step in plan.resources:
+                mid = ids[step.label] = mgr.create_resource_module(step.exports, corpus)
+                if step.kind == "impl":
+                    owned.setdefault(step.owner, []).append(mid)
                 else:
-                    public.update(dict.fromkeys(rp.exports, mid))
+                    public.update(dict.fromkeys(step.exports, mid))
 
             info_ids: dict[str, ModuleId] = {}
-            for ip in plan.infos:
-                location = f"info module {ip.component}"
-                info_id = info_ids[ip.component] = mgr.create_info_module(())
-                mgr.rewire_import(info_id, planned_ids(ip.table, ids))
+            for step in plan.infos:
+                info_id = info_ids[step.component] = mgr.create_info_module(())
+                mgr.rewire_import(info_id, planned_ids(step.table, ids))
 
             single = plan.granularity is Granularity.SINGLE_LOADER
+            tables = {ip.component: ip.table for ip in plan.infos}
             components: dict[str, ComponentInstance] = {}
-            for comp in definition.components:
-                location = f"component {comp.name} ({comp.line}:{comp.col})"
-                info_id = info_ids[definition.name] if single else info_ids[comp.name]
-                components[comp.name] = attach_primitive(mgr, corpus, comp, info_id,
-                                                         owned.get(comp.name, []))
+            for step in definition.components:
+                owner = definition.name if single else step.name
+                components[step.name] = attach_primitive(mgr, step, info_ids[owner], tables[owner],
+                                                         owned.get(step.name, []))
 
-            location = f"definition {definition.name}"
-            root = new_composite(mgr, definition.name, port_specs(corpus, definition.interfaces),
+            step = definition
+            root = new_composite(mgr, definition.name,
+                                 port_specs(definition.interfaces, tables.get(definition.name, {})),
                                  [components[c.name] for c in definition.components],
                                  info_module=info_ids.get(definition.name))
             components[definition.name] = root
 
-            for b in definition.bindings:
-                location = f"binding {b} ({b.line}:{b.col})"
-                _apply_binding(mgr, root, components, b)
+            for step in definition.bindings:
+                _apply_binding(mgr, root, components, step)
             return ArchitectureInstance(plan.granularity, mgr, public, components, root)
     except Exception as exc:
-        raise InstantiationError(location, exc) from exc
+        raise InstantiationError(_location(step), exc) from exc
+
+
+def _location(step) -> str:
+    """How an ``InstantiationError`` names the step of ``instantiate`` that failed."""
+    if isinstance(step, ResourcePlan):
+        return f"module {step.label}"
+    if isinstance(step, InfoPlan):
+        return f"info module {step.component}"
+    if isinstance(step, AdlComponent):
+        return f"component {step.name} ({step.line}:{step.col})"
+    if isinstance(step, AdlBinding):
+        return f"binding {step} ({step.line}:{step.col})"
+    return f"definition {step.name}"
 
 
 def planned_ids(table: Mapping[str, tuple[VersionTag, object]],
@@ -418,19 +431,22 @@ def planned_ids(table: Mapping[str, tuple[VersionTag, object]],
             for name, (version, p) in table.items()}
 
 
-def attach_primitive(mgr: ModuleManager, corpus: CorpusStore, source: AdlComponent,
-                     info_id: ModuleId, impl_modules: list[ModuleId]) -> ComponentInstance:
-    """Create the primitive ``source`` describes over its info module, owning ``impl_modules``."""
+def attach_primitive(mgr: ModuleManager, source: AdlComponent, info_id: ModuleId,
+                     table: Mapping[str, tuple[VersionTag, object]],
+                     impl_modules: list[ModuleId]) -> ComponentInstance:
+    """Create the primitive ``source`` describes over its info module, owning ``impl_modules``;
+    ``table`` is the info module's planned table."""
     content = mgr.load_type(info_id, source.content[0])
-    inst = new_primitive(mgr, source.name, port_specs(corpus, source.interfaces), content, info_id)
+    inst = new_primitive(mgr, source.name, port_specs(source.interfaces, table), content, info_id)
     inst.source = source
     inst.impl_modules = impl_modules
     return inst
 
 
-def port_specs(corpus: CorpusStore, interfaces) -> list[PortSpec]:
-    return [PortSpec(itf.name, itf.role, *pair)
-            for itf, pair in zip(interfaces, signature_pairs(corpus, interfaces))]
+def port_specs(interfaces, table: Mapping[str, tuple[VersionTag, object]]) -> list[PortSpec]:
+    """Each port at the version its owner's planned ``table`` imports its signature at."""
+    return [PortSpec(itf.name, itf.role, itf.signature, table[itf.signature][0])
+            for itf in interfaces]
 
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,

@@ -58,7 +58,7 @@ class BindingKind(Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortSpec:
     """Input description of a port before it is attached to an owner."""
 
@@ -70,6 +70,8 @@ class PortSpec:
 
 class InterfacePort:
     """A named access point of one component."""
+
+    __slots__ = ("name", "role", "signature", "version", "owner", "binding", "inbound", "route")
 
     def __init__(self, spec: PortSpec, owner: "ComponentInstance"):
         self.name = spec.name
@@ -88,6 +90,8 @@ class InterfacePort:
 class BindingRecord:
     """A primitive binding of a client to a server port, live while the client holds it."""
 
+    __slots__ = ("client", "server")
+
     def __init__(self, client: InterfacePort, server: InterfacePort):
         self.client = client
         self.server = server
@@ -97,6 +101,9 @@ class BindingRecord:
 
 
 class ComponentInstance:
+    __slots__ = ("name", "kind", "interfaces", "content", "children", "parents", "info_module",
+                 "source", "impl_modules")
+
     def __init__(self, name: str, kind: ComponentKind, ports: Sequence[PortSpec],
                  content: Optional[DefinedType], info_module: Optional[ModuleId]):
         self.name = name
@@ -141,35 +148,52 @@ class ComponentInstance:
         return f"<{self.kind.value} {self.name}>"
 
 
-def _check_signature_kinds(mgr: ModuleManager, inst: ComponentInstance) -> None:
+def _check_signature_kinds(mgr: ModuleManager, inst: ComponentInstance) -> list[TypeDef]:
+    """Each port's signature, loaded once through the component's info module, in port
+    order; ``SignatureNotInterface`` at the first that is not an interface."""
+    signatures = []
     for port in inst.interfaces:
-        loaded = mgr.load_type(inst.info_module, port.signature)
-        if loaded.definition.kind is not TypeKind.INTERFACE:
+        definition = mgr.load_type(inst.info_module, port.signature).definition
+        if definition.kind is not TypeKind.INTERFACE:
             raise SignatureNotInterface(port.signature)
+        signatures.append(definition)
+    return signatures
+
+
+def _check_methods(content: TypeDef, signatures: Iterable[tuple[str, TypeDef]]) -> None:
+    """Raise MissingMethod at the first ``(signature name, definition)`` pair with a method
+    that ``content`` lacks; a method matches on name and parameter type names."""
+    implemented = {(m.name, m.params) for m in content.methods}
+    for name, signature in signatures:
+        for method in signature.methods:
+            if (method.name, method.params) not in implemented:
+                raise MissingMethod(name, method.name)
 
 
 def check_conformance(mgr: ModuleManager, inst: ComponentInstance, content: TypeDef) -> None:
     """Raise MissingMethod unless ``content`` implements every server port's methods.
 
-    A method matches on name and parameter type names; the interfaces are the
-    definitions loaded through the component's own info module.
+    The interfaces are the definitions loaded through the component's own info
+    module, each only once the ports before it conform.
     """
-    implemented = {(m.name, m.params) for m in content.methods}
-    for port in inst.server_ports():
-        sig = mgr.load_type(inst.info_module, port.signature)
-        for method in sig.definition.methods:
-            if (method.name, method.params) not in implemented:
-                raise MissingMethod(port.signature, method.name)
+    _check_methods(content, ((port.signature, mgr.load_type(inst.info_module,
+                                                             port.signature).definition)
+                             for port in inst.server_ports()))
 
 
 def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
                   content: DefinedType, info_module: ModuleId) -> ComponentInstance:
-    """Create a primitive component around a content class that conforms to its ports."""
+    """Create a primitive component around a content class that conforms to its ports.
+
+    Every port's signature must be an interface before the server ports' methods are
+    checked, and each is loaded once."""
     if content.definition.kind is not TypeKind.CLASS:
         raise ContentNotAClass(content.name)
     inst = ComponentInstance(name, ComponentKind.PRIMITIVE, ports, content, info_module)
-    _check_signature_kinds(mgr, inst)
-    check_conformance(mgr, inst, content.definition)
+    signatures = _check_signature_kinds(mgr, inst)
+    _check_methods(content.definition, ((port.signature, signature) for port, signature
+                                        in zip(inst.interfaces, signatures)
+                                        if port.role is Role.SERVER))
     return inst
 
 

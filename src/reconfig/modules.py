@@ -63,7 +63,7 @@ class ModuleId(int):
     __str__ = __repr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefinedType:
     """A loaded type's identity: (name, defining module).
 
@@ -89,7 +89,7 @@ class EventKind(Enum):
     REMOVED = "removed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleEvent:
     kind: EventKind
     module_id: ModuleId
@@ -97,6 +97,8 @@ class ModuleEvent:
 
 class ResourceModule:
     """Exports versioned definitions from a corpus and owns what it defines."""
+
+    __slots__ = ("id", "source", "exports", "_defined")
 
     def __init__(self, module_id: ModuleId, exports: Iterable[Pair], source: CorpusStore):
         self.id = module_id
@@ -268,7 +270,8 @@ class ModuleManager:
             (wiring[name],) = exporters
         module = InfoModule(self._fresh_id())
         self._make_live(module)
-        self._set_wiring(module, wiring)
+        if wiring:  # a fresh module's imports are already empty
+            self._set_wiring(module, wiring)
         return module.id
 
     def load_type(self, via: ModuleId, name: str) -> DefinedType:
@@ -327,15 +330,20 @@ class ModuleManager:
 
         The one write of a planned table: build and add fill a fresh info
         module with it, swap moves an existing one. Every entry is validated
-        first, so the write is all or nothing; each name is then imported from
-        its provider, whose export of it is the version given.
+        first, in table order, against the exporter index: a provider that is
+        not live raises ``UnknownModule``, and a live one that does not export
+        the pair ``UnresolvableExport``. So the write is all or nothing; each
+        name is then imported from its provider, whose export of it is the
+        version given.
         """
         info = self.module(via)
         if not isinstance(info, InfoModule):
             raise UnknownModule(via)
         for name, (version, provider) in table.items():
-            target = self.module(provider)
-            if not (isinstance(target, ResourceModule) and target.exports_pair(name, version)):
+            exporters = self._exporters.get((name, version), ())
+            if provider not in exporters and provider not in self._modules:
+                raise UnknownModule(provider)
+            if provider not in exporters:
                 raise UnresolvableExport(name, version)
         self._set_wiring(info, {name: provider for name, (_, provider) in table.items()})
 

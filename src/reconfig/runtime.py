@@ -113,7 +113,7 @@ class TraceEvent:
         return f"{self.seq} {self.kind} {' '.join(self.args)}".rstrip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapRecord:
     component: str
     old_content: DefinedType
@@ -121,7 +121,7 @@ class SwapRecord:
     new_module: ModuleId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchReport:
     calls: int
     with_interceptor_time: float
@@ -333,7 +333,7 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
                for rp in new_public + impls}
         info_id = arch.mgr.create_info_module(())
         arch.mgr.rewire_import(info_id, planned_ids(planned, ids))
-        inst = attach_primitive(arch.mgr, corpus, component, info_id,
+        inst = attach_primitive(arch.mgr, component, info_id, planned,
                                 [ids[rp.label] for rp in impls])
         add_child(arch.root, inst)
 

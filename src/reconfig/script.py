@@ -19,7 +19,7 @@ from .errors import ReconfigError, ScriptError
 from .factory import ArchitectureInstance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     line: int
     kind: str

@@ -623,3 +623,93 @@ def test_closure_of_spells_no_version_on_clean_walks():
                   for store in stores for td in store.entries()]
     assert len(walked) == sum(len(store) for store in stores) > 0
     assert counts["__str__"] == 0
+
+
+# --- instantiate names the step that failed, and spells it only then ----------------
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("owner, name, k, location", [
+    ("mgr", "create_resource_module", 2, "module impl(server:ServerImpl@2.0)"),
+    ("mgr", "create_info_module", 2, "info module server"),
+    ("mgr", "rewire_import", 3, "info module HelloWorld"),
+    ("factory", "new_primitive", 2, "component server (12:5)"),
+    ("factory", "new_composite", 1, "definition HelloWorld"),
+    ("factory", "route", 1, "binding this.r -> client.r (18:5)"),
+    ("factory", "bind", 1, "binding client.s -> server.s (19:5)"),
+])
+def test_a_fault_at_each_kind_of_step_names_that_step(hello, owner, name, k, location):
+    """Each kind of step fails once, at its k-th call, and the error names it exactly."""
+    from reconfig import factory
+
+    definition = _definition()
+    plan = plan_modules(definition, Granularity.PER_COMPONENT, hello)
+    mgr = ModuleManager()
+    target = mgr if owner == "mgr" else factory
+    calls = [0]
+
+    def faulty(*args, _real=getattr(target, name), **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise _Injected(f"{name} call {k}")
+        return _real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, name, faulty)
+        with pytest.raises(InstantiationError) as exc:
+            instantiate(definition, plan, mgr, hello)
+    assert str(exc.value) == f"at {location}: {name} call {k}"
+    assert exc.value.location == location and exc.value.code == "_Injected"
+    assert mgr.live_ids() == frozenset()
+
+
+def test_a_clean_instantiate_spells_no_binding_and_resolves_only_what_it_defines(tmp_path):
+    """Counted, never timed: a location is formatted only for the error that names it,
+    and ports take their versions from the planned tables, so the corpus is asked only
+    for each type a module defines for the first time."""
+    from reconfig.adl import AdlBinding
+
+    text = _write_chain(tmp_path, 50)
+    store = load_corpus(tmp_path)
+    definition = parse_adl(text)
+    plan = plan_modules(definition, Granularity.PER_COMPONENT, store)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        count_calls(patch, AdlBinding, "__str__", counts)
+        count_calls(patch, CorpusStore, "resolve", counts)
+        arch = instantiate(definition, plan, ModuleManager(), store)
+    assert len(arch.bindings) == 49
+    defined = sum(len(m._defined) for m in arch.mgr.resource_modules())
+    assert counts == {"resolve": defined}
+    assert defined == 50 + 1
+
+
+# --- a built architecture keeps the same memory per primitive at 250 and 2000 --------
+
+def _kept_by_instantiate_per_primitive(root, n: int) -> float:
+    """The ``tracemalloc`` bytes that a finished ``instantiate`` still holds, per primitive."""
+    text = _write_chain(root, n)
+    store = load_corpus(root)
+    definition = parse_adl(text)
+    plan = plan_modules(definition, Granularity.PER_COMPONENT, store)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        arch = instantiate(definition, plan, ModuleManager(), store)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(arch.components) == n + 1
+    return (kept - base) / n
+
+
+def test_a_built_architecture_keeps_the_same_memory_per_primitive_at_250_and_2000(tmp_path):
+    """Memory is counted, never timed: what a primitive costs does not grow with the
+    architecture."""
+    small = _kept_by_instantiate_per_primitive(tmp_path / "small", 250)
+    large = _kept_by_instantiate_per_primitive(tmp_path / "large", 2000)
+    assert abs(large - small) <= 0.05 * small, (small, large)

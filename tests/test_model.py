@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from reconfig.corpus import VersionTag, load_corpus
@@ -300,3 +302,33 @@ def test_internal_bindings_do_not_block_removal(world):
     # binding is wholly inside the removed subtree
     remove_child(outer, inner)
     assert inner.parents == []
+
+
+def test_every_signature_must_be_an_interface_before_any_method_is_checked(world):
+    """Both refusals apply: ClientImpl lacks Service's methods, and Request is a class.
+    The kinds of all ports are checked first, so the later port's refusal wins."""
+    mgr, corpus, info = world
+    with pytest.raises(SignatureNotInterface) as exc:
+        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
+                                   PortSpec("q", Role.CLIENT, "Request", V("1.0"))],
+                      mgr.load_type(info, "ClientImpl"), info)
+    assert str(exc.value) == "port signature Request is not an interface typedef"
+    with pytest.raises(MissingMethod):
+        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
+                                   PortSpec("q", Role.CLIENT, "java.lang.Runnable", V("0"))],
+                      mgr.load_type(info, "ClientImpl"), info)
+
+
+def test_a_new_primitive_loads_each_port_signature_once(world, monkeypatch):
+    """Counted, never timed: the kind check and the conformance check share one load."""
+    mgr, corpus, info = world
+    loads = Counter()
+    real = mgr.load_type
+
+    def counted(via, name):
+        loads[name] += 1
+        return real(via, name)
+
+    monkeypatch.setattr(mgr, "load_type", counted)
+    _client(mgr, info)
+    assert loads == {"ClientImpl": 1, "java.lang.Runnable": 1, "Service": 1}

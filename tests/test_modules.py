@@ -522,3 +522,31 @@ def test_links_are_written_only_by_the_model():
 def test_only_the_link_walk_reads_the_bindings_that_enter_a_port():
     assert _scan_src("inbound", visitor_class=_Reads).found == \
         {"model.bind", "model.unbind", "model.links"}  # bind and unbind to append and remove
+
+
+def test_rewire_import_refuses_a_dead_provider_and_a_non_exporter_in_table_order(hello):
+    """A provider that is not live raises ``UnknownModule``; a live module that does not
+    export the pair, an info module included, ``UnresolvableExport``; the first bad entry
+    of the table decides, and nothing is written."""
+    mgr = ModuleManager()
+    itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    req = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    gone = mgr.create_resource_module([_pair("Request", "1.0")], hello)
+    mgr.remove_module(gone)
+    info = mgr.create_info_module([_pair("Service", "1.0")])
+    service, request = (VersionTag("1.0"), itf), (VersionTag("1.0"), req)
+    cases = [
+        ({"Service": service, "Request": (VersionTag("1.0"), gone)}, UnknownModule),
+        ({"Service": (VersionTag("1.0"), req), "Request": request}, UnresolvableExport),
+        ({"Service": (VersionTag("1.0"), info), "Request": request}, UnresolvableExport),
+        ({"Service": (VersionTag("2.0"), itf), "Request": request}, UnresolvableExport),
+        ({"Request": (VersionTag("1.0"), gone), "Service": (VersionTag("1.0"), req)},
+         UnknownModule),
+        ({"Service": (VersionTag("1.0"), req), "Request": (VersionTag("1.0"), gone)},
+         UnresolvableExport),
+    ]
+    for table, error in cases:
+        with pytest.raises(error):
+            mgr.rewire_import(info, table)
+        assert mgr.module(info).imports == {"Service": itf}
+        assert mgr.dependents_of(itf) == [info] and mgr.dependents_of(req) == []
