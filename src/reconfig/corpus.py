@@ -22,11 +22,12 @@ A type is resolved once, as a JVM resolves a (name, loader) pair once.
 ``VersionTag`` is the tuple of its version's numbers, interned one instance
 per version text, so a resolved ``(name, VersionTag)`` pair is cheap to build
 and hashes, compares and sorts as a plain tuple, in C; a tag also equals the
-plain tuple of its numbers. A store memoizes each reference it resolves
-(``resolve``) and the closure of each single root (``closure_of``): the store
-never changes once loaded, so neither memo can go stale or needs invalidating,
-and each holds at most a few entries per typedef. Failed resolutions and walks
-are never memoized.
+plain tuple of its numbers. A versioned reference resolves by one read of the
+store's index, which already holds one entry per pair, so nothing else records
+it. The store memoizes only the closure of each single root (``closure_of``):
+the store never changes once loaded, so that memo can never go stale or need
+invalidating, and it holds at most one entry per typedef. Failed walks are
+never memoized.
 
 Inputs repeat themselves, and each distinct declaration is read once per
 input: one ``load_corpus`` parses each distinct ``ref:`` and ``method:`` value
@@ -290,19 +291,18 @@ def _parse_method(value: str, path) -> MethodSig:
 class CorpusStore:
     """Immutable index of every typedef found under a root directory.
 
-    Each reference that resolves (``resolve``) and the closure of each single
-    root (``closure_of``) are computed once and memoized. The index never
-    changes after construction, so a memo can never go stale and needs no
-    invalidation. ``closure_of`` holds at most one entry per pair in the
-    store, ``resolve`` at most one per pair plus one per unversioned name. A
-    lookup or walk that fails is not memoized, so it raises the same error,
-    with the same chain, on every call.
+    ``resolve`` reads a versioned pair straight off the index and looks up
+    only the rest (an unversioned name, or a pair the store lacks). The
+    closure of each single root (``closure_of``) is computed once and
+    memoized, at most one entry per pair in the store; the index never
+    changes after construction, so the memo can never go stale and needs no
+    invalidation. A lookup or walk that fails is not memoized, so it raises
+    the same error, with the same chain, on every call.
     """
 
     def __init__(self, root: Path, index: dict[tuple[str, VersionTag], TypeDef]):
         self.root = root
         self._index = dict(index)
-        self._resolved: dict[tuple[str, Optional[VersionTag]], TypeDef] = {}
         self._closures: dict[Pair, tuple[Pair, ...]] = {}
         self._by_name: dict[str, list[VersionTag]] = {}
         for name, version in self._index:
@@ -339,10 +339,10 @@ class CorpusStore:
         return self._index[(ref.name, versions[0])]
 
     def resolve(self, name: str, version: Optional[VersionTag] = None) -> TypeDef:
-        """``lookup(TypeRef(name, version))``, memoized per reference that resolves."""
-        td = self._resolved.get((name, version))
+        """``lookup(TypeRef(name, version))``; a versioned pair in the index is read off it."""
+        td = self._index.get((name, version))
         if td is None:
-            td = self._resolved[(name, version)] = self.lookup(TypeRef(name, version))
+            td = self.lookup(TypeRef(name, version))
         return td
 
     def versions(self, name: str) -> list[VersionTag]:

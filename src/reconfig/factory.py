@@ -14,11 +14,11 @@ first plans the public modules for whatever is not exported yet:
 module exporting the private remainder of the content closure, and a table
 ``{name: (version, provider)}`` of its content closure, declared signatures
 and shared-file closure. That table is the one record of an info module's
-plan: ``InfoPlan`` derives its imports and providers from it, build and add
-read their ports' versions off it, and build, add and swap alike turn it into
-module ids with ``planned_ids`` and write it with the manager's
-``rewire_import``, which refuses a provider that does not export its pair;
-nothing resolves the table a second time. Two
+plan: ``InfoPlan`` derives its imports and providers from it, and build, add
+and swap alike turn it into module ids with ``planned_ids`` and write it with
+the manager's ``rewire_import``, which refuses a provider that does not export
+its pair; nothing resolves the table a second time. A port's version is read
+off the signature the port loads through its info module. Two
 components that exchange a type resolve it to one common module precisely when
 the type is interface-visible or file-declared; anything else stays a private
 copy per component, which is what makes undeclared exchange fail at invocation
@@ -390,16 +390,14 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
                 mgr.rewire_import(info_id, planned_ids(step.table, ids))
 
             single = plan.granularity is Granularity.SINGLE_LOADER
-            tables = {ip.component: ip.table for ip in plan.infos}
             components: dict[str, ComponentInstance] = {}
             for step in definition.components:
                 owner = definition.name if single else step.name
-                components[step.name] = attach_primitive(mgr, step, info_ids[owner], tables[owner],
+                components[step.name] = attach_primitive(mgr, step, info_ids[owner],
                                                          owned.get(step.name, []))
 
             step = definition
-            root = new_composite(mgr, definition.name,
-                                 port_specs(definition.interfaces, tables.get(definition.name, {})),
+            root = new_composite(mgr, definition.name, port_specs(definition.interfaces),
                                  [components[c.name] for c in definition.components],
                                  info_module=info_ids.get(definition.name))
             components[definition.name] = root
@@ -432,21 +430,18 @@ def planned_ids(table: Mapping[str, tuple[VersionTag, object]],
 
 
 def attach_primitive(mgr: ModuleManager, source: AdlComponent, info_id: ModuleId,
-                     table: Mapping[str, tuple[VersionTag, object]],
                      impl_modules: list[ModuleId]) -> ComponentInstance:
-    """Create the primitive ``source`` describes over its info module, owning ``impl_modules``;
-    ``table`` is the info module's planned table."""
+    """Create the primitive ``source`` describes over its info module, owning ``impl_modules``."""
     content = mgr.load_type(info_id, source.content[0])
-    inst = new_primitive(mgr, source.name, port_specs(source.interfaces, table), content, info_id)
+    inst = new_primitive(mgr, source.name, port_specs(source.interfaces), content, info_id)
     inst.source = source
     inst.impl_modules = impl_modules
     return inst
 
 
-def port_specs(interfaces, table: Mapping[str, tuple[VersionTag, object]]) -> list[PortSpec]:
-    """Each port at the version its owner's planned ``table`` imports its signature at."""
-    return [PortSpec(itf.name, itf.role, itf.signature, table[itf.signature][0])
-            for itf in interfaces]
+def port_specs(interfaces) -> list[PortSpec]:
+    """Each declared interface as a port; its version is read off the signature it loads."""
+    return [PortSpec(itf.name, itf.role, itf.signature) for itf in interfaces]
 
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .corpus import TypeDef, TypeKind, VersionTag
+from .corpus import TypeDef, TypeKind
 from .errors import (
     AlreadyBound,
     ContainmentCycle,
@@ -65,11 +65,14 @@ class PortSpec:
     name: str
     role: Role
     signature: str
-    version: VersionTag
 
 
 class InterfacePort:
-    """A named access point of one component."""
+    """A named access point of one component.
+
+    Its ``version`` is the version of the signature it loads through its owner's
+    info module, set where that load first happens (``_check_signature_kinds``).
+    """
 
     __slots__ = ("name", "role", "signature", "version", "owner", "binding", "inbound", "route")
 
@@ -77,7 +80,6 @@ class InterfacePort:
         self.name = spec.name
         self.role = spec.role
         self.signature = spec.signature
-        self.version = spec.version
         self.owner = owner
         self.binding: Optional[BindingRecord] = None   # client side, at most one
         self.inbound: list[BindingRecord] = []         # server side
@@ -150,12 +152,14 @@ class ComponentInstance:
 
 def _check_signature_kinds(mgr: ModuleManager, inst: ComponentInstance) -> list[TypeDef]:
     """Each port's signature, loaded once through the component's info module, in port
-    order; ``SignatureNotInterface`` at the first that is not an interface."""
+    order, and the port's version read off it; ``SignatureNotInterface`` at the first
+    that is not an interface."""
     signatures = []
     for port in inst.interfaces:
         definition = mgr.load_type(inst.info_module, port.signature).definition
         if definition.kind is not TypeKind.INTERFACE:
             raise SignatureNotInterface(port.signature)
+        port.version = definition.version
         signatures.append(definition)
     return signatures
 
@@ -221,9 +225,6 @@ def _compare_endpoint_types(mgr: ModuleManager, a: InterfacePort,
     if not same_type(ta, tb):
         detail = "" if ta.name == tb.name else f"{ta.name} vs {tb.name}"
         return TypeMismatch(ta.name, ta.defined_by, tb.defined_by, detail)
-    if a.version != b.version:
-        return TypeMismatch(ta.name, ta.defined_by, tb.defined_by,
-                            f"declared versions differ: {a.version} vs {b.version}")
     return None
 
 
@@ -232,8 +233,8 @@ def check_binding(mgr: ModuleManager, client: InterfacePort,
     """Predict whether a binding will be type-safe without creating it.
 
     Both ends load their declared signature through their own info module; it
-    returns ``None`` only when that produces one identical defined type and the
-    declared versions agree, else the ``TypeMismatch`` that ``bind`` would raise.
+    returns ``None`` only when that produces one identical defined type, else the
+    ``TypeMismatch`` that ``bind`` would raise.
     """
     if client.role is not Role.CLIENT:
         raise RoleError(f"{client} is not a client port")

@@ -113,9 +113,6 @@ class ResourceModule:
             self.exports[name] = version
         self._defined: dict[str, DefinedType] = {}
 
-    def exports_pair(self, name: str, version: VersionTag) -> bool:
-        return self.exports.get(name) == version
-
     def define(self, name: str) -> DefinedType:
         """Return the cached type for ``name`` or materialize it once.
 

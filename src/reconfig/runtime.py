@@ -333,8 +333,7 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
                for rp in new_public + impls}
         info_id = arch.mgr.create_info_module(())
         arch.mgr.rewire_import(info_id, planned_ids(planned, ids))
-        inst = attach_primitive(arch.mgr, component, info_id, planned,
-                                [ids[rp.label] for rp in impls])
+        inst = attach_primitive(arch.mgr, component, info_id, [ids[rp.label] for rp in impls])
         add_child(arch.root, inst)
 
     arch.components[component.name] = inst

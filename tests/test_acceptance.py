@@ -185,7 +185,7 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
                     assert same_type(first, mgr.load_type(info, name))
                 # brute-force oracle: search every exporter directly
                 exporters = [m.id for m in mgr.resource_modules()
-                             if m.exports_pair(name, V(version))]
+                             if m.exports.get(name) == V(version)]
                 assert len(exporters) == 1
                 assert wiring[name] == exporters[0] == owner_of[(name, version)][1]
                 loaded.append(first)

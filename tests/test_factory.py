@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import re
 import tracemalloc
 from collections import Counter
@@ -713,3 +714,39 @@ def test_a_built_architecture_keeps_the_same_memory_per_primitive_at_250_and_200
     small = _kept_by_instantiate_per_primitive(tmp_path / "small", 250)
     large = _kept_by_instantiate_per_primitive(tmp_path / "large", 2000)
     assert abs(large - small) <= 0.05 * small, (small, large)
+
+
+def _ports_checked_against_their_providers(arch) -> Counter:
+    """Assert that each live port's version is the one its info module's provider exports
+    for its signature, equal as a tag and as text; count the ports checked by kind."""
+    mgr, checked = arch.mgr, Counter()
+    for comp in arch.components.values():
+        for port in comp.interfaces:
+            info = mgr.module(comp.info_module)
+            exported = mgr.module(info.imports[port.signature]).exports[port.signature]
+            assert (port.version, str(port.version)) == (exported, str(exported)), str(port)
+            checked[comp.kind.value] += 1
+    return checked
+
+
+def test_each_port_carries_the_version_its_provider_exports_after_every_command():
+    """Every fixture ADL over every corpus it validates against, at both granularities:
+    after the build and after each command of each fixture script, run one at a time."""
+    scripts = [parse_script(path.read_text(encoding="utf-8"))
+               for path in sorted((FIXTURES / "scripts").glob("*.script"))]
+    checked = Counter()
+    for adl in sorted((FIXTURES / "adl").glob("*.xml")):
+        definition = parse_adl(adl.read_text(encoding="utf-8"))
+        for corpus_dir in sorted((FIXTURES / "corpora").iterdir()):
+            corpus = load_corpus(corpus_dir)
+            if validate(definition, corpus):
+                continue
+            for granularity, commands in itertools.product(Granularity, scripts):
+                plan = plan_modules(definition, granularity, corpus)
+                arch = instantiate(definition, plan, ModuleManager(), corpus)
+                checked += _ports_checked_against_their_providers(arch)
+                for cmd in commands:
+                    if not cmd.kind.startswith("expect-"):
+                        run_script(arch, corpus, [cmd])
+                        checked += _ports_checked_against_their_providers(arch)
+    assert checked == Counter(primitive=624, composite=96)

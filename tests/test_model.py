@@ -61,15 +61,15 @@ def world():
 
 def _server(mgr, info, name="server"):
     content = mgr.load_type(info, "ServerImpl")
-    return new_primitive(mgr, name, [PortSpec("s", Role.SERVER, "Service", V("1.0"))],
+    return new_primitive(mgr, name, [PortSpec("s", Role.SERVER, "Service")],
                          content, info)
 
 
 def _client(mgr, info, name="client"):
     content = mgr.load_type(info, "ClientImpl")
     return new_primitive(mgr, name,
-                         [PortSpec("r", Role.SERVER, "java.lang.Runnable", V("0")),
-                          PortSpec("s", Role.CLIENT, "Service", V("1.0"))],
+                         [PortSpec("r", Role.SERVER, "java.lang.Runnable"),
+                          PortSpec("s", Role.CLIENT, "Service")],
                          content, info)
 
 
@@ -89,7 +89,7 @@ def test_new_primitive_checks_conformance(world):
               {(m.name, m.params) for m in client_impl.methods}
     assert missing
     with pytest.raises(MissingMethod):
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service", V("1.0"))],
+        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service")],
                       mgr.load_type(info, "ClientImpl"), info)
 
 
@@ -98,7 +98,7 @@ def test_new_primitive_rejects_interface_content_and_class_signatures(world):
     with pytest.raises(ContentNotAClass):
         new_primitive(mgr, "bad", [], mgr.load_type(info, "Service"), info)
     with pytest.raises(SignatureNotInterface):
-        new_primitive(mgr, "bad", [PortSpec("r", Role.SERVER, "Request", V("1.0"))],
+        new_primitive(mgr, "bad", [PortSpec("r", Role.SERVER, "Request")],
                       mgr.load_type(info, "ServerImpl"), info)
 
 
@@ -106,7 +106,7 @@ def test_new_composite_and_shared_children(world):
     mgr, corpus, info = world
     client, server = _client(mgr, info), _server(mgr, info)
     outer = new_composite(mgr, "HelloWorld",
-                          [PortSpec("r", Role.SERVER, "java.lang.Runnable", V("0"))],
+                          [PortSpec("r", Role.SERVER, "java.lang.Runnable")],
                           [client, server], info_module=info)
     assert outer.children == [client, server]
     assert client.parents == [outer]
@@ -126,7 +126,7 @@ def test_a_child_is_added_once_and_a_composite_with_ports_needs_an_info_module(w
         add_child(outer, server)
     assert outer.children == [server] and server.parents == [outer]
 
-    ports = [PortSpec("s", Role.SERVER, "Service", V("1.0"))]
+    ports = [PortSpec("s", Role.SERVER, "Service")]
     with pytest.raises(InvariantViolation, match="declares ports but has no info module"):
         new_composite(mgr, "ported", ports, [server])
     assert outer.children == [server] and server.parents == [outer]
@@ -191,8 +191,8 @@ def test_bind_unbind_cycle(world):
 def test_route_writes_in_and_out_and_refuses_a_client_port_that_holds_a_link(world):
     mgr, corpus, info = world
     client, server, bound = _client(mgr, info), _server(mgr, info), _client(mgr, info, "bound")
-    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
-                                         PortSpec("c", Role.CLIENT, "Service", V("1.0"))],
+    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service"),
+                                         PortSpec("c", Role.CLIENT, "Service")],
                           [client, server, bound], info_module=info)
     route(mgr, outer.port("s"), server.port("s"))
     assert outer.port("s").route is server.port("s")
@@ -218,7 +218,7 @@ def _stranger(mgr, corpus):
 def test_route_between_different_types_raises_the_mismatch_and_writes_nothing(world):
     mgr, corpus, info = world
     stranger = _stranger(mgr, corpus)
-    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service", V("1.0"))],
+    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service")],
                           [stranger], info_module=info)
     with pytest.raises(TypeMismatch):
         route(mgr, outer.port("s"), stranger.port("s"))
@@ -309,13 +309,13 @@ def test_every_signature_must_be_an_interface_before_any_method_is_checked(world
     The kinds of all ports are checked first, so the later port's refusal wins."""
     mgr, corpus, info = world
     with pytest.raises(SignatureNotInterface) as exc:
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
-                                   PortSpec("q", Role.CLIENT, "Request", V("1.0"))],
+        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service"),
+                                   PortSpec("q", Role.CLIENT, "Request")],
                       mgr.load_type(info, "ClientImpl"), info)
     assert str(exc.value) == "port signature Request is not an interface typedef"
     with pytest.raises(MissingMethod):
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service", V("1.0")),
-                                   PortSpec("q", Role.CLIENT, "java.lang.Runnable", V("0"))],
+        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service"),
+                                   PortSpec("q", Role.CLIENT, "java.lang.Runnable")],
                       mgr.load_type(info, "ClientImpl"), info)
 
 

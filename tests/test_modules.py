@@ -24,7 +24,6 @@ from reconfig.modules import (
     EventKind,
     ModuleId,
     ModuleManager,
-    ResourceModule,
     replay_live_set,
     same_type,
 )
@@ -92,7 +91,7 @@ def test_two_exporters_make_an_import_ambiguous(hello):
     b = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     # oracle: count the matching exporters directly
     exporters = [m.id for m in mgr.resource_modules()
-                 if m.exports_pair("Service", VersionTag("1.0"))]
+                 if m.exports.get("Service") == VersionTag("1.0")]
     assert exporters == [a, b]
     with pytest.raises(AmbiguousImport) as exc:
         mgr.create_info_module([_pair("Service", "1.0")])
@@ -406,26 +405,55 @@ def test_dependents_are_in_id_order_whatever_the_order_they_were_wired_in():
 
 # --- the one index of which live modules export a pair ----------------------------------
 
+class _CountedDict(dict):
+    """A dict that adds one to ``counts[label]`` per ``get`` and per entry that any
+    iteration over it yields, so a scan of n entries counts n."""
+
+    def __init__(self, data, counts: Counter, label: str):
+        super().__init__(data)
+        self._counts, self._label = counts, label
+
+    def _yielded(self, entries):
+        for entry in entries:
+            self._counts[self._label] += 1
+            yield entry
+
+    def __iter__(self):
+        return self._yielded(super().__iter__())
+
+    def keys(self):
+        return self._yielded(super().keys())
+
+    def values(self):
+        return self._yielded(super().values())
+
+    def items(self):
+        return self._yielded(super().items())
+
+    def get(self, *args):
+        self._counts[self._label] += 1
+        return super().get(*args)
+
+
 def _exporter_scans_of_one_info_module(n: int) -> Counter:
-    """``exports_pair`` calls while one info module resolves its import among n live modules."""
+    """Reads of the manager's registry and of its exporter index while one info module
+    resolves its import among n live modules."""
     store = _mem_store(*((f"T{i}", "1.0") for i in range(n)))
     mgr = ModuleManager()
     mids = [mgr.create_resource_module([_pair(f"T{i}", "1.0")], store) for i in range(n)]
     counts = Counter()
-    real = ResourceModule.exports_pair
-    with pytest.MonkeyPatch.context() as patch:
-        def counted(module, name, version):
-            counts["exports_pair"] += 1
-            return real(module, name, version)
-
-        patch.setattr(ResourceModule, "exports_pair", counted)
-        info = mgr.create_info_module([_pair(f"T{n // 2}", "1.0")])
+    mgr._modules = _CountedDict(mgr._modules, counts, "registry")
+    mgr._exporters = _CountedDict(mgr._exporters, counts, "exporter index")
+    info = mgr.create_info_module([_pair(f"T{n // 2}", "1.0")])
+    made = Counter(counts)
     assert mgr.module(info).imports == {f"T{n // 2}": mids[n // 2]}
-    return counts
+    return made
 
 
 def test_an_info_module_resolves_its_imports_with_the_same_work_at_10_and_1000_modules():
-    assert _exporter_scans_of_one_info_module(10) == _exporter_scans_of_one_info_module(1000)
+    small = _exporter_scans_of_one_info_module(10)
+    assert small, "no read of the registry or the index was counted"
+    assert small == _exporter_scans_of_one_info_module(1000)
 
 
 def _assert_the_exporter_index_holds_only_live_ids(mgr) -> None:

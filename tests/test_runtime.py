@@ -365,9 +365,10 @@ class _Injected(Exception):
 
 
 def _fail_kth_write(mgr: ModuleManager, monkeypatch, k: int) -> list[int]:
-    """Make the k-th manager or structural write from now on raise ``_Injected`` (none for
-    k=0); return the count. The structural writes are runtime's ``add_child`` and
-    ``remove_child``."""
+    """Make the k-th manager, structural or link write from now on raise ``_Injected`` (none
+    for k=0); return the count. The structural writes are runtime's ``add_child`` and
+    ``remove_child``; the link writes are runtime's ``bind`` and ``unbind``, and the
+    ``model.unbind`` that ``bind(..., replace=True)`` calls."""
     count = [0]
 
     def wrap(owner, name):
@@ -381,8 +382,9 @@ def _fail_kth_write(mgr: ModuleManager, monkeypatch, k: int) -> list[int]:
     for name in ("create_resource_module", "create_info_module", "rewire_import",
                  "_set_wiring", "_make_live", "remove_module"):
         wrap(mgr, name)
-    for name in ("add_child", "remove_child"):
+    for name in ("add_child", "remove_child", "bind", "unbind"):
         wrap(runtime, name)
+    wrap(model, "unbind")
     return count
 
 
@@ -404,6 +406,9 @@ _FAULTED_OPS = {
     "add": lambda arch, corpus: runtime.add_component(
         arch, parse_component_fragment(SERVER2), corpus),
     "remove": lambda arch, corpus: runtime.remove_component(arch, "server2"),
+    "bind": lambda arch, corpus: runtime.bind_ports(arch, "client.s", "server.s"),
+    "unbind": lambda arch, corpus: runtime.unbind_port(arch, "client.s"),
+    "rebind": lambda arch, corpus: runtime.rebind(arch, "client.s", "server2.s"),
 }
 
 # Every pair a faulted op can make a module export.
@@ -412,22 +417,28 @@ _FAULTED_PAIRS = {(td.name, td.version) for name in ("hello", "hello_swap")
 
 
 def _faulted_arch(op: str):
-    """hello_v1 over hello_swap; the remove op removes a server2 added here, with no links."""
+    """hello_v1 over hello_swap; the remove op removes, and the rebind op binds to, a server2
+    added here, with no links; the bind op binds a client.s unbound here."""
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
-    if op == "remove":
+    if op in ("remove", "rebind"):
         runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
+    if op == "bind":
+        runtime.unbind_port(arch, "client.s")
     return arch, corpus
 
 
 def _faulted_state(arch) -> tuple:
     """What a failed op must leave as it found it, each index copied as it is read.
 
-    Indexes are read for every pair a module may export and every id ever used, and
+    Each port's binding, route and inbound records are kept as the objects they are,
+    so a link dropped and written back anew shows. Indexes are read for every pair a module may export and every id ever used, and
     only their non-empty entries kept, so an entry left behind for a module the op
     created shows too."""
     mgr = arch.mgr
     ids = {event.module_id for event in mgr.events}
+    ports = [port for comp in arch.components.values() for port in comp.interfaces]
     return (arch.report(), mgr.live_ids(),
+            {str(port): (port.binding, port.route, list(port.inbound)) for port in ports},
             {pair: found for pair in _FAULTED_PAIRS if (found := mgr.exporters_of(pair))},
             {mid: found for mid in ids if (found := mgr.dependents_of(mid))},
             {name: (comp.content, list(comp.impl_modules), list(comp.children))

@@ -1,7 +1,9 @@
 """Switch off each guard of the package, one at a time, and list the ones no test notices.
 
-A guard is an ``if <test>: raise ...`` statement in ``src/reconfig``. A mutant
-replaces the test with ``False``, so the ``raise`` can never run; the tier-1
+A guard is an ``if <test>:`` statement in ``src/reconfig`` whose body is one
+``raise ...``, or ends in ``return <Error>(...)`` where ``<Error>`` is a class
+that ``errors.py`` defines or a built-in exception. A mutant replaces the test
+with ``False``, so the refusal can never happen; the tier-1
 suite (without the benchmark smoke test) then runs against it under a
 timeout. A mutant that makes the suite fail or time out is killed; one that
 passes survives, and the guard it switched off is pinned by no test.
@@ -18,6 +20,7 @@ It needs pytest and hypothesis, as the test suite does, and nothing else.
 from __future__ import annotations
 
 import ast
+import builtins
 import os
 import queue
 import shutil
@@ -36,14 +39,32 @@ SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothes
                               ".bench_out", ".bench_work", ".benchmarks", "*.egg-info")
 
 
-def guards(source: bytes) -> list[tuple[int, int, int, int, int]]:
+def error_names() -> set[str]:
+    """The exception classes a guard may return: those ``errors.py`` defines, and the
+    built-in ones."""
+    tree = ast.parse((ROOT / PACKAGE / "errors.py").read_bytes())
+    return ({node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+            | {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)})
+
+
+def _refuses(body: list[ast.stmt], errors: set[str]) -> bool:
+    """Whether a block is one ``raise``, or ends in ``return <Error>(...)``."""
+    if len(body) == 1 and isinstance(body[0], ast.Raise):
+        return True
+    last = body[-1]
+    return (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+            and isinstance(last.value.func, ast.Name) and last.value.func.id in errors)
+
+
+def guards(source: bytes, errors: set[str]) -> list[tuple[int, int, int, int, int]]:
     """(line, start line, start col, end line, end col) of each guard's test.
 
     Lines count from 1 and columns are byte offsets, as ``ast`` gives them.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.If) and len(node.body) == 1 and isinstance(node.body[0], ast.Raise):
+        if isinstance(node, ast.If) and _refuses(node.body, errors):
             test = node.test
             found.append((node.lineno, test.lineno, test.col_offset,
                           test.end_lineno, test.end_col_offset))
@@ -72,9 +93,10 @@ def run_suite(copy: Path, timeout: float) -> bool:
 
 def main() -> int:
     mutants = []
+    errors = error_names()
     for path in sorted((ROOT / PACKAGE).glob("*.py")):
         source = path.read_bytes()
-        mutants += [(path.name, source, guard) for guard in guards(source)]
+        mutants += [(path.name, source, guard) for guard in guards(source, errors)]
     workers = os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copies: queue.Queue[Path] = queue.Queue()
