@@ -71,20 +71,6 @@ class ConflictingExports(ReconfigError):
         self.versions = (v1, v2)
 
 
-class ConflictingImports(ReconfigError):
-    def __init__(self, name: str, v1, v2):
-        super().__init__(f"module would import {name} twice ({v1} and {v2})")
-        self.name = name
-        self.versions = (v1, v2)
-
-
-class MissingImport(ReconfigError):
-    def __init__(self, name: str, version):
-        super().__init__(f"no live module exports {name}@{version}")
-        self.name = name
-        self.version = version
-
-
 class AmbiguousImport(ReconfigError):
     def __init__(self, name: str, version, candidates):
         ids = ", ".join(str(c) for c in candidates)

@@ -15,14 +15,15 @@ module exporting the private remainder of the content closure, and a table
 ``{name: (version, provider)}`` of its content closure, declared signatures
 and shared-file closure. That table is the one record of an info module's
 plan: ``InfoPlan`` derives its imports and providers from it, and build, add
-and swap alike turn it into module ids with ``planned_ids`` and write it with
-the manager's ``rewire_import``, which refuses a provider that does not export
-its pair; nothing resolves the table a second time. A port's version is read
-off the signature the port loads through its info module. Two
-components that exchange a type resolve it to one common module precisely when
-the type is interface-visible or file-declared; anything else stays a private
-copy per component, which is what makes undeclared exchange fail at invocation
-time. Each primitive of a built architecture owns its planner input and
+and swap alike turn it into module ids with ``planned_ids``. Build and add
+write it by creating the info module from it (``create_info_module``), swap
+by moving the existing one (``rewire_import``); both refuse a provider that
+does not export its pair, and nothing resolves the table a second time. A
+port's version is read off the signature the port loads through its info
+module. Two components that exchange a type resolve it to one common module
+precisely when the type is interface-visible or file-declared; anything else
+stays a private copy per component, which is what makes undeclared exchange
+fail at invocation time. Each primitive of a built architecture owns its planner input and
 implementation modules; the architecture keeps the index of public modules the
 runtime plans against, while which modules export a pair is the module
 manager's to answer. Its links live on the ports they leave; ``bindings``,
@@ -386,8 +387,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
 
             info_ids: dict[str, ModuleId] = {}
             for step in plan.infos:
-                info_id = info_ids[step.component] = mgr.create_info_module(())
-                mgr.rewire_import(info_id, planned_ids(step.table, ids))
+                info_ids[step.component] = mgr.create_info_module(planned_ids(step.table, ids))
 
             single = plan.granularity is Granularity.SINGLE_LOADER
             components: dict[str, ComponentInstance] = {}

@@ -4,21 +4,21 @@ The identity rule lives here: a loaded type is the pair (name, defining
 module). The same name materialized by two different resource modules yields
 two distinct types, which is what makes cross-module casts fail.
 
-A resolved type is the planner's ``(name, VersionTag)`` pair; modules are
-created from iterables of them. Resource modules own and cache definitions
-pulled from a corpus; at most one version per name may live in a single
-module, mirroring a loader's inability to hold two versions of one class.
-Info modules define nothing: their import table maps each name to the one
-resource module that defines it, and every load is delegated through it; the
-version imported is that module's export, not a second record. An info
-module created from pairs resolves each one over every live resource module,
-and only when it has a single exporter; ambiguity is an error, never a silent
-choice. A planned ``{name: (version, provider)}`` table, which build, add and
-swap all write, enters through ``rewire_import``, which checks that each
-provider exports its pair. The manager alone answers which live resource
-modules export a pair: creating and removing a resource module keep a pair →
-exporters index, which ``exporters_of`` reads and info-module creation
-resolves against. Create, rewire and remove write imports through one manager
+A resolved type is the planner's ``(name, VersionTag)`` pair; a resource
+module is created from an iterable of them. Resource modules own and cache
+definitions pulled from a corpus; at most one version per name may live in a
+single module, mirroring a loader's inability to hold two versions of one
+class. Info modules define nothing: their import table maps each name to the
+one resource module that defines it, and every load is delegated through it;
+the version imported is that module's export, not a second record. Whoever
+plans an info module picks its providers: it is created from a planned
+``{name: (version, provider)}`` table (build and add), and ``rewire_import``
+replaces an existing one's table (swap). Both check, by one helper, that
+each provider is live and exports its pair; the manager never picks a
+provider itself. The manager alone answers which live resource modules
+export a pair: creating and removing a resource module keep a pair →
+exporters index, which ``exporters_of`` reads and each table is checked
+against. Create, rewire and remove write imports through one manager
 method, which also keeps a reverse index from each provider to the info
 modules wired to it, so a module's dependents are a lookup. While an
 ``undo_on_error`` block is open, every write (creating, rewiring, removing)
@@ -36,12 +36,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
-    AmbiguousImport,
     ConflictingExports,
-    ConflictingImports,
     InUse,
     InvariantViolation,
-    MissingImport,
     NotImported,
     UnknownModule,
     UnresolvableExport,
@@ -245,26 +242,15 @@ class ModuleManager:
         self._make_live(module)
         return module.id
 
-    def create_info_module(self, imports: Iterable[Pair]) -> ModuleId:
-        """Create an info module, wiring each import to its one live exporter.
+    def create_info_module(self,
+                           table: Mapping[str, tuple[VersionTag, ModuleId]]) -> ModuleId:
+        """Create an info module wired to a planned ``{name: (version, provider)}`` table.
 
-        Every live resource module is a candidate. The module is only created
-        if every import resolves uniquely, so creation order of unrelated
-        modules cannot change the outcome.
+        The table is checked as ``rewire_import`` checks it, before the module
+        takes an id, so a refused table creates nothing. Build and add create
+        each info module this way; an empty table gives an empty module.
         """
-        declared: dict[str, VersionTag] = {}
-        for name, version in sorted(imports):
-            if name in declared:
-                raise ConflictingImports(name, declared[name], version)
-            declared[name] = version
-        wiring: dict[str, ModuleId] = {}
-        for name, version in declared.items():
-            exporters = self._exporters.get((name, version), set())
-            if not exporters:
-                raise MissingImport(name, version)
-            if len(exporters) > 1:
-                raise AmbiguousImport(name, version, sorted(exporters))
-            (wiring[name],) = exporters
+        wiring = self._checked_wiring(table)
         module = InfoModule(self._fresh_id())
         self._make_live(module)
         if wiring:  # a fresh module's imports are already empty
@@ -321,28 +307,34 @@ class ModuleManager:
         if self._journal is not None:
             self._journal.append((self._make_live, removed))
 
-    def rewire_import(self, via: ModuleId,
-                      table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
-        """Replace an info module's whole import table from ``{name: (version, provider)}``.
+    def _checked_wiring(self, table: Mapping[str, tuple[VersionTag, ModuleId]]
+                        ) -> dict[str, ModuleId]:
+        """The imports a planned table wires, once every entry is checked in table order.
 
-        The one write of a planned table: build and add fill a fresh info
-        module with it, swap moves an existing one. Every entry is validated
-        first, in table order, against the exporter index: a provider that is
-        not live raises ``UnknownModule``, and a live one that does not export
-        the pair ``UnresolvableExport``. So the write is all or nothing; each
-        name is then imported from its provider, whose export of it is the
-        version given.
+        A provider that is not live raises ``UnknownModule``, and a live one
+        that does not export the pair ``UnresolvableExport``. So each name is
+        imported from its provider, whose export of it is the version given.
         """
-        info = self.module(via)
-        if not isinstance(info, InfoModule):
-            raise UnknownModule(via)
         for name, (version, provider) in table.items():
             exporters = self._exporters.get((name, version), ())
             if provider not in exporters and provider not in self._modules:
                 raise UnknownModule(provider)
             if provider not in exporters:
                 raise UnresolvableExport(name, version)
-        self._set_wiring(info, {name: provider for name, (_, provider) in table.items()})
+        return {name: provider for name, (_, provider) in table.items()}
+
+    def rewire_import(self, via: ModuleId,
+                      table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
+        """Replace an info module's whole import table from ``{name: (version, provider)}``.
+
+        Swap moves a component's existing info module this way. The table is
+        checked as ``create_info_module`` checks it, before anything is
+        written, so the write is all or nothing.
+        """
+        info = self.module(via)
+        if not isinstance(info, InfoModule):
+            raise UnknownModule(via)
+        self._set_wiring(info, self._checked_wiring(table))
 
 
 def replay_live_set(events: Iterable[ModuleEvent]) -> frozenset[ModuleId]:

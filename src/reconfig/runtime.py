@@ -308,9 +308,10 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     Public modules are planned for the fragment's files and signatures that
     no public module exports yet, then the component against them. A new
     public type already held in implementation modules raises
-    ``AmbiguousImport`` before anything is created. The planned table is
-    written as ``instantiate`` and swap write theirs, through ``rewire_import``,
-    so a provider that does not export its pair raises ``UnresolvableExport``.
+    ``AmbiguousImport`` before anything is created. The info module is
+    created from the planned table, as ``instantiate`` creates each of its
+    own, so a provider that does not export its pair raises
+    ``UnresolvableExport``.
     Creation, then attaching the component to the root, runs under the
     manager's undo log, so any failure leaves the modules as they were.
     """
@@ -331,8 +332,7 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     with arch.mgr.undo_on_error():
         ids = {rp.label: arch.mgr.create_resource_module(rp.exports, corpus)
                for rp in new_public + impls}
-        info_id = arch.mgr.create_info_module(())
-        arch.mgr.rewire_import(info_id, planned_ids(planned, ids))
+        info_id = arch.mgr.create_info_module(planned_ids(planned, ids))
         inst = attach_primitive(arch.mgr, component, info_id, [ids[rp.label] for rp in impls])
         add_child(arch.root, inst)
 

@@ -7,6 +7,7 @@ import pytest
 
 from reconfig.adl import parse_adl, validate
 from reconfig.corpus import load_corpus
+from reconfig.errors import AmbiguousImport
 from reconfig.factory import Granularity, instantiate, plan_modules
 from reconfig.modules import ModuleManager
 
@@ -64,6 +65,24 @@ def count_calls(patch: pytest.MonkeyPatch, owner, name: str, counts) -> None:
         return real(*args, **kwargs)
 
     patch.setattr(owner, name, counted)
+
+
+def table_from_index(mgr: ModuleManager, pairs) -> dict:
+    """The planned ``{name: (version, provider)}`` table that wires each of ``pairs`` to
+    the one live module exporting it, read off ``mgr.exporters_of``.
+
+    Refused unless exactly one module exports each pair: ``AmbiguousImport`` naming the
+    exporters when several do, ``LookupError`` when none does.
+    """
+    table = {}
+    for name, version in pairs:
+        exporters = mgr.exporters_of((name, version))
+        if not exporters:
+            raise LookupError(f"no live module exports {name}@{version}")
+        if len(exporters) > 1:
+            raise AmbiguousImport(name, version, exporters)
+        table[name] = (version, exporters[0])
+    return table
 
 
 def build_architecture(adl_name: str, corpus_name: str,

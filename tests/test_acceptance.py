@@ -45,7 +45,7 @@ from reconfig.modules import (
 from reconfig import runtime
 
 from conftest import (adl_path, build_architecture, corpus_path, script_path,
-                      single_character_mutations)
+                      single_character_mutations, table_from_index)
 
 V = VersionTag
 
@@ -174,7 +174,8 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         loaded = []
         wiring_by_fingerprint = []
         for imports in info_specs:
-            info = mgr.create_info_module([(n, V(v)) for n, v in imports])
+            info = mgr.create_info_module(
+                table_from_index(mgr, [(n, V(v)) for n, v in imports]))
             wiring = mgr.module(info).imports
             wiring_by_fingerprint.append(
                 {name: owner_of[(name, version)][0] for name, version in imports})
@@ -204,7 +205,8 @@ def test_acceptance_3_identity_properties_over_1000_graphs():
         rng.shuffle(order)
         mgr2, owner2 = _build_graph(corpus, modules, order)
         for imports, fingerprint in zip(info_specs, wiring_by_fingerprint):
-            info2 = mgr2.create_info_module([(n, V(v)) for n, v in imports])
+            info2 = mgr2.create_info_module(
+                table_from_index(mgr2, [(n, V(v)) for n, v in imports]))
             wiring2 = mgr2.module(info2).imports
             got = {name: next(idx for (n, v), (idx, mid) in owner2.items()
                               if n == name and mid == wiring2[name])

@@ -635,7 +635,7 @@ class _Injected(Exception):
 @pytest.mark.parametrize("owner, name, k, location", [
     ("mgr", "create_resource_module", 2, "module impl(server:ServerImpl@2.0)"),
     ("mgr", "create_info_module", 2, "info module server"),
-    ("mgr", "rewire_import", 3, "info module HelloWorld"),
+    ("mgr", "create_info_module", 3, "info module HelloWorld"),
     ("factory", "new_primitive", 2, "component server (12:5)"),
     ("factory", "new_composite", 1, "definition HelloWorld"),
     ("factory", "route", 1, "binding this.r -> client.r (18:5)"),

@@ -36,7 +36,7 @@ from reconfig.model import (
 )
 from reconfig.modules import ModuleManager
 
-from conftest import corpus_path
+from conftest import corpus_path, table_from_index
 
 V = VersionTag
 
@@ -53,9 +53,9 @@ def world():
     res = mgr.create_resource_module(
         _pairs(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
                  ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")), corpus)
-    info = mgr.create_info_module(
-        _pairs(("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
-                 ("ServerImpl", "2.0"), ("java.lang.Runnable", "0")))
+    info = mgr.create_info_module(table_from_index(mgr, _pairs(
+        ("Service", "1.0"), ("Request", "1.0"), ("ClientImpl", "1.0"),
+        ("ServerImpl", "2.0"), ("java.lang.Runnable", "0"))))
     return mgr, corpus, info
 
 
@@ -209,8 +209,7 @@ def _stranger(mgr, corpus):
     """A server whose info module loads Service from a module of its own."""
     res2 = mgr.create_resource_module(
         _pairs(("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0")), corpus)
-    info2 = mgr.create_info_module(())
-    mgr.rewire_import(info2, {n: (v, res2) for n, v in _pairs(
+    info2 = mgr.create_info_module({n: (v, res2) for n, v in _pairs(
         ("Service", "1.0"), ("ServerImpl", "2.0"), ("Request", "1.0"))})
     return _server(mgr, info2, name="stranger")
 

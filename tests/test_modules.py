@@ -11,10 +11,8 @@ from reconfig.corpus import CorpusStore, TypeDef, TypeKind, VersionTag
 from reconfig.errors import (
     AmbiguousImport,
     ConflictingExports,
-    ConflictingImports,
     InUse,
     InvariantViolation,
-    MissingImport,
     NotImported,
     UnknownModule,
     UnresolvableExport,
@@ -28,7 +26,7 @@ from reconfig.modules import (
     same_type,
 )
 
-from conftest import build_architecture, corpus_path
+from conftest import build_architecture, corpus_path, table_from_index
 from reconfig.corpus import load_corpus
 
 SRC = Path(__file__).parent.parent / "src" / "reconfig"
@@ -68,21 +66,19 @@ def test_one_version_per_name_per_module(hello):
     mgr = ModuleManager()
     with pytest.raises(ConflictingExports):
         mgr.create_resource_module([_pair("Request", "1.0"), _pair("Request", "2.0")], store)
-    with pytest.raises(ConflictingImports):
-        mgr.create_resource_module([_pair("Request", "1.0")], store)
-        mgr.create_info_module([_pair("Request", "1.0"), _pair("Request", "2.0")])
 
 
 def test_info_module_wiring_and_missing_import(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     assert mgr.module(info).imports == {"Service": itf}
 
-    assert mgr.module(mgr.create_info_module([])).imports == {}
+    assert mgr.module(mgr.create_info_module({})).imports == {}
 
-    with pytest.raises(MissingImport):
-        mgr.create_info_module([_pair("Request", "1.0")])
+    assert mgr.exporters_of(_pair("Request", "1.0")) == []
+    with pytest.raises(UnresolvableExport):  # a pair no live module exports
+        mgr.create_info_module({"Request": (VersionTag("1.0"), itf)})
 
 
 def test_two_exporters_make_an_import_ambiguous(hello):
@@ -94,18 +90,17 @@ def test_two_exporters_make_an_import_ambiguous(hello):
                  if m.exports.get("Service") == VersionTag("1.0")]
     assert exporters == [a, b]
     with pytest.raises(AmbiguousImport) as exc:
-        mgr.create_info_module([_pair("Service", "1.0")])
+        table_from_index(mgr, [_pair("Service", "1.0")])
     assert list(exc.value.candidates) == exporters
     # a planned table picks one
-    info = mgr.create_info_module([])
-    mgr.rewire_import(info, {"Service": (VersionTag("1.0"), b)})
+    info = mgr.create_info_module({"Service": (VersionTag("1.0"), b)})
     assert mgr.module(info).imports == {"Service": b}
 
 
 def test_load_type_caches_and_is_idempotent(hello):
     mgr = ModuleManager()
     mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     first = mgr.load_type(info, "Service")
     second = mgr.load_type(info, "Service")
     assert first is second and same_type(first, second)
@@ -114,25 +109,22 @@ def test_load_type_caches_and_is_idempotent(hello):
 def test_shared_provider_gives_one_identity_private_copies_two(hello):
     mgr = ModuleManager()
     shared = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    client = mgr.create_info_module([])
-    server = mgr.create_info_module([])
-    for info in (client, server):
-        mgr.rewire_import(info, {"Service": (VersionTag("1.0"), shared)})
+    client, server = (mgr.create_info_module({"Service": (VersionTag("1.0"), shared)})
+                      for _ in range(2))
     assert same_type(mgr.load_type(client, "Service"), mgr.load_type(server, "Service"))
 
     copy_a = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     copy_b = mgr.create_resource_module([_pair("Request", "1.0")], hello)
-    info_a = mgr.create_info_module([])
-    info_b = mgr.create_info_module([])
-    mgr.rewire_import(info_a, {"Request": (VersionTag("1.0"), copy_a)})
-    mgr.rewire_import(info_b, {"Request": (VersionTag("1.0"), copy_b)})
+    info_a = mgr.create_info_module({"Request": (VersionTag("1.0"), copy_a)})
+    info_b = mgr.create_info_module({"Request": (VersionTag("1.0"), copy_b)})
     assert not same_type(mgr.load_type(info_a, "Request"), mgr.load_type(info_b, "Request"))
 
 
 def test_same_type_is_exactly_the_name_module_pair(hello):
     mgr = ModuleManager()
     res = mgr.create_resource_module([_pair("Service", "1.0"), _pair("Request", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0"), _pair("Request", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0"),
+                                                         _pair("Request", "1.0")]))
     service = mgr.load_type(info, "Service")
     request = mgr.load_type(info, "Request")
     assert same_type(service, service)
@@ -143,7 +135,7 @@ def test_same_type_is_exactly_the_name_module_pair(hello):
 def test_load_type_requires_an_info_module_and_a_wired_name(hello):
     mgr = ModuleManager()
     res = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     with pytest.raises(NotImported):
         mgr.load_type(info, "Request")
     with pytest.raises(UnknownModule):
@@ -162,8 +154,8 @@ def test_a_resource_module_defines_only_what_it_exports(hello):
 def test_wiring_to_an_info_module_is_an_invariant_violation(hello):
     mgr = ModuleManager()
     mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
-    other = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
+    other = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     mgr.module(info).imports["Service"] = other
     with pytest.raises(InvariantViolation):
         mgr.load_type(info, "Service")
@@ -182,8 +174,8 @@ def test_remove_unreferenced_module(hello):
 def test_remove_wired_module_is_refused_naming_its_dependents_in_id_order(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info1 = mgr.create_info_module([_pair("Service", "1.0")])
-    info2 = mgr.create_info_module([_pair("Service", "1.0")])
+    info1 = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
+    info2 = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     # oracle: scan all wirings for the provider
     dependents = [m.id for m in mgr.info_modules() if itf in m.imports.values()]
     assert dependents == [info1, info2]
@@ -197,7 +189,7 @@ def test_remove_wired_module_is_refused_naming_its_dependents_in_id_order(hello)
 def test_defined_types_survive_module_removal(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     loaded = mgr.load_type(info, "Service")
     mgr.remove_module(info)
     mgr.remove_module(itf)
@@ -208,14 +200,13 @@ def test_defined_types_survive_module_removal(hello):
 def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_rewired(hello):
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     module = mgr.module(info)
     before = (mgr.live_ids(), module.imports, mgr.dependents_of(itf))
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
             other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-            created = mgr.create_info_module([])
-            mgr.rewire_import(created, {"Service": (VersionTag("1.0"), other)})
+            mgr.create_info_module({"Service": (VersionTag("1.0"), other)})
             mgr.rewire_import(info, {"Service": (VersionTag("1.0"), other)})
             with pytest.raises(InvariantViolation):
                 with mgr.undo_on_error():  # blocks do not nest
@@ -232,8 +223,8 @@ def test_the_undo_log_removes_what_a_failed_block_created_and_restores_what_it_r
 def test_a_failed_block_puts_back_an_older_module_it_removed_and_forgets_its_own(hello):
     mgr = ModuleManager()
     resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
-    later = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
+    later = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     module, seen = mgr.module(info), len(mgr.events)
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
@@ -256,7 +247,7 @@ def test_a_failed_block_puts_back_an_older_module_it_removed_and_forgets_its_own
 def test_a_failed_block_puts_back_the_older_provider_it_rewired_away_from_and_removed(hello):
     mgr = ModuleManager()
     r1 = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    i = mgr.create_info_module([_pair("Service", "1.0")])
+    i = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     other = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
@@ -277,7 +268,7 @@ def test_the_undo_log_removes_a_created_info_module_rewired_to_a_newer_created_o
     resource = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     with pytest.raises(RuntimeError):
         with mgr.undo_on_error():
-            info = mgr.create_info_module([_pair("Service", "1.0")])
+            info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
             newer = mgr.create_resource_module([_pair("Service", "1.0")], hello)
             mgr.rewire_import(info, {"Service": (VersionTag("1.0"), newer)})
             raise RuntimeError
@@ -326,7 +317,7 @@ def test_resolution_is_deterministic_under_insertion_order(hello):
         for label, exports in order:
             mid = mgr.create_resource_module([_pair(n, v) for n, v in exports], hello)
             label_of[mid] = label
-        info = mgr.create_info_module(imports)
+        info = mgr.create_info_module(table_from_index(mgr, imports))
         return {name: label_of[mid] for name, mid in mgr.module(info).imports.items()}
 
     rng = random.Random(5)
@@ -342,7 +333,8 @@ def test_rewire_import_moves_exactly_one_entry(hello):
     mgr = ModuleManager()
     old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
     itf = mgr.create_resource_module([_pair("Service", "1.0")], swap_corpus)
-    info = mgr.create_info_module([_pair("ServerImpl", "1.0"), _pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("ServerImpl", "1.0"),
+                                                         _pair("Service", "1.0")]))
     new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
     mgr.rewire_import(info, {"ServerImpl": (VersionTag("2.0"), new),
                              "Service": (VersionTag("1.0"), itf)})
@@ -361,8 +353,7 @@ def test_rewire_import_refuses_a_resource_module_as_via_and_changes_nothing(hell
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
-    info = mgr.create_info_module([])
-    mgr.rewire_import(info, {"Service": (VersionTag("1.0"), itf)})
+    info = mgr.create_info_module({"Service": (VersionTag("1.0"), itf)})
 
     def state():
         return ({m.id: dict(m.imports) for m in mgr.info_modules()},
@@ -380,7 +371,8 @@ def test_forced_removal_then_removal_of_the_dependent_leaves_no_stale_index_entr
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     req = mgr.create_resource_module([_pair("Request", "1.0")], hello)
-    info = mgr.create_info_module([_pair("Service", "1.0"), _pair("Request", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0"),
+                                                         _pair("Request", "1.0")]))
     assert mgr.dependents_of(itf) == mgr.dependents_of(req) == [info]
     mgr.remove_module(info)
     assert mgr.dependents_of(itf) == mgr.dependents_of(req) == []
@@ -394,8 +386,8 @@ def test_dependents_are_in_id_order_whatever_the_order_they_were_wired_in():
     mgr = ModuleManager()
     old = mgr.create_resource_module([_pair("ServerImpl", "1.0")], swap_corpus)
     new = mgr.create_resource_module([_pair("ServerImpl", "2.0")], swap_corpus)
-    first = mgr.create_info_module([_pair("ServerImpl", "1.0")])
-    second = mgr.create_info_module([_pair("ServerImpl", "2.0")])
+    first = mgr.create_info_module(table_from_index(mgr, [_pair("ServerImpl", "1.0")]))
+    second = mgr.create_info_module(table_from_index(mgr, [_pair("ServerImpl", "2.0")]))
     mgr.rewire_import(first, {"ServerImpl": (VersionTag("2.0"), new)})
     assert mgr.dependents_of(new) == [first, second] and mgr.dependents_of(old) == []
     with pytest.raises(InUse) as exc:
@@ -437,23 +429,23 @@ class _CountedDict(dict):
 
 def _exporter_scans_of_one_info_module(n: int) -> Counter:
     """Reads of the manager's registry and of its exporter index while one info module
-    resolves its import among n live modules."""
+    is created from a one-entry table among n live modules."""
     store = _mem_store(*((f"T{i}", "1.0") for i in range(n)))
     mgr = ModuleManager()
     mids = [mgr.create_resource_module([_pair(f"T{i}", "1.0")], store) for i in range(n)]
+    table = table_from_index(mgr, [_pair(f"T{n // 2}", "1.0")])
     counts = Counter()
     mgr._modules = _CountedDict(mgr._modules, counts, "registry")
     mgr._exporters = _CountedDict(mgr._exporters, counts, "exporter index")
-    info = mgr.create_info_module([_pair(f"T{n // 2}", "1.0")])
+    info = mgr.create_info_module(table)
     made = Counter(counts)
     assert mgr.module(info).imports == {f"T{n // 2}": mids[n // 2]}
     return made
 
 
 def test_an_info_module_resolves_its_imports_with_the_same_work_at_10_and_1000_modules():
-    small = _exporter_scans_of_one_info_module(10)
-    assert small, "no read of the registry or the index was counted"
-    assert small == _exporter_scans_of_one_info_module(1000)
+    assert _exporter_scans_of_one_info_module(10) == {"exporter index": 1}
+    assert _exporter_scans_of_one_info_module(1000) == {"exporter index": 1}
 
 
 def _assert_the_exporter_index_holds_only_live_ids(mgr) -> None:
@@ -555,13 +547,14 @@ def test_only_the_link_walk_reads_the_bindings_that_enter_a_port():
 def test_rewire_import_refuses_a_dead_provider_and_a_non_exporter_in_table_order(hello):
     """A provider that is not live raises ``UnknownModule``; a live module that does not
     export the pair, an info module included, ``UnresolvableExport``; the first bad entry
-    of the table decides, and nothing is written."""
+    of the table decides, and nothing is written. ``create_info_module`` refuses the same
+    tables the same way, outside any undo block, before the module takes an id."""
     mgr = ModuleManager()
     itf = mgr.create_resource_module([_pair("Service", "1.0")], hello)
     req = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     gone = mgr.create_resource_module([_pair("Request", "1.0")], hello)
     mgr.remove_module(gone)
-    info = mgr.create_info_module([_pair("Service", "1.0")])
+    info = mgr.create_info_module(table_from_index(mgr, [_pair("Service", "1.0")]))
     service, request = (VersionTag("1.0"), itf), (VersionTag("1.0"), req)
     cases = [
         ({"Service": service, "Request": (VersionTag("1.0"), gone)}, UnknownModule),
@@ -578,3 +571,15 @@ def test_rewire_import_refuses_a_dead_provider_and_a_non_exporter_in_table_order
             mgr.rewire_import(info, table)
         assert mgr.module(info).imports == {"Service": itf}
         assert mgr.dependents_of(itf) == [info] and mgr.dependents_of(req) == []
+
+    def state():
+        return (mgr.live_ids(), len(mgr.events),
+                [mgr.exporters_of(_pair(name, "1.0")) for name in ("Service", "Request")],
+                {mid: mgr.dependents_of(mid) for mid in (itf, req, gone, info)})
+
+    before = state()
+    for table, error in cases:
+        with pytest.raises(error):
+            mgr.create_info_module(table)
+        assert state() == before
+    assert mgr.create_info_module({}) == info + 1  # no refusal took an id
