@@ -206,15 +206,21 @@ def plan_component(component: AdlComponent, corpus: CorpusStore, public: Mapping
     public, else the implementation module. Signatures and file closures are
     always public, so the private part is the rest of the content closure.
     """
-    imports = component_imports(component, corpus)
-    private = _sorted_pairs(p for p in imports.items() if p not in public)
-    impl = None
-    if private:
-        content = component.content[0]
-        impl = ResourcePlan(f"impl({component.name}:{content}@{imports[content]})",
-                            private, "impl", component.name)
-    return impl, {name: (version, public.get((name, version), impl))
-                  for name, version in imports.items()}
+    table: dict[str, tuple[VersionTag, object]] = {}
+    private = []
+    for pair in component_imports(component, corpus).items():
+        provider = public.get(pair)
+        if provider is None:
+            private.append(pair)
+        table[pair[0]] = (pair[1], provider)
+    if not private:
+        return None, table
+    content = component.content[0]
+    impl = ResourcePlan(f"impl({component.name}:{content}@{table[content][0]})",
+                        _sorted_pairs(private), "impl", component.name)
+    for name, version in private:
+        table[name] = (version, impl)
+    return impl, table
 
 
 def plan_modules(definition: AdlDefinition, granularity: Granularity,
@@ -322,17 +328,20 @@ class ArchitectureInstance:
         """The live bindings, read off the client ports."""
         return [port.binding for kind, _, port, _ in self._links() if kind == "binding"]
 
-    def _check(self, kind: str, label: str, a: InterfacePort, b: InterfacePort):
-        return label, (check_binding if kind == "binding" else check_route)(self.mgr, a, b)
+    def _checks(self, walk):
+        """Each link of ``walk`` as its label with its mismatch, or ``None``."""
+        mgr = self.mgr
+        return [(label, (check_binding if kind == "binding" else check_route)(mgr, a, b))
+                for kind, label, a, b in walk]
 
     def binding_checks(self):
         """Each live link's label with its mismatch, or ``None``, against current modules."""
-        return [self._check(*link) for link in self._links()]
+        return self._checks(self._links())
 
     def link_checks(self, comp: ComponentInstance):
         """Re-evaluate, like ``binding_checks()``, the links with an end at ``comp``'s ports."""
         walked = [comp, *comp.children]  # a child's route out may end at comp's client port
-        return [self._check(*link) for link in links(walked, [*comp.parents, comp], touching=comp)]
+        return self._checks(links(walked, [*comp.parents, comp], touching=comp))
 
     def report(self) -> str:
         """Stable full-state dump used for before/after comparisons."""

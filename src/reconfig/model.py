@@ -164,14 +164,13 @@ def _check_signature_kinds(mgr: ModuleManager, inst: ComponentInstance) -> list[
     return signatures
 
 
-def _check_methods(content: TypeDef, signatures: Iterable[tuple[str, TypeDef]]) -> None:
-    """Raise MissingMethod at the first ``(signature name, definition)`` pair with a method
-    that ``content`` lacks; a method matches on name and parameter type names."""
+def _check_methods(content: TypeDef, name: str, signature: TypeDef) -> None:
+    """Raise MissingMethod at the first method of ``signature``, declared as ``name``, that
+    ``content`` lacks; a method matches on name and parameter type names."""
     implemented = {(m.name, m.params) for m in content.methods}
-    for name, signature in signatures:
-        for method in signature.methods:
-            if (method.name, method.params) not in implemented:
-                raise MissingMethod(name, method.name)
+    for method in signature.methods:
+        if (method.name, method.params) not in implemented:
+            raise MissingMethod(name, method.name)
 
 
 def check_conformance(mgr: ModuleManager, inst: ComponentInstance, content: TypeDef) -> None:
@@ -180,9 +179,10 @@ def check_conformance(mgr: ModuleManager, inst: ComponentInstance, content: Type
     The interfaces are the definitions loaded through the component's own info
     module, each only once the ports before it conform.
     """
-    _check_methods(content, ((port.signature, mgr.load_type(inst.info_module,
-                                                             port.signature).definition)
-                             for port in inst.server_ports()))
+    for port in inst.interfaces:
+        if port.role is Role.SERVER:
+            _check_methods(content, port.signature,
+                           mgr.load_type(inst.info_module, port.signature).definition)
 
 
 def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
@@ -194,10 +194,9 @@ def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
     if content.definition.kind is not TypeKind.CLASS:
         raise ContentNotAClass(content.name)
     inst = ComponentInstance(name, ComponentKind.PRIMITIVE, ports, content, info_module)
-    signatures = _check_signature_kinds(mgr, inst)
-    _check_methods(content.definition, ((port.signature, signature) for port, signature
-                                        in zip(inst.interfaces, signatures)
-                                        if port.role is Role.SERVER))
+    for port, signature in zip(inst.interfaces, _check_signature_kinds(mgr, inst)):
+        if port.role is Role.SERVER:
+            _check_methods(content.definition, port.signature, signature)
     return inst
 
 
@@ -315,30 +314,36 @@ def links(components: Iterable[ComponentInstance], composites: Iterable[Componen
     before their labels are built."""
     components = list(components)
     walked = set(components)
-
-    def keep(a: ComponentInstance, b: ComponentInstance) -> bool:
-        return touching is None or touching is a or touching is b
-
     routes_out, entering = [], []
     for comp in components:
+        kept = touching is None or touching is comp  # every link at its ports is kept
         for port in comp.interfaces:
             if port.role is Role.SERVER:
-                entering += [rec for rec in port.inbound
-                             if rec.client.owner not in walked and keep(rec.client.owner, comp)]
+                for rec in port.inbound:
+                    client = rec.client.owner
+                    if client not in walked and (kept or touching is client):
+                        entering.append(rec)
                 continue
             binding, target = port.binding, port.route
-            if binding is not None and keep(comp, binding.server.owner):
+            if binding is not None and (kept or touching is binding.server.owner):
                 yield "binding", str(binding), port, binding.server
-            if target is not None and keep(comp, target.owner):
+            if target is not None and (kept or touching is target.owner):
                 routes_out.append(("route-out", f"{port} -> this.{target.name}", port, target))
     for composite in composites:
-        for port in sorted(composite.server_ports(), key=lambda p: p.name):
+        kept = touching is None or touching is composite
+        for port in sorted([port for port in composite.interfaces
+                            if port.route is not None and port.role is Role.SERVER],
+                           key=_port_name):
             target = port.route
-            if target is not None and keep(composite, target.owner):
+            if kept or touching is target.owner:
                 yield "route-in", f"this.{port.name} -> {target}", port, target
     yield from routes_out
     for rec in entering:
         yield "binding", str(rec), rec.client, rec.server
+
+
+def _port_name(port: InterfacePort) -> str:
+    return port.name
 
 
 def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None:
@@ -348,7 +353,7 @@ def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None
     the child's boundary, one end outside; links wholly inside the child (or
     wholly outside) are fine.
     """
-    if child not in composite.children:
+    if composite not in child.parents:  # kept in step with ``children``, and short
         raise NotAChild(child.name, composite.name)
     subtree = {child} | child.descendants()
     crossing = [label for _, label, a, b in links(subtree, [composite])

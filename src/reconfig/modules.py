@@ -17,22 +17,25 @@ replaces an existing one's table (swap). Both check, by one helper, that
 each provider is live and exports its pair; the manager never picks a
 provider itself. The manager alone answers which live resource modules
 export a pair: creating and removing a resource module keep a pair →
-exporters index, which ``exporters_of`` reads and each table is checked
-against. Create, rewire and remove write imports through one manager
-method, which also keeps a reverse index from each provider to the info
-modules wired to it, so a module's dependents are a lookup. While an
-``undo_on_error`` block is open, every write (creating, rewiring, removing)
-logs its inverse in one journal, which a failed block runs backwards. A
-resource module never changes its exports and is removed only once nothing is
-wired to it, so every import names a live module that exports it.
+exporters index, which ``exporters_of`` (in id order) and ``is_exported``
+read and each table is checked against. Create, rewire and remove write
+imports through one manager method, which also keeps a reverse index from
+each provider to the info modules wired to it, so a module's dependents are
+a lookup; an index set is sorted only where a caller asks for the list or a
+refusal names its members. While an ``undo_on_error`` block is open, every
+write (creating, rewiring, removing) logs its inverse in one journal, which
+a block left by any exception, ``KeyboardInterrupt`` included, runs
+backwards. The block is a small slotted object that the manager hands out
+per call, and blocks do not nest. A resource module never changes its
+exports and is removed only once nothing is wired to it, so every import
+names a live module that exports it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .corpus import CorpusStore, Pair, TypeDef, VersionTag
 from .errors import (
@@ -202,39 +205,27 @@ class ModuleManager:
             self._dependents.setdefault(pid, set()).add(info.id)
         info.imports = imports
 
-    def _emit(self, kind: EventKind, module_id: ModuleId) -> None:
-        self._events.append(ModuleEvent(kind, module_id))
-
     def _make_live(self, module: Module) -> None:
         """Register ``module``, index the pairs it exports and log ADDED: creation and undo alike."""
         self._modules[module.id] = module
         if isinstance(module, ResourceModule):
             for pair in module.exports.items():
                 self._exporters.setdefault(pair, set()).add(module.id)
-        self._emit(EventKind.ADDED, module.id)
+        self._events.append(ModuleEvent(EventKind.ADDED, module.id))
         if self._journal is not None:
             self._journal.append((self.remove_module, module.id))
 
-    @contextmanager
-    def undo_on_error(self) -> Iterator[None]:
-        """Run a block that either completes or leaves every module as it found it.
+    def undo_on_error(self) -> "_UndoBlock":
+        """A block that either completes or leaves every module as it found it.
 
-        On an exception the journal runs backwards: each rewired info module
-        gets back its imports, each created module is removed and each removed
-        one is put back with its id (the events of both stay logged), then the
-        exception propagates. Blocks do not nest.
+        On an exception, ``KeyboardInterrupt`` included, the journal runs
+        backwards: each rewired info module gets back its imports, each
+        created module is removed and each removed one is put back with its
+        id (the events of both stay logged), then the exception propagates.
+        Blocks do not nest: entering one while another is open raises
+        ``InvariantViolation``.
         """
-        if self._journal is not None:
-            raise InvariantViolation("an undo_on_error block is already open")
-        self._journal = journal = []
-        try:
-            yield
-        except BaseException:
-            self._journal = None  # the inverses are not journaled
-            for undo, *args in reversed(journal):
-                undo(*args)
-            raise
-        self._journal = None
+        return _UndoBlock(self)
 
     def create_resource_module(self, exports: Iterable[Pair],
                                source: CorpusStore) -> ModuleId:
@@ -275,6 +266,10 @@ class ModuleManager:
             raise InvariantViolation(f"{via} wires {name} to {provider_id}, not a resource module")
         return provider.define(name)
 
+    def is_exported(self, pair: Pair) -> bool:
+        """Whether some live resource module exports ``pair``, read off the index."""
+        return pair in self._exporters  # an entry goes when its last exporter does
+
     def exporters_of(self, pair: Pair) -> list[ModuleId]:
         """The live resource modules exporting ``pair``, in id order, read off the index."""
         return sorted(self._exporters.get(pair, ()))
@@ -291,9 +286,9 @@ class ModuleManager:
         removal never unloads them.
         """
         removed = self.module(module_id)
-        dependents = self.dependents_of(module_id)
+        dependents = self._dependents.get(module_id)
         if dependents:
-            raise InUse(module_id, dependents)
+            raise InUse(module_id, sorted(dependents))
         if isinstance(removed, InfoModule):
             self._set_wiring(removed, {})
         else:
@@ -303,7 +298,7 @@ class ModuleManager:
                 if not entry:
                     del self._exporters[pair]
         del self._modules[module_id]
-        self._emit(EventKind.REMOVED, module_id)
+        self._events.append(ModuleEvent(EventKind.REMOVED, module_id))
         if self._journal is not None:
             self._journal.append((self._make_live, removed))
 
@@ -315,13 +310,15 @@ class ModuleManager:
         that does not export the pair ``UnresolvableExport``. So each name is
         imported from its provider, whose export of it is the version given.
         """
+        wiring = {}
         for name, (version, provider) in table.items():
             exporters = self._exporters.get((name, version), ())
             if provider not in exporters and provider not in self._modules:
                 raise UnknownModule(provider)
             if provider not in exporters:
                 raise UnresolvableExport(name, version)
-        return {name: provider for name, (_, provider) in table.items()}
+            wiring[name] = provider
+        return wiring
 
     def rewire_import(self, via: ModuleId,
                       table: Mapping[str, tuple[VersionTag, ModuleId]]) -> None:
@@ -331,10 +328,34 @@ class ModuleManager:
         checked as ``create_info_module`` checks it, before anything is
         written, so the write is all or nothing.
         """
-        info = self.module(via)
-        if not isinstance(info, InfoModule):
+        info = self._modules.get(via)
+        if not isinstance(info, InfoModule):  # not live, or a resource module
             raise UnknownModule(via)
         self._set_wiring(info, self._checked_wiring(table))
+
+
+class _UndoBlock:
+    """The block ``ModuleManager.undo_on_error`` returns: entering it opens the
+    manager's journal, and leaving it on an exception runs that journal backwards."""
+
+    __slots__ = ("_mgr",)
+
+    def __init__(self, mgr: ModuleManager):
+        self._mgr = mgr
+
+    def __enter__(self) -> None:
+        mgr = self._mgr
+        if mgr._journal is not None:
+            raise InvariantViolation("an undo_on_error block is already open")
+        mgr._journal = []
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        mgr = self._mgr
+        journal, mgr._journal = mgr._journal, None  # the inverses are not journaled
+        if kind is not None:
+            for undo, *args in reversed(journal):
+                undo(*args)
+        return False  # the exception, if any, propagates
 
 
 def replay_live_set(events: Iterable[ModuleEvent]) -> frozenset[ModuleId]:

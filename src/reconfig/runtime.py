@@ -36,7 +36,11 @@ Add, swap and remove each run in one ``undo_on_error`` block of the manager,
 whose journal puts back every module the operation created, rewired or
 removed. Attaching a component to the root, or detaching it, is the block's
 last write, so a refusal at any step leaves the modules and the tree as they
-were.
+were. A swap writes exactly two things through the manager, its new
+implementation module and the one rewire, and a remove exactly the removal
+of each module its component owns. Add asks the manager whether each new
+public pair is exported anywhere and sorts exporters only to name them in
+its refusal.
 """
 
 from __future__ import annotations
@@ -324,9 +328,9 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
     new_index = {pair: rp for rp in new_public for pair in rp.exports}
     # The new pairs are not public yet, so whoever exports one holds a private copy;
     # making it public would leave those holders apart, which no one-step plan gives.
-    held = sorted(pair for pair in new_index if arch.mgr.exporters_of(pair))
+    held = [pair for pair in new_index if arch.mgr.is_exported(pair)]
     if held:
-        raise AmbiguousImport(*held[0], arch.mgr.exporters_of(held[0]))
+        raise AmbiguousImport(*min(held), arch.mgr.exporters_of(min(held)))
     impl, planned = plan_component(component, corpus, ChainMap(new_index, arch.public))
     impls = [impl] if impl is not None else []
     with arch.mgr.undo_on_error():

@@ -244,6 +244,30 @@ def test_a_failed_block_puts_back_an_older_module_it_removed_and_forgets_its_own
     assert replay_live_set(mgr.events) == mgr.live_ids()
 
 
+def test_an_interrupt_inside_a_block_undoes_every_write_and_leaves_no_block_open():
+    arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
+    mgr, server = arch.mgr, arch.component("server")
+    info, impl = mgr.module(server.info_module), server.impl_modules[0]
+    before = (arch.report(), mgr.live_ids(), info.imports, mgr.dependents_of(impl))
+    exported = {name: mgr.module(p).exports[name] for name, p in info.imports.items()}
+    interrupt = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt) as raised:
+        with mgr.undo_on_error():
+            copy = mgr.create_resource_module(exported.items(), corpus)
+            table = {name: (version, copy) for name, version in exported.items()}
+            created = mgr.create_info_module(table)
+            mgr.rewire_import(server.info_module, table)
+            mgr.remove_module(impl)  # nothing is wired to it any more
+            raise interrupt
+    assert raised.value is interrupt
+    assert copy not in mgr.live_ids() and created not in mgr.live_ids()
+    assert (arch.report(), mgr.live_ids(), info.imports, mgr.dependents_of(impl)) == before
+    assert replay_live_set(mgr.events) == mgr.live_ids()
+    with mgr.undo_on_error():  # the interrupted block left none open
+        mgr.remove_module(mgr.create_resource_module([], corpus))
+    assert mgr.live_ids() == before[1]
+
+
 def test_a_failed_block_puts_back_the_older_provider_it_rewired_away_from_and_removed(hello):
     mgr = ModuleManager()
     r1 = mgr.create_resource_module([_pair("Service", "1.0")], hello)

@@ -1168,6 +1168,37 @@ def test_undoing_a_refused_remove_writes_the_same_at_100_and_1000_primitives():
     assert small == {"remove_module": 2, "_set_wiring": 2, "_make_live": 2}
 
 
+def _manager_writes_of_a_swap_and_a_remove(n: int) -> dict[str, Counter]:
+    """Manager writes of swapping the middle of an n-chain, then of removing it once unbound."""
+    corpus = _chain_swap_corpus()
+    arch = _build_text(_chain_text(n, [True] * n), corpus)
+    middle = f"c{n // 2}"
+    writes = {"swap": Counter(), "remove": Counter()}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("remove_module", "_set_wiring", "_make_live"):
+            count_calls(patch, arch.mgr, name, writes["swap"])
+        runtime.swap_implementation(arch, middle, ("NodeImpl", "2.0"), corpus)
+    runtime.unbind_port(arch, f"c{n // 2 - 1}.out")
+    runtime.unbind_port(arch, f"{middle}.out")
+    comp = arch.component(middle)
+    live, owned = arch.mgr.live_ids(), {comp.info_module, *comp.impl_modules}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("remove_module", "_set_wiring", "_make_live"):
+            count_calls(patch, arch.mgr, name, writes["remove"])
+        runtime.remove_component(arch, middle)
+    assert arch.mgr.live_ids() == live - owned and len(owned) == 3
+    return writes
+
+
+def test_a_swap_and_a_remove_make_the_same_manager_writes_at_100_and_1000_primitives():
+    small = _manager_writes_of_a_swap_and_a_remove(100)
+    assert small == _manager_writes_of_a_swap_and_a_remove(1000)
+    # the swap creates its implementation module and rewires the info module, nothing else
+    assert small["swap"] == {"_make_live": 1, "_set_wiring": 1}
+    # the remove takes away the info module (unwiring it) and both implementation modules
+    assert small["remove"] == {"remove_module": 3, "_set_wiring": 1}
+
+
 # --- re-planning a component is mostly dictionary hits ---------------------------------
 
 def _corpus_walks_of_swapping_there_and_back(n: int) -> list[Counter]:
