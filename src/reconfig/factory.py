@@ -88,8 +88,7 @@ def parse_granularity(text: str) -> Granularity:
 class ResourcePlan:
     label: str
     exports: tuple[Pair, ...]
-    kind: str                      # "shared", "itf" or "impl"
-    owner: Optional[str] = None    # the component an "impl" module serves
+    owner: Optional[str] = None    # the component an "impl(...)" module serves
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +168,7 @@ def plan_public(roots, signatures, corpus: CorpusStore,
     shared: set[Pair] = set()
     for group_roots, types in sorted(groups, key=lambda g: _sorted_pairs(g[0])):
         label = f"shared({','.join(_pair_str(r) for r in _sorted_pairs(group_roots))})"
-        resources.append(ResourcePlan(label, _sorted_pairs(types), "shared"))
+        resources.append(ResourcePlan(label, _sorted_pairs(types)))
         shared |= types
 
     sig_set = set(signatures)
@@ -181,7 +180,7 @@ def plan_public(roots, signatures, corpus: CorpusStore,
                            if p not in shared and p not in sig_set
                            and p not in assigned and p not in public}
         assigned |= exports
-        resources.append(ResourcePlan(f"itf({_pair_str(sig)})", _sorted_pairs(exports), "itf"))
+        resources.append(ResourcePlan(f"itf({_pair_str(sig)})", _sorted_pairs(exports)))
     return resources
 
 
@@ -217,7 +216,7 @@ def plan_component(component: AdlComponent, corpus: CorpusStore, public: Mapping
         return None, table
     content = component.content[0]
     impl = ResourcePlan(f"impl({component.name}:{content}@{table[content][0]})",
-                        _sorted_pairs(private), "impl", component.name)
+                        _sorted_pairs(private), component.name)
     for name, version in private:
         table[name] = (version, impl)
     return impl, table
@@ -262,7 +261,7 @@ def _plan_single(definition: AdlDefinition, corpus: CorpusStore) -> ModulePlan:
     for comp in definition.components:
         _merge_imports(needed, component_imports(comp, corpus).items(), comp.name)
     _merge_imports(needed, signature_pairs(corpus, definition.interfaces), definition.name)
-    everything = ResourcePlan("all", _sorted_pairs(needed.items()), "shared")
+    everything = ResourcePlan("all", _sorted_pairs(needed.items()))
     return ModulePlan(Granularity.SINGLE_LOADER, (everything,),
                       (InfoPlan(definition.name, {n: (v, everything) for n, v in needed.items()}),))
 
@@ -389,7 +388,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
             owned: dict[str, list[ModuleId]] = {}
             for step in plan.resources:
                 mid = ids[step.label] = mgr.create_resource_module(step.exports, corpus)
-                if step.kind == "impl":
+                if step.owner is not None:
                     owned.setdefault(step.owner, []).append(mid)
                 else:
                     public.update(dict.fromkeys(step.exports, mid))

@@ -15,6 +15,12 @@ child, so every chain of routes ends. ``links`` is the one walk over them, and
 the one reader of ``inbound``; asked for the links touching one component, it
 skips the others before formatting their labels. A check returns its
 ``TypeMismatch``, or ``None``.
+
+Every writer here checks everything before it writes, so a refusal
+writes nothing. ``remove_child``, which runtime's remove makes before its
+module removals, is the one that also logs its inverse, through the
+manager's ``log_undo``, so a later refusal in the same undo block puts the
+child back at its index among the composite's children.
 """
 
 from __future__ import annotations
@@ -346,12 +352,15 @@ def _port_name(port: InterfacePort) -> str:
     return port.name
 
 
-def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None:
+def remove_child(mgr: ModuleManager, composite: ComponentInstance,
+                 child: ComponentInstance) -> None:
     """Detach a child from one parent, leaving other memberships alone.
 
-    Refused while any of ``links`` over the subtree and ``composite`` crosses
-    the child's boundary, one end outside; links wholly inside the child (or
-    wholly outside) are fine.
+    Refused, before anything is written, while any of ``links`` over the subtree
+    and ``composite`` crosses the child's boundary, one end outside; links wholly
+    inside the child (or wholly outside) are fine. The two list entries it takes
+    out are logged with ``mgr.log_undo`` to go back at their indexes, so a failure
+    later in the open undo block puts the child back where it was.
     """
     if composite not in child.parents:  # kept in step with ``children``, and short
         raise NotAChild(child.name, composite.name)
@@ -360,5 +369,6 @@ def remove_child(composite: ComponentInstance, child: ComponentInstance) -> None
                 if (a.owner in subtree) != (b.owner in subtree)]
     if crossing:
         raise CrossBindingExists(crossing)
-    composite.children.remove(child)
-    child.parents.remove(composite)
+    for entries, entry in ((composite.children, child), (child.parents, composite)):
+        at = entries.index(entry)
+        mgr.log_undo(entries.insert, at, entries.pop(at))

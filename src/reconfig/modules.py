@@ -15,20 +15,23 @@ plans an info module picks its providers: it is created from a planned
 ``{name: (version, provider)}`` table (build and add), and ``rewire_import``
 replaces an existing one's table (swap). Both check, by one helper, that
 each provider is live and exports its pair; the manager never picks a
-provider itself. The manager alone answers which live resource modules
-export a pair: creating and removing a resource module keep a pair →
-exporters index, which ``exporters_of`` (in id order) and ``is_exported``
-read and each table is checked against. Create, rewire and remove write
-imports through one manager method, which also keeps a reverse index from
-each provider to the info modules wired to it, so a module's dependents are
-a lookup; an index set is sorted only where a caller asks for the list or a
-refusal names its members. While an ``undo_on_error`` block is open, every
-write (creating, rewiring, removing) logs its inverse in one journal, which
-a block left by any exception, ``KeyboardInterrupt`` included, runs
-backwards. The block is a small slotted object that the manager hands out
-per call, and blocks do not nest. A resource module never changes its
-exports and is removed only once nothing is wired to it, so every import
-names a live module that exports it.
+provider itself. A module is indexed when it goes live and unindexed when
+it goes, whatever its kind: a resource module's pairs in a pair → exporters
+index, which ``exporters_of`` (in id order) and ``is_exported`` read and
+each table is checked against, and an info module's providers in a reverse
+index from each provider to the info modules wired to it, so a module's
+dependents are a lookup. An info module is created already wired and keeps
+its imports when it is removed, so the one rewrite of a live module's
+imports is ``rewire_import``'s (and the undo's), which moves it between
+providers in the reverse index. An index set is sorted only where a caller
+asks for the list or a refusal names its members. While an
+``undo_on_error`` block is open, every write (creating, rewiring, removing)
+logs its inverse in one journal, and a write made outside the manager logs
+its own through ``log_undo``; a block left by any exception,
+``KeyboardInterrupt`` included, runs the journal backwards. The block is a
+small slotted object that the manager hands out per call, and blocks do not
+nest. A resource module never changes its exports and is removed only once
+nothing is wired to it, so every import names a live module that exports it.
 """
 
 from __future__ import annotations
@@ -135,9 +138,9 @@ class ResourceModule:
 class InfoModule:
     """Per-component delegating module: each name it imports -> the module defining it."""
 
-    def __init__(self, module_id: ModuleId):
+    def __init__(self, module_id: ModuleId, imports: dict[str, ModuleId]):
         self.id = module_id
-        self.imports: dict[str, ModuleId] = {}  # written by ModuleManager._set_wiring only
+        self.imports = imports  # once live, rewritten by ModuleManager._set_wiring only
 
 
 Module = Union[ResourceModule, InfoModule]
@@ -152,9 +155,10 @@ class ModuleManager:
 
     def __init__(self):
         self._modules: dict[ModuleId, Module] = {}
-        # Provider -> the info modules wired to it; kept by _set_wiring alone.
+        # Provider -> the live info modules wired to it; kept by _make_live, remove_module
+        # and _set_wiring.
         self._dependents: dict[ModuleId, set[ModuleId]] = {}
-        # Pair -> the live resource modules exporting it; kept by create and remove alone.
+        # Pair -> the live resource modules exporting it; kept by _make_live and remove_module.
         self._exporters: dict[Pair, set[ModuleId]] = {}
         self._events: list[ModuleEvent] = []
         self._next_seq = 1
@@ -192,7 +196,8 @@ class ModuleManager:
         return mid
 
     def _set_wiring(self, info: InfoModule, imports: dict[str, ModuleId]) -> None:
-        """The one write of an info module's imports; keeps ``_dependents`` and the journal."""
+        """The one rewrite of a live info module's imports, by ``rewire_import`` and the
+        undo; keeps ``_dependents`` and the journal."""
         if self._journal is not None:
             self._journal.append((self._set_wiring, info, info.imports))
         old, new = set(info.imports.values()), set(imports.values())
@@ -205,12 +210,20 @@ class ModuleManager:
             self._dependents.setdefault(pid, set()).add(info.id)
         info.imports = imports
 
-    def _make_live(self, module: Module) -> None:
-        """Register ``module``, index the pairs it exports and log ADDED: creation and undo alike."""
-        self._modules[module.id] = module
+    def _index_of(self, module: Module) -> tuple[dict, Iterable]:
+        """The index a live ``module`` is in, and its keys there: a resource module's
+        pairs in ``_exporters``, an info module's providers in ``_dependents``."""
         if isinstance(module, ResourceModule):
-            for pair in module.exports.items():
-                self._exporters.setdefault(pair, set()).add(module.id)
+            return self._exporters, module.exports.items()
+        return self._dependents, set(module.imports.values())
+
+    def _make_live(self, module: Module) -> None:
+        """Register ``module``, index it, whatever its kind, and log ADDED: creation and
+        undo alike."""
+        self._modules[module.id] = module
+        index, keys = self._index_of(module)
+        for key in keys:
+            index.setdefault(key, set()).add(module.id)
         self._events.append(ModuleEvent(EventKind.ADDED, module.id))
         if self._journal is not None:
             self._journal.append((self.remove_module, module.id))
@@ -221,11 +234,19 @@ class ModuleManager:
         On an exception, ``KeyboardInterrupt`` included, the journal runs
         backwards: each rewired info module gets back its imports, each
         created module is removed and each removed one is put back with its
-        id (the events of both stay logged), then the exception propagates.
+        id (the events of both stay logged), each inverse logged with
+        ``log_undo`` runs, then the exception propagates.
         Blocks do not nest: entering one while another is open raises
         ``InvariantViolation``.
         """
         return _UndoBlock(self)
+
+    def log_undo(self, undo, *args) -> None:
+        """Log ``undo(*args)``, the inverse of a write just made, to run in its turn if the
+        open ``undo_on_error`` block fails; outside a block, log nothing. A write made
+        outside the manager logs its inverse here."""
+        if self._journal is not None:
+            self._journal.append((undo, *args))
 
     def create_resource_module(self, exports: Iterable[Pair],
                                source: CorpusStore) -> ModuleId:
@@ -239,13 +260,12 @@ class ModuleManager:
 
         The table is checked as ``rewire_import`` checks it, before the module
         takes an id, so a refused table creates nothing. Build and add create
-        each info module this way; an empty table gives an empty module.
+        each info module this way, already wired, so its one write is making it
+        live; an empty table gives an empty module.
         """
         wiring = self._checked_wiring(table)
-        module = InfoModule(self._fresh_id())
+        module = InfoModule(self._fresh_id(), wiring)
         self._make_live(module)
-        if wiring:  # a fresh module's imports are already empty
-            self._set_wiring(module, wiring)
         return module.id
 
     def load_type(self, via: ModuleId, name: str) -> DefinedType:
@@ -281,26 +301,23 @@ class ModuleManager:
     def remove_module(self, module_id: ModuleId) -> None:
         """Remove a module that nothing is wired to; refused with ``InUse`` while one is.
 
-        Inside an ``undo_on_error`` block a failure puts it back, with its id,
-        its exports indexed and its imports. Already-defined types stay valid;
-        removal never unloads them.
+        An info module keeps its imports; it only leaves the indexes. Inside an
+        ``undo_on_error`` block a failure puts it back, with its id, indexed as
+        it was. Already-defined types stay valid; removal never unloads them.
         """
         removed = self.module(module_id)
         dependents = self._dependents.get(module_id)
         if dependents:
             raise InUse(module_id, sorted(dependents))
-        if isinstance(removed, InfoModule):
-            self._set_wiring(removed, {})
-        else:
-            for pair in removed.exports.items():
-                entry = self._exporters[pair]
-                entry.discard(module_id)
-                if not entry:
-                    del self._exporters[pair]
+        index, keys = self._index_of(removed)
+        for key in keys:
+            entry = index[key]
+            entry.discard(module_id)
+            if not entry:
+                del index[key]
         del self._modules[module_id]
         self._events.append(ModuleEvent(EventKind.REMOVED, module_id))
-        if self._journal is not None:
-            self._journal.append((self._make_live, removed))
+        self.log_undo(self._make_live, removed)
 
     def _checked_wiring(self, table: Mapping[str, tuple[VersionTag, ModuleId]]
                         ) -> dict[str, ModuleId]:

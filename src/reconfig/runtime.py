@@ -34,9 +34,11 @@ it is removed; its types live on while referenced.
 
 Add, swap and remove each run in one ``undo_on_error`` block of the manager,
 whose journal puts back every module the operation created, rewired or
-removed. Attaching a component to the root, or detaching it, is the block's
-last write, so a refusal at any step leaves the modules and the tree as they
-were. A swap writes exactly two things through the manager, its new
+removed. Attaching a component to the root is add's last write. Remove
+detaches the component first: that refuses crossing bindings before anything
+is written, so a refused remove writes nothing, and it logs putting the
+child back at its index, so a refusal at a later step leaves the tree as it
+was too. A swap writes exactly two things through the manager, its new
 implementation module and the one rewire, and a remove exactly the removal
 of each module its component owns. Add asks the manager whether each new
 public pair is exported anywhere and sorts exporters only to name them in
@@ -348,21 +350,22 @@ def add_component(arch: ArchitectureInstance, component: AdlComponent,
 def remove_component(arch: ArchitectureInstance, name: str) -> None:
     """Remove a primitive from the root, refusing while bindings cross it.
 
-    The component's info module and the implementation modules it owns go
-    away; interface and shared modules stay, they may serve other components.
-    The removals run under the manager's undo log, and detaching the component
-    from the root is the last write, so a refusal at any step, such as
-    ``CrossBindingExists`` or ``UnknownModule`` for a module already removed
-    directly, puts every module back.
+    The component is detached from the root first, which refuses with
+    ``CrossBindingExists`` before anything is written; then its info module
+    and the implementation modules it owns go away. Interface and shared
+    modules stay, they may serve other components. Both steps run in one
+    undo block, so a later refusal, such as ``UnknownModule`` for a module
+    already removed directly, puts the child back at its index and every
+    module back.
     """
     _guard_reconfig(arch, "structural reconfiguration")
     comp = arch.component(name)
     if comp.kind is not ComponentKind.PRIMITIVE:
         raise NotAPrimitive(name)
     with arch.mgr.undo_on_error():
+        remove_child(arch.mgr, arch.root, comp)
         for mid in [comp.info_module, *comp.impl_modules]:
             arch.mgr.remove_module(mid)
-        remove_child(arch.root, comp)
     del arch.components[name]
 
 

@@ -403,7 +403,8 @@ def test_plan_invariants_hold_on_random_architectures():
         exports = {rp.label: set(rp.exports) for rp in plan.resources}
         for ip in plan.infos:
             _assert_each_provider_is_the_only_exporter_of_its_pairs(ip.table)
-        shared_types = {p for rp in plan.resources if rp.kind == "shared" for p in rp.exports}
+        shared_types = {p for rp in plan.resources if rp.label.startswith("shared(")
+                        for p in rp.exports}
         for pair in shared_types:
             owners = [label for label, exp in exports.items() if pair in exp]
             assert owners and all(label.startswith("shared(") for label in owners)
@@ -520,6 +521,7 @@ def _build_work_per_primitive(root, n: int) -> dict[tuple[str, str], float]:
     hooks = [(corpus, "_parse_typedef"), (adl._Scanner, "read_tag"),
              (CorpusStore, "closure"), (CorpusStore, "resolve"), (CorpusStore, "lookup"),
              (ModuleManager, "create_resource_module"), (ModuleManager, "create_info_module"),
+             (ModuleManager, "_set_wiring"), (ModuleManager, "_make_live"),
              (factory, "bind"), (factory, "route")]
     counts, work = Counter(), Counter()
 
@@ -549,6 +551,12 @@ def test_a_build_does_the_same_work_per_primitive_at_250_and_2000(tmp_path):
         assert large[key] <= 1.05 * small[key], (key, small[key], large[key])
     assert small[("load", "_parse_typedef")] == (2 * 250 + 2) / 250
     assert large[("instantiate", "bind")] == 1999 / 2000
+    for work in (small, large):
+        # each created module is made live once, already wired, and nothing is rewired
+        assert ("instantiate", "_set_wiring") not in work
+        assert work[("instantiate", "_make_live")] == (
+            work[("instantiate", "create_resource_module")]
+            + work[("instantiate", "create_info_module")])
 
 
 # --- a build reads each distinct declaration once per input --------------------------

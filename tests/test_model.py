@@ -270,10 +270,10 @@ def test_remove_child_refuses_while_bindings_cross(world):
     subtree = {server}
     assert (record.client.owner in subtree) != (record.server.owner in subtree)
     with pytest.raises(CrossBindingExists):
-        remove_child(outer, server)
+        remove_child(mgr, outer, server)
 
     unbind(record)
-    remove_child(outer, server)
+    remove_child(mgr, outer, server)
     assert server.parents == []
     from reconfig.model import add_child
     add_child(outer, server)  # re-adding after removal is fine
@@ -285,11 +285,11 @@ def test_remove_child_keeps_other_memberships(world):
     shared = _server(mgr, info)
     a = new_composite(mgr, "a", [], [shared])
     b = new_composite(mgr, "b", [], [shared])
-    remove_child(a, shared)
+    remove_child(mgr, a, shared)
     assert shared.parents == [b]
     assert shared in b.children
     with pytest.raises(NotAChild):
-        remove_child(a, shared)
+        remove_child(mgr, a, shared)
 
 
 def test_internal_bindings_do_not_block_removal(world):
@@ -299,7 +299,7 @@ def test_internal_bindings_do_not_block_removal(world):
     outer = new_composite(mgr, "outer", [], [inner])
     bind(mgr, client.port("s"), server.port("s"))
     # binding is wholly inside the removed subtree
-    remove_child(outer, inner)
+    remove_child(mgr, outer, inner)
     assert inner.parents == []
 
 

@@ -558,6 +558,13 @@ def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
                                           "modules.ModuleManager._set_wiring"}
 
 
+def test_only_rewire_import_and_the_undo_rewrite_an_info_modules_imports():
+    # creating an info module wires it before it is live, and removing one keeps its imports;
+    # _set_wiring names itself only to log its own inverse
+    assert _scan_src("_set_wiring", visitor_class=_Reads).found == {
+        "modules.ModuleManager._set_wiring", "modules.ModuleManager.rewire_import"}
+
+
 def test_links_are_written_only_by_the_model():
     found = _scan_src("binding", "route", "inbound").found
     assert {scope.split(".")[0] for scope in found} == {"model"}, sorted(found)

@@ -406,6 +406,7 @@ _FAULTED_OPS = {
     "add": lambda arch, corpus: runtime.add_component(
         arch, parse_component_fragment(SERVER2), corpus),
     "remove": lambda arch, corpus: runtime.remove_component(arch, "server2"),
+    "remove-middle": lambda arch, corpus: runtime.remove_component(arch, "server"),
     "bind": lambda arch, corpus: runtime.bind_ports(arch, "client.s", "server.s"),
     "unbind": lambda arch, corpus: runtime.unbind_port(arch, "client.s"),
     "rebind": lambda arch, corpus: runtime.rebind(arch, "client.s", "server2.s"),
@@ -418,12 +419,16 @@ _FAULTED_PAIRS = {(td.name, td.version) for name in ("hello", "hello_swap")
 
 def _faulted_arch(op: str):
     """hello_v1 over hello_swap; the remove op removes, and the rebind op binds to, a server2
-    added here, with no links; the bind op binds a client.s unbound here."""
+    added here, with no links; the bind op binds a client.s unbound here. The remove-middle
+    op removes server, which is then not the root's last child and owns two implementation
+    modules: server2 is added, client.s unbound and server swapped here."""
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
-    if op in ("remove", "rebind"):
+    if op in ("remove", "rebind", "remove-middle"):
         runtime.add_component(arch, parse_component_fragment(SERVER2), corpus)
-    if op == "bind":
+    if op in ("bind", "remove-middle"):
         runtime.unbind_port(arch, "client.s")
+    if op == "remove-middle":
+        runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
     return arch, corpus
 
 
@@ -832,6 +837,19 @@ def test_a_remove_over_a_force_removed_module_is_refused_untouched(lost):
     assert arch.component("server2") is added and arch.root.children == children
 
 
+def test_a_remove_refuses_crossing_bindings_before_a_force_removed_module():
+    """The crossing links are found before any module is removed, so a component that has
+    both is refused with ``CrossBindingExists``, not ``UnknownModule``, and nothing moves."""
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    server = arch.component("server")
+    arch.mgr.remove_module(server.info_module)
+    before, live, children = arch.report(), arch.mgr.live_ids(), list(arch.root.children)
+    with pytest.raises(CrossBindingExists):
+        runtime.remove_component(arch, "server")
+    assert arch.report() == before and arch.mgr.live_ids() == live
+    assert arch.component("server") is server and arch.root.children == children
+
+
 # --- each primitive owns its modules --------------------------------------------------
 
 def _assert_each_module_has_one_owner(arch) -> None:
@@ -1145,10 +1163,16 @@ def test_a_swap_and_a_remove_do_the_same_work_at_100_and_1000_primitives():
     assert small["remove"]["wiring_reads"] > 0
 
 
-def _manager_writes_of_a_refused_remove(n: int) -> Counter:
-    """Manager writes, undo included, of removing the still-bound middle of an n-chain."""
-    arch = _build_text(_chain_text(n, [True] * n), _chain_swap_corpus())
+def _manager_writes_of_a_refused_remove(n: int, swaps: int) -> Counter:
+    """Manager writes, undo included, of removing the still-bound middle of an n-chain
+    once it has been swapped ``swaps`` times, each swap leaving it one more module."""
+    corpus = _chain_swap_corpus()
+    arch = _build_text(_chain_text(n, [True] * n), corpus)
     middle = f"c{n // 2}"
+    for i in range(swaps):
+        runtime.swap_implementation(arch, middle, ("NodeImpl", "1.0" if i % 2 else "2.0"),
+                                    corpus)
+    assert len(arch.component(middle).impl_modules) == 1 + swaps
     before, live = arch.report(), arch.mgr.live_ids()
     counts = Counter()
     with pytest.MonkeyPatch.context() as patch:
@@ -1161,11 +1185,11 @@ def _manager_writes_of_a_refused_remove(n: int) -> Counter:
 
 
 def test_undoing_a_refused_remove_writes_the_same_at_100_and_1000_primitives():
-    small = _manager_writes_of_a_refused_remove(100)
-    assert small == _manager_writes_of_a_refused_remove(1000)
-    # the info and the implementation module go, unwiring the info module, then each is put
-    # back and the info module rewired: the undo writes only what the block wrote
-    assert small == {"remove_module": 2, "_set_wiring": 2, "_make_live": 2}
+    # the crossing bindings refuse the remove before it writes, so there is nothing to undo,
+    # however many modules the component owns
+    for n in (100, 1000):
+        for swaps in (0, 50):
+            assert _manager_writes_of_a_refused_remove(n, swaps) == Counter(), (n, swaps)
 
 
 def _manager_writes_of_a_swap_and_a_remove(n: int) -> dict[str, Counter]:
@@ -1195,8 +1219,8 @@ def test_a_swap_and_a_remove_make_the_same_manager_writes_at_100_and_1000_primit
     assert small == _manager_writes_of_a_swap_and_a_remove(1000)
     # the swap creates its implementation module and rewires the info module, nothing else
     assert small["swap"] == {"_make_live": 1, "_set_wiring": 1}
-    # the remove takes away the info module (unwiring it) and both implementation modules
-    assert small["remove"] == {"remove_module": 3, "_set_wiring": 1}
+    # the remove takes away the info module and both implementation modules, nothing else
+    assert small["remove"] == {"remove_module": 3}
 
 
 # --- re-planning a component is mostly dictionary hits ---------------------------------
