@@ -10,6 +10,13 @@ environment variable. Exit codes: 0 success, 1 diagnostics or failed
 assertions, 2 I/O, parse, or setup errors. Output for check/plan/run is
 byte-deterministic for identical inputs; bench timings are not.
 
+``plan``, ``run`` and ``bench`` share one set-up path, ``_load_and_plan``:
+load, granularity, validate, plan. ``plan`` prints the diagnostics or
+``ERROR VersionConflict …`` and exits 1; ``run`` and ``bench`` turn both into
+``error: …`` and exit 2. ``plan_modules`` validates the definition a second
+time on its own, on purpose for now: the benchmark smoke test pins two
+``validate`` calls per build, and one call waits for a change to it.
+
 Set-up (read, parse, corpus load, validate, plan and instantiate) runs with
 the cyclic collector paused: it builds a large, long-lived object graph and
 frees next to nothing, so automatic collections during it are pure cost.
@@ -104,12 +111,8 @@ def _collector_paused():
             gc.enable()
 
 
-def _corpus_path(args) -> Optional[str]:
-    return args.corpus or os.environ.get("RECONFIG_CORPUS")
-
-
 def _load_inputs(args):
-    corpus_path = _corpus_path(args)
+    corpus_path = args.corpus or os.environ.get("RECONFIG_CORPUS")
     if not corpus_path:
         raise OSError("no corpus given (use --corpus or RECONFIG_CORPUS)")
     text = Path(args.adl).read_text(encoding="utf-8")
@@ -130,37 +133,39 @@ def cmd_check(args) -> int:
     return 1 if diagnostics else 0
 
 
+def _load_and_plan(args):
+    """Load, pick the granularity, validate and plan: the set-up of ``plan``,
+    ``run`` and ``bench``. Returns the definition, the corpus, the diagnostics,
+    and the plan, which is ``None`` when there are diagnostics."""
+    definition, corpus = _load_inputs(args)
+    granularity = parse_granularity(getattr(args, "granularity", "per-component"))
+    diagnostics = validate(definition, corpus)
+    plan = None if diagnostics else plan_modules(definition, granularity, corpus)
+    return definition, corpus, diagnostics, plan
+
+
 def cmd_plan(args) -> int:
     with _collector_paused():
         try:
-            definition, corpus = _load_inputs(args)
-            granularity = parse_granularity(args.granularity)
-        except SETUP_ERRORS as exc:
-            return _fail(str(exc))
-        diagnostics = validate(definition, corpus)
-        if diagnostics:
-            for diag in diagnostics:
-                print(diag.render())
-            return 1
-        try:
-            plan = plan_modules(definition, granularity, corpus)
+            _, _, diagnostics, plan = _load_and_plan(args)
         except VersionConflict as exc:
             print(f"ERROR VersionConflict {exc}")
             return 1
         except SETUP_ERRORS as exc:
             return _fail(str(exc))
+    for diag in diagnostics:
+        print(diag.render())
+    if diagnostics:
+        return 1
     print(render_plan(plan), end="")
     return 0
 
 
 def _build(args):
     with _collector_paused():
-        definition, corpus = _load_inputs(args)
-        granularity = parse_granularity(getattr(args, "granularity", "per-component"))
-        diagnostics = validate(definition, corpus)
+        definition, corpus, diagnostics, plan = _load_and_plan(args)
         if diagnostics:
             raise ReconfigError("; ".join(d.render() for d in diagnostics))
-        plan = plan_modules(definition, granularity, corpus)
         return instantiate(definition, plan, ModuleManager(), corpus), corpus
 
 

@@ -4,13 +4,19 @@ Scripts drive a built architecture from the CLI: invoke methods, swap
 implementations, rebind ports, add or remove components, and assert on the
 outcome of the immediately preceding command with ``expect-ok`` or
 ``expect-error CODE``. They are test vectors, not a user language; ``#``
-starts a comment line.
+starts a comment line. The command word ends at the first run of whitespace.
+
+``_ACTIONS`` is the one record of the six actions: for each, the test its
+argument count must pass and the message that refuses it, how many leading
+arguments are ``comp.port`` endpoints (invoke 1, bind 2, unbind 1), and the
+runner. ``parse_script`` checks every command against its entry and
+``run_script`` calls the entry's runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import runtime
 from .adl import parse_component_fragment
@@ -27,7 +33,41 @@ class Command:
     text: str
 
 
-_ACTIONS = {"invoke", "swap", "bind", "unbind", "add", "remove"}
+@dataclass(frozen=True, slots=True)
+class _Action:
+    """One script action: the test its argument count must pass, the message that
+    refuses it, how many leading arguments are ``comp.port`` endpoints, and the runner."""
+    arity: Callable[[int], bool]
+    usage: str
+    endpoints: int
+    run: Callable[[ArchitectureInstance, CorpusStore, tuple[str, ...]], None]
+
+
+def _invoke(arch: ArchitectureInstance, corpus: CorpusStore, args: tuple[str, ...]) -> None:
+    endpoint, method, *arg_types = args
+    comp_name, _, port_name = endpoint.partition(".")
+    port = arch.find_port(endpoint)
+    values = [runtime.make_value(arch, port.owner, t) for t in arg_types]
+    runtime.invoke(arch, comp_name, port_name, method, values)
+
+
+# Each runner looks ``runtime.<fn>`` up when it runs, never before: a function
+# swapped on the module (a span recorder, a test's patch) is the one called.
+_ACTIONS = {
+    "invoke": _Action(lambda n: n >= 2, "invoke needs comp.port and a method", 1, _invoke),
+    "swap": _Action(lambda n: n == 3, "swap needs component, class, version", 0,
+                    lambda arch, corpus, args: runtime.swap_implementation(
+                        arch, args[0], (args[1], args[2]), corpus)),
+    "bind": _Action(lambda n: n == 2, "bind needs client and server endpoints", 2,
+                    lambda arch, corpus, args: runtime.bind_ports(arch, *args)),
+    "unbind": _Action(lambda n: n == 1, "unbind needs one client endpoint", 1,
+                      lambda arch, corpus, args: runtime.unbind_port(arch, *args)),
+    "add": _Action(lambda n: n == 1, "add needs an inline <component .../> element", 0,
+                   lambda arch, corpus, args: runtime.add_component(
+                       arch, parse_component_fragment(args[0]), corpus)),
+    "remove": _Action(lambda n: n == 1, "remove needs one component name", 0,
+                      lambda arch, corpus, args: runtime.remove_component(arch, *args)),
+}
 
 
 def parse_script(text: str) -> list[Command]:
@@ -37,16 +77,15 @@ def parse_script(text: str) -> list[Command]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if word == "add":
-            if not rest:
-                raise ScriptError(lineno, "add needs an inline <component .../> element")
-            args: tuple[str, ...] = (rest,)
-        else:
-            args = tuple(rest.split()) if rest else ()
-        if word in _ACTIONS:
-            _check_arity(word, args, lineno)
+        word = line.split(maxsplit=1)[0]
+        rest = line[len(word):].strip()
+        args = (rest,) if word == "add" and rest else tuple(rest.split())
+        if (action := _ACTIONS.get(word)) is not None:
+            if not action.arity(len(args)):
+                raise ScriptError(lineno, action.usage)
+            for endpoint in args[:action.endpoints]:
+                if endpoint.count(".") != 1:
+                    raise ScriptError(lineno, f"endpoint {endpoint!r} must be comp.port")
         elif word == "expect-ok":
             if previous_kind not in _ACTIONS:
                 raise ScriptError(lineno, "expect-ok must follow a command")
@@ -64,50 +103,11 @@ def parse_script(text: str) -> list[Command]:
     return commands
 
 
-def _check_arity(kind: str, args: tuple[str, ...], lineno: int) -> None:
-    if kind == "invoke" and len(args) < 2:
-        raise ScriptError(lineno, "invoke needs comp.port and a method")
-    if kind == "swap" and len(args) != 3:
-        raise ScriptError(lineno, "swap needs component, class, version")
-    if kind == "bind" and len(args) != 2:
-        raise ScriptError(lineno, "bind needs client and server endpoints")
-    if kind == "unbind" and len(args) != 1:
-        raise ScriptError(lineno, "unbind needs one client endpoint")
-    if kind == "remove" and len(args) != 1:
-        raise ScriptError(lineno, "remove needs one component name")
-    if kind in ("invoke", "bind", "unbind"):
-        for endpoint in args[:1] if kind != "bind" else args:
-            if endpoint.count(".") != 1:
-                raise ScriptError(lineno, f"endpoint {endpoint!r} must be comp.port")
-
-
 @dataclass
 class ScriptResult:
     ok: bool
     output: list[str]
     failure: Optional[str] = None
-
-
-def _execute(arch: ArchitectureInstance, corpus: CorpusStore, cmd: Command) -> None:
-    if cmd.kind == "invoke":
-        endpoint, method, *arg_types = cmd.args
-        comp_name, _, port_name = endpoint.partition(".")
-        port = arch.find_port(endpoint)
-        values = [runtime.make_value(arch, port.owner, t) for t in arg_types]
-        runtime.invoke(arch, comp_name, port_name, method, values)
-    elif cmd.kind == "swap":
-        component, cls, version = cmd.args
-        runtime.swap_implementation(arch, component, (cls, version), corpus)
-    elif cmd.kind == "bind":
-        runtime.bind_ports(arch, cmd.args[0], cmd.args[1])
-    elif cmd.kind == "unbind":
-        runtime.unbind_port(arch, cmd.args[0])
-    elif cmd.kind == "add":
-        runtime.add_component(arch, parse_component_fragment(cmd.args[0]), corpus)
-    elif cmd.kind == "remove":
-        runtime.remove_component(arch, cmd.args[0])
-    else:  # pragma: no cover - parse_script filters kinds
-        raise AssertionError(cmd.kind)
 
 
 def run_script(arch: ArchitectureInstance, corpus: CorpusStore,
@@ -125,11 +125,11 @@ def run_script(arch: ArchitectureInstance, corpus: CorpusStore,
                             f"line {cmd.line}: unexpected error {outcome} ({cmd.text})")
 
     for cmd in commands:
-        if cmd.kind in _ACTIONS:
+        if (action := _ACTIONS.get(cmd.kind)) is not None:
             if pending is not None and pending[1] != "ok":
                 return unasserted(*pending)
             try:
-                _execute(arch, corpus, cmd)
+                action.run(arch, corpus, cmd.args)
                 outcome = "ok"
             except ReconfigError as exc:
                 outcome = exc.code

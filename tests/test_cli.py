@@ -5,10 +5,11 @@ import shutil
 
 import pytest
 
-from reconfig import cli
+from reconfig import cli, runtime
+from reconfig.adl import parse_component_fragment
 from reconfig.cli import main
 from reconfig.errors import ScriptError
-from reconfig.script import Command, parse_script, run_script
+from reconfig.script import _ACTIONS, Command, parse_script, run_script
 
 from conftest import adl_path, build_architecture, corpus_path, script_path
 from test_factory import _write_chain
@@ -256,10 +257,58 @@ def test_script_grammar_errors():
         ("unbind\n", "line 1: unbind needs one client endpoint"),
         ("remove\n", "line 1: remove needs one component name"),
         ("unbind ap\n", "line 1: endpoint 'ap' must be comp.port"),
+        ("invoke a run\n", "line 1: endpoint 'a' must be comp.port"),
+        ("bind a.p b\n", "line 1: endpoint 'b' must be comp.port"),
     ]:
         with pytest.raises(ScriptError) as exc:
             parse_script(text)
         assert str(exc.value) == f"script {message}", text
+    # Only invoke's first argument, bind's two and unbind's one are endpoints.
+    assert [(c.kind, c.args) for c in parse_script(
+        "swap a.b C 1.0\nswap a C 1.0\nremove a.b\nremove a\ninvoke a.p run x.y.z\n")] == [
+        ("swap", ("a.b", "C", "1.0")), ("swap", ("a", "C", "1.0")), ("remove", ("a.b",)),
+        ("remove", ("a",)), ("invoke", ("a.p", "run", "x.y.z"))]
+
+
+def test_a_tab_may_end_the_command_word(capsys, tmp_path):
+    commands = parse_script("invoke\tHelloWorld.r run\nexpect-ok\t\nremove\ta\n"
+                            "add\t<component name=\"x\"/>\n")
+    assert [(c.kind, c.args) for c in commands] == [
+        ("invoke", ("HelloWorld.r", "run")), ("expect-ok", ()), ("remove", ("a",)),
+        ("add", ('<component name="x"/>',))]
+    script = tmp_path / "tabs.script"
+    script.write_text("invoke\tHelloWorld.r\trun\nexpect-ok\n")
+    assert _run(capsys, "run", HELLO, str(script), "--corpus", HELLO_CORPUS) == (
+        0, "line 1: ok\nPASS all assertions hold\n")
+
+
+def test_each_action_calls_the_runtime_function_in_place_when_it_runs(monkeypatch):
+    """A runner looks its ``runtime`` function up when it runs, so a function
+    swapped on the module afterwards, as a span recorder does, is the one called."""
+    arch, corpus, _ = build_architecture("hello.fractal.xml", "hello")
+    calls = []
+    for name in ("invoke", "make_value", "swap_implementation", "bind_ports", "unbind_port",
+                 "add_component", "remove_component"):
+        monkeypatch.setattr(runtime, name,
+                            lambda *args, name=name: calls.append((name, args[1:])))
+    fragment = '<component name="x"><content class="ServerImpl" version="2.0"/></component>'
+    scripts = {
+        "invoke": ("invoke HelloWorld.r run Request",
+                   [("make_value", (arch.components["HelloWorld"], "Request")),
+                    ("invoke", ("HelloWorld", "r", "run", [None]))]),
+        "swap": ("swap server ServerImpl 2.0",
+                 [("swap_implementation", ("server", ("ServerImpl", "2.0"), corpus))]),
+        "bind": ("bind client.s server.s", [("bind_ports", ("client.s", "server.s"))]),
+        "unbind": ("unbind client.s", [("unbind_port", ("client.s",))]),
+        "add": (f"add {fragment}",
+                [("add_component", (parse_component_fragment(fragment), corpus))]),
+        "remove": ("remove server", [("remove_component", ("server",))]),
+    }
+    assert sorted(scripts) == sorted(_ACTIONS)
+    for kind, (text, want) in scripts.items():
+        calls.clear()
+        assert run_script(arch, corpus, parse_script(text)).ok, kind
+        assert calls == want, kind
 
 
 def test_add_and_remove_through_a_script(capsys, tmp_path):
