@@ -478,17 +478,18 @@ def render_adl(definition: AdlDefinition) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    level: str
+    """One error ``validate`` found; every diagnostic is an error."""
+
     code: str
     location: str
     message: str
 
     def render(self) -> str:
-        return f"{self.level} {self.code} {self.location} {self.message}"
+        return f"ERROR {self.code} {self.location} {self.message}"
 
 
 def _diag(code: str, line: int, col: int, message: str) -> Diagnostic:
-    return Diagnostic("ERROR", code, f"{line}:{col}", message)
+    return Diagnostic(code, f"{line}:{col}", message)
 
 
 def validate(definition: AdlDefinition, corpus: CorpusStore) -> list[Diagnostic]:

@@ -217,9 +217,8 @@ class UnknownAttribute(AdlError):
 # --- factory / runtime ----------------------------------------------------
 
 class VersionConflict(ReconfigError):
-    def __init__(self, name: str, v1, v2, where: str = ""):
-        at = f" in {where}" if where else ""
-        super().__init__(f"{name} is required at both {v1} and {v2}{at}")
+    def __init__(self, name: str, v1, v2, where: str):
+        super().__init__(f"{name} is required at both {v1} and {v2} in {where}")
         self.name = name
         self.versions = (v1, v2)
 
@@ -277,7 +276,7 @@ class NotAPrimitive(ReconfigError):
 
 
 class GranularityForbidsSwap(ReconfigError):
-    def __init__(self, operation: str = "swap"):
+    def __init__(self, operation: str):
         super().__init__(f"single-loader architectures do not support {operation}")
 
 

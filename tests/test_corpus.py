@@ -229,6 +229,29 @@ def test_the_listing_matches_rglob_in_path_order(tmp_path, monkeypatch):
         assert got == want and got, root_arg
 
 
+def test_a_directory_whose_listing_is_refused_is_skipped_as_rglob_skips_it(tmp_path, monkeypatch):
+    """A subdirectory that ``os.scandir`` refuses with ``PermissionError`` is left out
+    with everything under it, and the rest is listed as ``rglob`` lists it. The refusal
+    is patched in, since the superuser reads a directory whatever its mode."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    _odd_layout(root)
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.path.basename(os.path.normpath(os.fspath(path))) == "b":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    want = [str(p) for p in sorted(root.rglob("*.typedef"), key=lambda p: p.parts)]
+    got = [path for _, path in _typedef_files(root)]
+    assert got == want
+    assert [os.path.relpath(p, root) for p in got] == [
+        ".typedef", ".x.typedef", "a/X-1.typedef", "a-b/X-1.typedef", "d.typedef",
+        "d.typedef/X-1.typedef", "l.typedef", "linked.typedef", "outside/deep/X-1.typedef"]
+
+
 def test_unknown_key_is_malformed(tmp_path):
     (tmp_path / "X-1.typedef").write_text(
         "name: X\nversion: 1\nkind: class\ncolor: red\n")

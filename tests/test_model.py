@@ -145,6 +145,20 @@ def test_containment_stays_a_dag(world):
         add_child(inner, inner)
 
 
+def test_a_diamond_of_composites_lists_its_shared_child_once_and_refuses_the_cycle(world):
+    mgr, corpus, info = world
+    leaf = _server(mgr, info)
+    shared = new_composite(mgr, "shared", [], [leaf])
+    left = new_composite(mgr, "left", [], [shared])
+    right = new_composite(mgr, "right", [], [shared])
+    top = new_composite(mgr, "top", [], [left, right])
+    assert top.descendants() == {left, right, shared, leaf}
+    with pytest.raises(ContainmentCycle):
+        add_child(shared, top)
+    assert shared.children == [leaf] and top.parents == []
+    assert shared.parents == [left, right]
+
+
 def test_check_binding_ok_and_role_errors(world):
     mgr, corpus, info = world
     client, server = _client(mgr, info), _server(mgr, info)

@@ -44,7 +44,7 @@ def _one_of_each() -> dict[type, object]:
             *arch.mgr.resource_modules(), server.content, *arch.mgr.events,
             PortSpec(server.interfaces[0].name, server.interfaces[0].role,
                      server.interfaces[0].signature),
-            Diagnostic("ERROR", "E", "1:1", "message"),
+            Diagnostic("E", "1:1", "message"),
             runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus),
             runtime.bench_interception(arch, 1),
             *parse_script("invoke HelloWorld.r run\nexpect-ok\n")]

@@ -124,6 +124,30 @@ def test_a_call_into_an_unrouted_composite_export_is_refused_naming_the_port():
     assert arch.report() == before and not arch.in_call
 
 
+def test_a_bound_client_port_whose_signature_declares_no_methods_forwards_nothing():
+    def entered(marker_methods):
+        runnable = (MethodSig("run", (), "void"),)
+        corpus = _corpus_of(
+            TypeDef("Runnable", V("1.0"), TypeKind.INTERFACE, (), runnable),
+            TypeDef("Marker", V("1.0"), TypeKind.INTERFACE, (), marker_methods),
+            TypeDef("ClientImpl", V("1.0"), TypeKind.CLASS, (), runnable),
+            TypeDef("SinkImpl", V("1.0"), TypeKind.CLASS, (), marker_methods))
+        arch = _build_text(
+            '<definition name="D" version="1.0"><component name="client">'
+            '<interface name="r" role="server" signature="Runnable" version="1.0"/>'
+            '<interface name="m" role="client" signature="Marker" version="1.0"/>'
+            '<content class="ClientImpl" version="1.0"/></component>'
+            '<component name="sink">'
+            '<interface name="m" role="server" signature="Marker" version="1.0"/>'
+            '<content class="SinkImpl" version="1.0"/></component>'
+            '<binding client="client.m" server="sink.m"/></definition>', corpus)
+        assert runtime.invoke(arch, "client", "r", "run") is None
+        return [e.args[0] for e in arch.trace if e.kind == runtime.ENTER]
+
+    assert entered(()) == ["client"]
+    assert entered((MethodSig("ping", (), "void"),)) == ["client", "sink"]
+
+
 # --- swap ----------------------------------------------------------------------
 
 def test_swap_switches_future_dispatch_to_the_new_module():
