@@ -10,6 +10,9 @@ environment variable. Exit codes: 0 success, 1 diagnostics or failed
 assertions, 2 I/O, parse, or setup errors. Output for check/plan/run is
 byte-deterministic for identical inputs; bench timings are not.
 
+``plan`` and ``run`` take ``--granularity``: the name of a ``Granularity``
+or the reserved ``selective``, which the set-up refuses (exit 2).
+
 ``plan``, ``run`` and ``bench`` share one set-up path, ``_load_and_plan``:
 load, granularity, validate, plan. ``plan`` prints the diagnostics or
 ``ERROR VersionConflict …`` and exits 1; ``run`` and ``bench`` turn both into
@@ -41,7 +44,7 @@ from typing import Optional
 from .adl import parse_adl, validate
 from .corpus import load_corpus
 from .errors import ReconfigError, VersionConflict
-from .factory import instantiate, parse_granularity, plan_modules, render_plan
+from .factory import Granularity, instantiate, parse_granularity, plan_modules, render_plan
 from .modules import ModuleManager
 from .runtime import bench_interception, serialize_trace
 from .script import parse_script, run_script
@@ -52,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reconfig",
         description="Versioned component architectures with reconfigurable implementations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each granularity's name, then the reserved ``selective``: the order the help prints.
+    granularities = [g.value for g in Granularity] + ["selective"]
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("adl", help="architecture description file (.fractal.xml)")
@@ -63,14 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="print the module plan")
     common(p_plan)
-    p_plan.add_argument("--granularity", default="per-component",
-                        choices=["single", "per-component", "selective"])
+    p_plan.add_argument("--granularity", default="per-component", choices=granularities)
 
     p_run = sub.add_parser("run", help="instantiate and execute a script")
     common(p_run)
     p_run.add_argument("script", help="script file")
-    p_run.add_argument("--granularity", default="per-component",
-                       choices=["single", "per-component", "selective"])
+    p_run.add_argument("--granularity", default="per-component", choices=granularities)
     p_run.add_argument("--trace", default=None, help="write the event trace to this file")
 
     p_bench = sub.add_parser("bench", help="interception micro-benchmark")

@@ -56,7 +56,6 @@ from .model import (
     BindingRecord,
     ComponentInstance,
     InterfacePort,
-    PortSpec,
     bind,
     check_binding,
     check_route,
@@ -74,14 +73,12 @@ class Granularity(Enum):
 
 
 def parse_granularity(text: str) -> Granularity:
-    if text == "single":
-        return Granularity.SINGLE_LOADER
-    if text == "per-component":
-        return Granularity.PER_COMPONENT
+    """The granularity named ``text``: ``NotImplementedError`` for the reserved
+    ``selective``, and the enum's ``ValueError`` for a name that is none."""
     if text == "selective":
         # Reserved: per-component opt-in selection of reloadable components.
         raise NotImplementedError("granularity 'selective' is reserved and not implemented")
-    raise ValueError(f"unknown granularity {text!r}")
+    return Granularity(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,7 +402,7 @@ def instantiate(definition: AdlDefinition, plan: ModulePlan, mgr: ModuleManager,
                                                          owned.get(step.name, []))
 
             step = definition
-            root = new_composite(mgr, definition.name, port_specs(definition.interfaces),
+            root = new_composite(mgr, definition.name, definition.interfaces,
                                  [components[c.name] for c in definition.components],
                                  info_module=info_ids.get(definition.name))
             components[definition.name] = root
@@ -441,15 +438,10 @@ def attach_primitive(mgr: ModuleManager, source: AdlComponent, info_id: ModuleId
                      impl_modules: list[ModuleId]) -> ComponentInstance:
     """Create the primitive ``source`` describes over its info module, owning ``impl_modules``."""
     content = mgr.load_type(info_id, source.content[0])
-    inst = new_primitive(mgr, source.name, port_specs(source.interfaces), content, info_id)
+    inst = new_primitive(mgr, source.name, source.interfaces, content, info_id)
     inst.source = source
     inst.impl_modules = impl_modules
     return inst
-
-
-def port_specs(interfaces) -> list[PortSpec]:
-    """Each declared interface as a port; its version is read off the signature it loads."""
-    return [PortSpec(itf.name, itf.role, itf.signature) for itf in interfaces]
 
 
 def _apply_binding(mgr: ModuleManager, root: ComponentInstance,

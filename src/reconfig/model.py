@@ -1,11 +1,14 @@
 """Component model: primitives, composites, ports, and primitive bindings.
 
 Components expose named client/server ports typed by an interface signature.
-A primitive carries a content type (a class defined through its own info
-module); a composite encapsulates children and may share a child with other
-composites, so containment is a DAG, never a tree. Binding a client port to a
-server port is only legal when both ends resolve the signature to the *same*
-defined type, i.e. the same (name, defining module) pair.
+Each port is made from a port declaration as given, such as the ADL's
+interface declaration, of which only ``name``, ``role`` and ``signature`` are
+read; this module imports nothing from the ADL. A primitive carries a content
+type (a class defined through its own info module); a composite encapsulates
+children and may share a child with other composites, so containment is a
+DAG, never a tree. Binding a client port to a server port is only legal when
+both ends resolve the signature to the *same* defined type, i.e. the same
+(name, defining module) pair.
 
 Links live on the port they leave, and only ``bind``, ``unbind`` and ``route``
 write them: a client port holds a binding (also in its server's ``inbound``)
@@ -25,7 +28,6 @@ child back at its index among the composite's children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -64,28 +66,21 @@ class BindingKind(Enum):
     COMPOSITE = "composite"
 
 
-@dataclass(frozen=True, slots=True)
-class PortSpec:
-    """Input description of a port before it is attached to an owner."""
-
-    name: str
-    role: Role
-    signature: str
-
-
 class InterfacePort:
-    """A named access point of one component.
+    """A named access point of one component, made from a port declaration.
 
-    Its ``version`` is the version of the signature it loads through its owner's
-    info module, set where that load first happens (``_check_signature_kinds``).
+    It reads only the declaration's ``name``, ``role`` and ``signature``. Its
+    ``version`` is the version of the signature it loads through its owner's
+    info module, set where that load first happens (``_check_signature_kinds``),
+    never the version the declaration names.
     """
 
     __slots__ = ("name", "role", "signature", "version", "owner", "binding", "inbound", "route")
 
-    def __init__(self, spec: PortSpec, owner: "ComponentInstance"):
-        self.name = spec.name
-        self.role = spec.role
-        self.signature = spec.signature
+    def __init__(self, declared, owner: "ComponentInstance"):
+        self.name = declared.name
+        self.role = declared.role
+        self.signature = declared.signature
         self.owner = owner
         self.binding: Optional[BindingRecord] = None   # client side, at most one
         self.inbound: list[BindingRecord] = []         # server side
@@ -112,15 +107,15 @@ class ComponentInstance:
     __slots__ = ("name", "kind", "interfaces", "content", "children", "parents", "info_module",
                  "source", "impl_modules")
 
-    def __init__(self, name: str, kind: ComponentKind, ports: Sequence[PortSpec],
+    def __init__(self, name: str, kind: ComponentKind, ports: Sequence,
                  content: Optional[DefinedType], info_module: Optional[ModuleId]):
         self.name = name
         self.kind = kind
-        port_names = [spec.name for spec in ports]
+        port_names = [declared.name for declared in ports]
         if len(port_names) != len(set(port_names)):
             raise DuplicatePort(name, next(n for i, n in enumerate(port_names)
                                            if n in port_names[:i]))
-        self.interfaces = [InterfacePort(spec, self) for spec in ports]
+        self.interfaces = [InterfacePort(declared, self) for declared in ports]
         self.content = content
         self.children: list[ComponentInstance] = []
         self.parents: list[ComponentInstance] = []
@@ -191,9 +186,10 @@ def check_conformance(mgr: ModuleManager, inst: ComponentInstance, content: Type
                            mgr.load_type(inst.info_module, port.signature).definition)
 
 
-def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
+def new_primitive(mgr: ModuleManager, name: str, ports: Sequence,
                   content: DefinedType, info_module: ModuleId) -> ComponentInstance:
-    """Create a primitive component around a content class that conforms to its ports.
+    """Create a primitive component around a content class that conforms to its ports,
+    one per declaration in ``ports``, as given.
 
     Every port's signature must be an interface before the server ports' methods are
     checked, and each is loaded once."""
@@ -206,10 +202,11 @@ def new_primitive(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
     return inst
 
 
-def new_composite(mgr: ModuleManager, name: str, ports: Sequence[PortSpec],
+def new_composite(mgr: ModuleManager, name: str, ports: Sequence,
                   children: Iterable[ComponentInstance],
                   info_module: Optional[ModuleId] = None) -> ComponentInstance:
-    """Create a composite around existing children (possibly shared)."""
+    """Create a composite around existing children (possibly shared), with one port per
+    declaration in ``ports``, as given."""
     child_list = list(children)
     if not child_list:
         raise EmptyComposite(name)

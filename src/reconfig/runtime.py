@@ -204,6 +204,13 @@ def _call_server(arch: ArchitectureInstance, depth: int,
         _event(arch, EXIT, comp.name)
 
 
+def _refuse_mid_call(arch: ArchitectureInstance) -> None:
+    """``ReconfigDuringCall`` while a call is under way: no invoke or reconfiguration
+    may start inside one."""
+    if arch.in_call:
+        raise ReconfigDuringCall()
+
+
 def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
            args: Sequence[Value] = ()) -> Optional[Value]:
     """Invoke a method on a component port.
@@ -213,8 +220,7 @@ def invoke(arch: ArchitectureInstance, component: str, port: str, method: str,
     which models a call originating inside the owning component. Every ENTER
     is matched by an EXIT, even on error paths.
     """
-    if arch.in_call:
-        raise ReconfigDuringCall()
+    _refuse_mid_call(arch)
     arch.in_call = True
     try:
         target = arch.find_port(f"{component}.{port}")
@@ -231,8 +237,7 @@ def make_value(arch: ArchitectureInstance, owner: ComponentInstance, type_name: 
 
 
 def _guard_reconfig(arch: ArchitectureInstance, operation: str) -> None:
-    if arch.in_call:
-        raise ReconfigDuringCall()
+    _refuse_mid_call(arch)
     if arch.granularity is not Granularity.PER_COMPONENT:
         raise GranularityForbidsSwap(operation)
 
@@ -256,7 +261,7 @@ def swap_implementation(arch: ArchitectureInstance, component: str,
         raise NotAPrimitive(component)
     name, version = new_content
     try:
-        tag = version if isinstance(version, VersionTag) else VersionTag(str(version))
+        tag = VersionTag(str(version))
         new_td = corpus.resolve(name, tag)
     except (ValueError, NotFound):  # a malformed name or version names no export either
         raise UnresolvableExport(name, version) from None
@@ -287,20 +292,17 @@ def rebind(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> Bi
     The new target is checked once, before anything is written; on any refusal
     the old binding is untouched.
     """
-    if arch.in_call:
-        raise ReconfigDuringCall()
+    _refuse_mid_call(arch)
     return bind(arch.mgr, arch.find_port(client_spec), arch.find_port(server_spec), replace=True)
 
 
 def bind_ports(arch: ArchitectureInstance, client_spec: str, server_spec: str) -> BindingRecord:
-    if arch.in_call:
-        raise ReconfigDuringCall()
+    _refuse_mid_call(arch)
     return bind(arch.mgr, arch.find_port(client_spec), arch.find_port(server_spec))
 
 
 def unbind_port(arch: ArchitectureInstance, client_spec: str) -> None:
-    if arch.in_call:
-        raise ReconfigDuringCall()
+    _refuse_mid_call(arch)
     cport = arch.find_port(client_spec)
     if cport.binding is None:
         raise UnboundInterface(cport.owner.name, cport.name)

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import gc
 import shutil
+from collections import Counter
 
 import pytest
 
 from reconfig import cli, runtime
-from reconfig.adl import parse_component_fragment
+from reconfig.adl import parse_adl, parse_component_fragment
 from reconfig.cli import main
-from reconfig.errors import ScriptError
+from reconfig.corpus import load_corpus
+from reconfig.errors import CrossBindingExists, ScriptError
+from reconfig.factory import Granularity, instantiate, plan_modules
+from reconfig.modules import ModuleManager
 from reconfig.script import _ACTIONS, Command, parse_script, run_script
 
-from conftest import adl_path, build_architecture, corpus_path, script_path
+from conftest import adl_path, build_architecture, corpus_path, count_calls, script_path
 from test_factory import _write_chain
 
 HELLO = str(adl_path("hello.fractal.xml"))
@@ -461,6 +465,68 @@ def test_plan_with_diagnostics_exits_one(capsys, tmp_path):
     adl_file.write_text(mutated)
     code, out = _run(capsys, "plan", str(adl_file), "--corpus", HELLO_CORPUS)
     assert code == 1 and "UnresolvableContent" in out
+
+
+# push_opaque_file with SenderImpl declared a file too: the sender's whole content
+# closure is public, so the planner gives it no implementation module.
+PUBLIC_SENDER_ADL = """<definition name="PushOpaqueFile" version="1.0">
+    <component name="sender">
+        <interface name="p" role="client" signature="Push" version="1.0"/>
+        <content class="SenderImpl" version="1.0"/>
+        <file name="SenderImpl" version="1.0"/>
+        <file name="Message" version="1.0"/>
+    </component>
+    <component name="receiver">
+        <interface name="p" role="server" signature="Push" version="1.0"/>
+        <content class="ReceiverImpl" version="1.0"/>
+        <file name="Message" version="1.0"/>
+    </component>
+    <binding client="sender.p" server="receiver.p"/>
+</definition>
+"""
+
+
+def test_a_component_whose_whole_content_is_public_owns_no_implementation_module(
+        capsys, tmp_path, monkeypatch):
+    adl_file = tmp_path / "public_sender.fractal.xml"
+    adl_file.write_text(PUBLIC_SENDER_ADL)
+    corpus_dir = str(corpus_path("pushopaque"))
+    assert _run(capsys, "check", str(adl_file), "--corpus", corpus_dir) == (0, "")
+    code, out = _run(capsys, "plan", str(adl_file), "--corpus", corpus_dir)
+    assert code == 0 and "impl(sender:" not in out
+    assert ("INFO sender: imports Message@1.0, Push@1.0, SenderImpl@1.0 "
+            "wired-to shared(Message@1.0,SenderImpl@1.0)") in out.splitlines()
+    code, out = _run(capsys, "run", str(adl_file), str(script_path("push_opaque_file.script")),
+                     "--corpus", corpus_dir)
+    assert code == 0 and out.splitlines()[-1] == "PASS all assertions hold"
+
+    corpus = load_corpus(corpus_dir)
+    definition = parse_adl(PUBLIC_SENDER_ADL)
+    plan = plan_modules(definition, Granularity.PER_COMPONENT, corpus)
+    arch = instantiate(definition, plan, ModuleManager(), corpus)
+    sender = arch.component("sender")
+    assert sender.impl_modules == []
+    message = runtime.make_value(arch, sender, "Message")
+    assert runtime.invoke(arch, "sender", "p", "push", [message]) is None
+
+    writes = Counter()
+    with monkeypatch.context() as patch:
+        for name in ("_make_live", "_set_wiring"):
+            count_calls(patch, ModuleManager, name, writes)
+        runtime.swap_implementation(arch, "sender", ("SenderImpl", "1.0"), corpus)
+    assert writes == {"_set_wiring": 1}
+    assert sender.impl_modules == []
+    assert runtime.invoke(arch, "sender", "p", "push", [message]) is None
+
+    live = arch.mgr.live_ids()
+    with pytest.raises(CrossBindingExists):
+        runtime.remove_component(arch, "sender")
+    assert arch.mgr.live_ids() == live
+    runtime.unbind_port(arch, "sender.p")
+    info = sender.info_module
+    runtime.remove_component(arch, "sender")
+    assert live - arch.mgr.live_ids() == {info}
+    assert arch.mgr.live_ids() <= live
 
 
 def test_bench_prints_a_report(capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from reconfig.adl import AdlInterface
 from reconfig.corpus import VersionTag, load_corpus
 from reconfig.errors import (
     AlreadyBound,
@@ -22,7 +23,6 @@ from reconfig.errors import (
 )
 from reconfig.model import (
     BindingKind,
-    PortSpec,
     Role,
     add_child,
     bind,
@@ -61,15 +61,15 @@ def world():
 
 def _server(mgr, info, name="server"):
     content = mgr.load_type(info, "ServerImpl")
-    return new_primitive(mgr, name, [PortSpec("s", Role.SERVER, "Service")],
+    return new_primitive(mgr, name, [AdlInterface("s", Role.SERVER, "Service", None)],
                          content, info)
 
 
 def _client(mgr, info, name="client"):
     content = mgr.load_type(info, "ClientImpl")
     return new_primitive(mgr, name,
-                         [PortSpec("r", Role.SERVER, "java.lang.Runnable"),
-                          PortSpec("s", Role.CLIENT, "Service")],
+                         [AdlInterface("r", Role.SERVER, "java.lang.Runnable", None),
+                          AdlInterface("s", Role.CLIENT, "Service", None)],
                          content, info)
 
 
@@ -89,7 +89,7 @@ def test_new_primitive_checks_conformance(world):
               {(m.name, m.params) for m in client_impl.methods}
     assert missing
     with pytest.raises(MissingMethod):
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service")],
+        new_primitive(mgr, "bad", [AdlInterface("s", Role.SERVER, "Service", None)],
                       mgr.load_type(info, "ClientImpl"), info)
 
 
@@ -98,7 +98,7 @@ def test_new_primitive_rejects_interface_content_and_class_signatures(world):
     with pytest.raises(ContentNotAClass):
         new_primitive(mgr, "bad", [], mgr.load_type(info, "Service"), info)
     with pytest.raises(SignatureNotInterface):
-        new_primitive(mgr, "bad", [PortSpec("r", Role.SERVER, "Request")],
+        new_primitive(mgr, "bad", [AdlInterface("r", Role.SERVER, "Request", None)],
                       mgr.load_type(info, "ServerImpl"), info)
 
 
@@ -106,7 +106,7 @@ def test_new_composite_and_shared_children(world):
     mgr, corpus, info = world
     client, server = _client(mgr, info), _server(mgr, info)
     outer = new_composite(mgr, "HelloWorld",
-                          [PortSpec("r", Role.SERVER, "java.lang.Runnable")],
+                          [AdlInterface("r", Role.SERVER, "java.lang.Runnable", None)],
                           [client, server], info_module=info)
     assert outer.children == [client, server]
     assert client.parents == [outer]
@@ -126,7 +126,7 @@ def test_a_child_is_added_once_and_a_composite_with_ports_needs_an_info_module(w
         add_child(outer, server)
     assert outer.children == [server] and server.parents == [outer]
 
-    ports = [PortSpec("s", Role.SERVER, "Service")]
+    ports = [AdlInterface("s", Role.SERVER, "Service", None)]
     with pytest.raises(InvariantViolation, match="declares ports but has no info module"):
         new_composite(mgr, "ported", ports, [server])
     assert outer.children == [server] and server.parents == [outer]
@@ -205,8 +205,8 @@ def test_bind_unbind_cycle(world):
 def test_route_writes_in_and_out_and_refuses_a_client_port_that_holds_a_link(world):
     mgr, corpus, info = world
     client, server, bound = _client(mgr, info), _server(mgr, info), _client(mgr, info, "bound")
-    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service"),
-                                         PortSpec("c", Role.CLIENT, "Service")],
+    outer = new_composite(mgr, "outer", [AdlInterface("s", Role.SERVER, "Service", None),
+                                         AdlInterface("c", Role.CLIENT, "Service", None)],
                           [client, server, bound], info_module=info)
     route(mgr, outer.port("s"), server.port("s"))
     assert outer.port("s").route is server.port("s")
@@ -231,7 +231,7 @@ def _stranger(mgr, corpus):
 def test_route_between_different_types_raises_the_mismatch_and_writes_nothing(world):
     mgr, corpus, info = world
     stranger = _stranger(mgr, corpus)
-    outer = new_composite(mgr, "outer", [PortSpec("s", Role.SERVER, "Service")],
+    outer = new_composite(mgr, "outer", [AdlInterface("s", Role.SERVER, "Service", None)],
                           [stranger], info_module=info)
     with pytest.raises(TypeMismatch):
         route(mgr, outer.port("s"), stranger.port("s"))
@@ -322,13 +322,13 @@ def test_every_signature_must_be_an_interface_before_any_method_is_checked(world
     The kinds of all ports are checked first, so the later port's refusal wins."""
     mgr, corpus, info = world
     with pytest.raises(SignatureNotInterface) as exc:
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service"),
-                                   PortSpec("q", Role.CLIENT, "Request")],
+        new_primitive(mgr, "bad", [AdlInterface("s", Role.SERVER, "Service", None),
+                                   AdlInterface("q", Role.CLIENT, "Request", None)],
                       mgr.load_type(info, "ClientImpl"), info)
     assert str(exc.value) == "port signature Request is not an interface typedef"
     with pytest.raises(MissingMethod):
-        new_primitive(mgr, "bad", [PortSpec("s", Role.SERVER, "Service"),
-                                   PortSpec("q", Role.CLIENT, "java.lang.Runnable")],
+        new_primitive(mgr, "bad", [AdlInterface("s", Role.SERVER, "Service", None),
+                                   AdlInterface("q", Role.CLIENT, "java.lang.Runnable", None)],
                       mgr.load_type(info, "ClientImpl"), info)
 
 

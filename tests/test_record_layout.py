@@ -17,7 +17,7 @@ from reconfig import runtime
 from reconfig.adl import AdlBinding, AdlComponent, AdlInterface, Diagnostic, parse_adl
 from reconfig.corpus import MethodSig, TypeDef, TypeRef
 from reconfig.factory import InfoPlan, ModulePlan, ResourcePlan
-from reconfig.model import BindingRecord, ComponentInstance, InterfacePort, PortSpec
+from reconfig.model import BindingRecord, ComponentInstance, InterfacePort
 from reconfig.modules import DefinedType, ModuleEvent, ResourceModule
 from reconfig.runtime import BenchReport, SwapRecord
 from reconfig.script import Command, parse_script
@@ -25,7 +25,7 @@ from reconfig.script import Command, parse_script
 from conftest import adl_path, build_architecture
 
 RECORDS = (AdlInterface, AdlComponent, AdlBinding, Diagnostic, TypeRef, MethodSig, TypeDef,
-           ResourcePlan, InfoPlan, ModulePlan, PortSpec, DefinedType, ModuleEvent, SwapRecord,
+           ResourcePlan, InfoPlan, ModulePlan, DefinedType, ModuleEvent, SwapRecord,
            BenchReport, Command)
 GRAPH = (InterfacePort, BindingRecord, ComponentInstance, ResourceModule)
 
@@ -42,8 +42,6 @@ def _one_of_each() -> dict[type, object]:
             *(m for td in corpus.entries() for m in td.methods),
             *arch.bindings, *server.interfaces, server,
             *arch.mgr.resource_modules(), server.content, *arch.mgr.events,
-            PortSpec(server.interfaces[0].name, server.interfaces[0].role,
-                     server.interfaces[0].signature),
             Diagnostic("E", "1:1", "message"),
             runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus),
             runtime.bench_interception(arch, 1),

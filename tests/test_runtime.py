@@ -166,6 +166,18 @@ def test_swap_switches_future_dispatch_to_the_new_module():
     assert len(swaps) == 1 and swaps[0].args[0] == "server"
 
 
+def test_a_swap_to_a_version_tag_is_the_swap_to_its_text():
+    seen = []
+    for version in (V("2.0"), "2.0"):
+        arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+        runtime.invoke(arch, "client", "s", "handler")
+        runtime.swap_implementation(arch, "server", ("ServerImpl", version), corpus)
+        runtime.invoke(arch, "client", "s", "handler")
+        seen.append((arch.report(), runtime.serialize_trace(arch)))
+    assert seen[0] == seen[1]
+    assert " SWAP server ServerImpl@1.0@" in seen[0][1] and "ServerImpl@2.0@" in seen[0][1]
+
+
 def test_values_created_before_a_swap_still_pass_unchanged_wirings():
     arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
     request = runtime.make_value(arch, arch.component("client"), "Request")
