@@ -38,7 +38,6 @@ module and one info module, which forbids any coexistence of versions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -294,10 +293,6 @@ class ArchitectureInstance:
         self.root = root
         self.trace: list = []
         self.in_call = False
-        self._seq = itertools.count()
-
-    def next_seq(self) -> int:
-        return next(self._seq)
 
     def component(self, name: str) -> ComponentInstance:
         inst = self.components.get(name)

@@ -9,8 +9,11 @@ module is created from an iterable of them. Resource modules own and cache
 definitions pulled from a corpus; at most one version per name may live in a
 single module, mirroring a loader's inability to hold two versions of one
 class. Info modules define nothing: their import table maps each name to the
-one resource module that defines it, and every load is delegated through it;
-the version imported is that module's export, not a second record. Whoever
+one resource module that defines it, and a load is delegated through it;
+the version imported is that module's export, not a second record. Like a
+loader recording each class it resolved, an info module remembers each type
+a load through it returned, and answers the same name again from that memo;
+a refused load is not remembered, so it is refused again. Whoever
 plans an info module picks its providers: it is created from a planned
 ``{name: (version, provider)}`` table (build and add), and ``rewire_import``
 replaces an existing one's table (swap). Both check, by one helper, that
@@ -23,15 +26,17 @@ index from each provider to the info modules wired to it, so a module's
 dependents are a lookup. An info module is created already wired and keeps
 its imports when it is removed, so the one rewrite of a live module's
 imports is ``rewire_import``'s (and the undo's), which moves it between
-providers in the reverse index. An index set is sorted only where a caller
-asks for the list or a refusal names its members. While an
+providers in the reverse index and empties its memo. An index set is
+sorted only where a caller asks for the list or a refusal names its
+members. While an
 ``undo_on_error`` block is open, every write (creating, rewiring, removing)
 logs its inverse in one journal, and a write made outside the manager logs
 its own through ``log_undo``; a block left by any exception,
 ``KeyboardInterrupt`` included, runs the journal backwards. The block is a
 small slotted object that the manager hands out per call, and blocks do not
 nest. A resource module never changes its exports and is removed only once
-nothing is wired to it, so every import names a live module that exports it.
+nothing is wired to it, so every import names a live module that exports it,
+and a remembered type is the one a fresh load would give until that rewrite.
 """
 
 from __future__ import annotations
@@ -136,11 +141,16 @@ class ResourceModule:
 
 
 class InfoModule:
-    """Per-component delegating module: each name it imports -> the module defining it."""
+    """Per-component delegating module: each name it imports -> the module defining it.
+
+    ``loaded`` remembers each type a load through it returned, by name, until
+    its imports are rewritten.
+    """
 
     def __init__(self, module_id: ModuleId, imports: dict[str, ModuleId]):
         self.id = module_id
         self.imports = imports  # once live, rewritten by ModuleManager._set_wiring only
+        self.loaded: dict[str, DefinedType] = {}  # emptied by ModuleManager._set_wiring
 
 
 Module = Union[ResourceModule, InfoModule]
@@ -197,7 +207,7 @@ class ModuleManager:
 
     def _set_wiring(self, info: InfoModule, imports: dict[str, ModuleId]) -> None:
         """The one rewrite of a live info module's imports, by ``rewire_import`` and the
-        undo; keeps ``_dependents`` and the journal."""
+        undo; keeps ``_dependents`` and the journal, and empties the module's memo."""
         if self._journal is not None:
             self._journal.append((self._set_wiring, info, info.imports))
         old, new = set(info.imports.values()), set(imports.values())
@@ -209,6 +219,7 @@ class ModuleManager:
         for pid in new - old:
             self._dependents.setdefault(pid, set()).add(info.id)
         info.imports = imports
+        info.loaded.clear()
 
     def _index_of(self, module: Module) -> tuple[dict, Iterable]:
         """The index a live ``module`` is in, and its keys there: a resource module's
@@ -271,20 +282,27 @@ class ModuleManager:
     def load_type(self, via: ModuleId, name: str) -> DefinedType:
         """Load ``name`` through an info module's imports.
 
-        The wired resource module answers from its cache when the type was
-        already defined, otherwise defines and caches it; either way repeated
-        loads return the identical type.
+        A name the info module loaded before is answered from its memo, once
+        ``via`` is checked to be a live info module. Otherwise the wired
+        resource module answers from its cache when the type was already
+        defined, or defines and caches it, and the memo records the result;
+        a refused load records nothing. Either way repeated loads return the
+        identical type.
         """
-        info = self.module(via)
-        if not isinstance(info, InfoModule):
+        info = self._modules.get(via)
+        if not isinstance(info, InfoModule):  # not live, or a resource module
             raise UnknownModule(via)
+        loaded = info.loaded.get(name)
+        if loaded is not None:
+            return loaded
         provider_id = info.imports.get(name)
         if provider_id is None:
             raise NotImported(name)
         provider = self.module(provider_id)
         if not isinstance(provider, ResourceModule):
             raise InvariantViolation(f"{via} wires {name} to {provider_id}, not a resource module")
-        return provider.define(name)
+        loaded = info.loaded[name] = provider.define(name)
+        return loaded
 
     def is_exported(self, pair: Pair) -> bool:
         """Whether some live resource module exports ``pair``, read off the index."""

@@ -5,7 +5,9 @@ they leave: a composite's server port routes a call in to its child, and a
 client port follows its routes out to the binding that ends them. A call
 enters each component it crosses into, in that component's context (its info
 module), and leaves it on the way out, error or not; the trace records each
-ENTER, with the info module, and each EXIT. There is no context stack: a call
+ENTER, with the info module, and each EXIT. An event carries no number:
+``serialize_trace`` numbers each by its position in the trace, from 0, so an
+event costs one small slotted record. There is no context stack: a call
 carries only its depth, which ``MAX_CALL_DEPTH`` caps. On entry, every
 argument is checked on the receiver side: the declared parameter type name is
 resolved through the callee's own wiring and must be the *same defined type*
@@ -109,14 +111,15 @@ class Value:
     rt_type: DefinedType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
-    seq: int
+    """One event of ``arch.trace``; its number is its position there."""
+
     kind: str
     args: tuple[str, ...]
 
-    def render(self) -> str:
-        return f"{self.seq} {self.kind} {' '.join(self.args)}".rstrip()
+    def render(self, seq: int) -> str:
+        return f"{seq} {self.kind} {' '.join(self.args)}".rstrip()
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,11 +142,12 @@ class BenchReport:
 
 
 def _event(arch: ArchitectureInstance, kind: str, *args: str) -> None:
-    arch.trace.append(TraceEvent(arch.next_seq(), kind, args))
+    arch.trace.append(TraceEvent(kind, args))
 
 
 def serialize_trace(arch: ArchitectureInstance) -> str:
-    return "\n".join(event.render() for event in arch.trace) + ("\n" if arch.trace else "")
+    """One line per event, ``SEQ KIND args...``, numbered by position from 0."""
+    return "".join(f"{event.render(seq)}\n" for seq, event in enumerate(arch.trace))
 
 
 def _client_target(port: InterfacePort) -> InterfacePort:

@@ -1,5 +1,6 @@
 """``tools/bench_pair.py`` on two fake checkouts whose ``benchmarks/run.py`` prints canned
-run records: the order of the runs, the refusal of an incorrect run and the median pick."""
+run records: the order of the runs, the refusal of an incorrect run, the median pick and
+the gain rule."""
 
 from __future__ import annotations
 
@@ -29,9 +30,13 @@ print(json.dumps({"correct": record["correct"], "metrics": record["metrics"]}))
 '''
 
 
-def _record(run: str, p50: float, correct: bool = True) -> dict:
+BETTER = {"setup_s": "lower", "op_p50_ms": "lower", "op_p90_ms": "lower",
+          "ops_per_s": "higher", "peak_rss_mb": "lower"}
+
+
+def _record(run: str, p50: float, correct: bool = True, setup: float = 0.1) -> dict:
     metrics = {name: {"unit": "-", "value": value} for name, value in
-               (("setup_s", 0.1), ("op_p50_ms", p50), ("op_p90_ms", 2 * p50),
+               (("setup_s", setup), ("op_p50_ms", p50), ("op_p90_ms", 2 * p50),
                 ("ops_per_s", 1 / p50), ("peak_rss_mb", 30.0))}
     return {"run": run, "correct": correct, "metrics": metrics}
 
@@ -40,6 +45,8 @@ def _checkout(base: Path, name: str, records: list[dict]) -> Path:
     root = base / name
     (root / "benchmarks").mkdir(parents=True)
     (root / "src").mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": metric, "better": better} for metric, better in BETTER.items()]}))
     (root / "src" / "program.py").write_text("VALUE = 1\n")
     (root / "benchmarks" / "run.py").write_text(FAKE_RUN)
     (root / "canned.json").write_text(json.dumps(records))
@@ -93,3 +100,43 @@ def test_a_run_that_is_not_correct_is_refused_and_nothing_is_written(tmp_path):
     assert done.returncode == 1
     assert "did not read correct: true" in done.stderr
     assert list(out.iterdir()) == []
+
+
+def _gain_lines(stdout: str) -> dict[str, str]:
+    lines = stdout.split("gain rule\n")[1].splitlines()
+    return {line.split()[0]: line for line in lines[:len(BETTER)]}
+
+
+def test_the_gain_rule_counts_won_pairs_and_weighs_the_median_gap_against_the_parent_spread(
+        tmp_path):
+    parent_p50 = [2.0, 2.2, 1.8, 2.1, 1.9, 2.0, 2.2, 1.8, 2.1, 1.9]
+    change_p50 = [1.0, 1.1, 0.9, 2.1, 1.0, 1.1, 0.9, 1.0, 1.2, 0.95]  # the 4th pair ties
+    setups = [0.10 + 0.01 * k for k in range(10)]  # the change wins each pair by a hair
+    _checkout(tmp_path, "parent", [_record(f"p{k}", p50, setup=setup)
+                                   for k, (p50, setup) in enumerate(zip(parent_p50, setups))])
+    _checkout(tmp_path, "change", [_record(f"c{k}", p50, setup=setup - 0.001)
+                                   for k, (p50, setup) in enumerate(zip(change_p50, setups))])
+    done, _ = _run_tool(tmp_path, 10)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rule = _gain_lines(done.stdout)
+    assert rule.keys() == BETTER.keys()
+    for name in ("op_p50_ms", "op_p90_ms", "ops_per_s"):
+        assert f"({BETTER[name]} is better): change won 9 of 10 pairs (1 tied)" in rule[name]
+        assert rule[name].endswith("; a gain may be claimed"), rule[name]
+    # quartiles of 1.8 1.8 1.9 1.9 2.0 2.0 2.1 2.1 2.2 2.2, and of the change's p50s
+    assert "quartiles before 1.9 2 2.1, after 0.9625 1 1.1;" in rule["op_p50_ms"]
+    # every pair won, but by less than the parent's quartiles lie apart
+    assert "change won 10 of 10 pairs (0 tied)" in rule["setup_s"]
+    assert rule["setup_s"].endswith("; no gain may be claimed")
+    assert "change won 0 of 10 pairs (10 tied)" in rule["peak_rss_mb"]
+    assert rule["peak_rss_mb"].endswith("; no gain may be claimed")
+
+
+def test_the_gain_rule_needs_nine_tenths_of_the_pairs(tmp_path):
+    _checkout(tmp_path, "parent", [_record(f"p{k}", 2.0) for k in range(10)])
+    _checkout(tmp_path, "change", [_record(f"c{k}", 3.0 if k < 2 else 1.0) for k in range(10)])
+    done, _ = _run_tool(tmp_path, 10)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rule = _gain_lines(done.stdout)["op_p50_ms"]
+    assert "change won 8 of 10 pairs (0 tied)" in rule
+    assert rule.endswith("; no gain may be claimed")

@@ -106,6 +106,37 @@ def test_load_type_caches_and_is_idempotent(hello):
     assert first is second and same_type(first, second)
 
 
+def test_an_info_module_remembers_only_the_loads_that_succeed(hello):
+    mgr = ModuleManager()
+    res = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    other = mgr.create_resource_module([_pair("Service", "1.0")], hello)
+    info = mgr.create_info_module({"Service": (VersionTag("1.0"), res)})
+    module = mgr.module(info)
+    service = mgr.load_type(info, "Service")
+    assert module.loaded == {"Service": service}
+    for _ in range(2):  # refused each time, and never remembered
+        with pytest.raises(NotImported):
+            mgr.load_type(info, "Request")
+    assert module.loaded == {"Service": service}
+
+    mgr.rewire_import(info, {"Service": (VersionTag("1.0"), other)})
+    assert module.loaded == {}
+    assert mgr.load_type(info, "Service").defined_by == other
+
+    wrong = mgr.create_info_module({})
+    mgr.module(wrong).imports["Request"] = info  # wired to an info module, as no plan wires
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            mgr.load_type(wrong, "Request")
+    assert mgr.module(wrong).loaded == {}
+
+    mgr.remove_module(info)  # its memo stays, but a removed id is refused before it is read
+    with pytest.raises(UnknownModule):
+        mgr.load_type(info, "Service")
+    with pytest.raises(UnknownModule):
+        mgr.load_type(res, "Service")
+
+
 def test_shared_provider_gives_one_identity_private_copies_two(hello):
     mgr = ModuleManager()
     shared = mgr.create_resource_module([_pair("Service", "1.0")], hello)
@@ -556,6 +587,12 @@ def _scan_src(*attrs: str, visitor_class=_Writes) -> _Writes:
 def test_info_module_wiring_is_written_only_through_the_managers_one_helper():
     assert _scan_src("imports").found == {"modules.InfoModule.__init__",
                                           "modules.ModuleManager._set_wiring"}
+
+
+def test_an_info_modules_memo_is_filled_by_a_load_and_emptied_only_by_the_rewrite():
+    assert _scan_src("loaded").found == {"modules.InfoModule.__init__",
+                                         "modules.ModuleManager.load_type",
+                                         "modules.ModuleManager._set_wiring"}
 
 
 def test_only_rewire_import_and_the_undo_rewrite_an_info_modules_imports():

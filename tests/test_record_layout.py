@@ -3,8 +3,7 @@
 The frozen records are slotted dataclasses and stay frozen, equal by value and
 hashable; the component graph's ports, bindings and components and the
 resource modules declare their ``__slots__``. ``AdlDefinition`` keeps its
-``__dict__`` for its cached indexes; ``TraceEvent`` and ``Value`` are left as
-they are.
+``__dict__`` for its cached indexes; ``Value`` is left as it is.
 """
 
 from __future__ import annotations
@@ -19,14 +18,14 @@ from reconfig.corpus import MethodSig, TypeDef, TypeRef
 from reconfig.factory import InfoPlan, ModulePlan, ResourcePlan
 from reconfig.model import BindingRecord, ComponentInstance, InterfacePort
 from reconfig.modules import DefinedType, ModuleEvent, ResourceModule
-from reconfig.runtime import BenchReport, SwapRecord
+from reconfig.runtime import BenchReport, SwapRecord, TraceEvent
 from reconfig.script import Command, parse_script
 
 from conftest import adl_path, build_architecture
 
 RECORDS = (AdlInterface, AdlComponent, AdlBinding, Diagnostic, TypeRef, MethodSig, TypeDef,
            ResourcePlan, InfoPlan, ModulePlan, DefinedType, ModuleEvent, SwapRecord,
-           BenchReport, Command)
+           BenchReport, TraceEvent, Command)
 GRAPH = (InterfacePort, BindingRecord, ComponentInstance, ResourceModule)
 
 
@@ -44,7 +43,7 @@ def _one_of_each() -> dict[type, object]:
             *arch.mgr.resource_modules(), server.content, *arch.mgr.events,
             Diagnostic("E", "1:1", "message"),
             runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus),
-            runtime.bench_interception(arch, 1),
+            runtime.bench_interception(arch, 1), *arch.trace,
             *parse_script("invoke HelloWorld.r run\nexpect-ok\n")]
     found = {}
     for obj in made:

@@ -1328,3 +1328,172 @@ def test_link_checks_format_only_the_labels_they_return():
         # a binding's label names two ports, a route's one
         assert counts["port labels"] == sum(1 if label.startswith("this.") or " -> this." in label
                                             else 2 for label, _ in checks)
+
+
+# --- each info module remembers what it loaded ------------------------------------------
+
+def _uncached(patch) -> None:
+    """Every info module's memo reads empty and keeps nothing, so each load asks its
+    provider, as before there was a memo."""
+    patch.setattr(InfoModule, "loaded", property(lambda info: {}, lambda info, value: None),
+                  raising=False)
+
+
+def _refused_swap(arch, corpus, component: str, content: tuple[str, str]):
+    """A swap whose post-swap check fails, so the undo puts the info module back."""
+    def refuse(comp):
+        raise InvariantViolation("post-swap check refused")
+
+    arch.link_checks = refuse
+    try:
+        return runtime.swap_implementation(arch, component, content, corpus)
+    finally:
+        del arch.link_checks
+
+
+def _outcome(step, arch, corpus, kept: dict) -> str:
+    try:
+        result = step(arch, corpus, kept)
+    except ReconfigError as exc:
+        return f"{exc.code}: {exc}"
+    if isinstance(result, runtime.Value):
+        return str(result.rt_type)
+    if isinstance(result, runtime.SwapRecord):
+        return f"swap {result.old_content} -> {result.new_content}"
+    return type(result).__name__
+
+
+def _run_script(build, steps, cached: bool) -> tuple[list[str], str, str]:
+    """Each step's return value or error, then the trace and the report, with the memo
+    in use or bypassed."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not cached:
+            _uncached(patch)
+        arch, corpus = build()
+        kept: dict = {}
+        outcomes = [_outcome(step, arch, corpus, kept) for step in steps]
+        return outcomes, runtime.serialize_trace(arch), arch.report()
+
+
+def _hello():
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    return arch, corpus
+
+
+def _keep_request(arch, corpus, kept):
+    kept["request"] = runtime.make_value(arch, arch.component("client"), "Request")
+    return kept["request"]
+
+
+def _handler(arch, corpus, kept):
+    return runtime.invoke(arch, "client", "s", "handler")
+
+
+def _push_kept(arch, corpus, kept):
+    return runtime.invoke(arch, "client", "s", "push", [kept["request"]])
+
+
+HELLO_SCRIPT = [
+    _keep_request, _handler, _push_kept,
+    lambda a, c, k: runtime.swap_implementation(a, "server", ("ServerImpl", "2.0"), c),
+    _handler, _push_kept,
+    lambda a, c, k: runtime.add_component(a, parse_component_fragment(SERVER2), c),
+    lambda a, c, k: runtime.rebind(a, "client.s", "server2.s"),
+    _handler, _push_kept,
+    lambda a, c, k: runtime.invoke(a, "HelloWorld", "r", "run"),
+    lambda a, c, k: runtime.remove_component(a, "server2"),  # refused: client.s is bound to it
+    lambda a, c, k: runtime.rebind(a, "client.s", "server.s"),
+    lambda a, c, k: runtime.remove_component(a, "server2"),
+    _handler,
+    lambda a, c, k: runtime.add_component(a, parse_component_fragment(SERVER2), c),
+    lambda a, c, k: runtime.rebind(a, "client.s", "server2.s"),
+    _handler,
+    lambda a, c, k: runtime.swap_implementation(a, "server2", ("ServerImpl", "1.0"), c),
+    _handler, _push_kept,
+    lambda a, c, k: runtime.rebind(a, "client.s", "server.s"),
+    lambda a, c, k: runtime.swap_implementation(a, "server", ("ServerImpl", "1.0"), c),
+    _handler, _keep_request, _push_kept,
+]
+
+C2 = ('<component name="c2">'
+      '<interface name="in" role="server" signature="Push" version="1.0"/>'
+      '<interface name="out" role="client" signature="Push" version="1.0"/>'
+      '<content class="NodeImpl" version="1.0"/>{}</component>')
+
+
+def _chain():
+    corpus = _chain_swap_corpus()
+    return _build_text(_chain_text(4, [False] * 4), corpus), corpus
+
+
+def _push(name: str, port: str):
+    """Invoke ``push`` on a port of ``name`` with a Message made in its own context."""
+    def push(arch, corpus, kept):
+        message = runtime.make_value(arch, arch.component(name), "Message")
+        return runtime.invoke(arch, name, port, "push", [message])
+    return push
+
+
+# Each component holds Message privately, so every hop mismatches and only a call into a
+# component with its own Message gets in; a swap gives the component a new Message.
+CHAIN_SCRIPT = [
+    _push("c0", "out"), _push("c1", "in"), _push("c3", "in"),
+    lambda a, c, k: runtime.swap_implementation(a, "c1", ("NodeImpl", "2.0"), c),
+    _push("c1", "in"), _push("c0", "out"),
+    lambda a, c, k: runtime.unbind_port(a, "c2.out"),
+    _push("c2", "in"),
+    lambda a, c, k: runtime.unbind_port(a, "c1.out"),
+    lambda a, c, k: runtime.remove_component(a, "c2"),
+    _push("c1", "in"),
+    lambda a, c, k: runtime.add_component(
+        a, parse_component_fragment(C2.format('<file name="Message" version="1.0"/>')), c),
+    lambda a, c, k: runtime.add_component(a, parse_component_fragment(C2.format("")), c),
+    lambda a, c, k: runtime.bind_ports(a, "c1.out", "c2.in"),
+    lambda a, c, k: runtime.bind_ports(a, "c2.out", "c3.in"),
+    _push("c2", "in"), _push("c1", "in"),
+    lambda a, c, k: runtime.rebind(a, "c0.out", "c2.in"),
+    _push("c0", "out"),
+    lambda a, c, k: runtime.swap_implementation(a, "c2", ("NodeImpl", "2.0"), c),
+    _push("c2", "in"), _push("c3", "in"),
+    lambda a, c, k: runtime.swap_implementation(a, "c1", ("NodeImpl", "1.0"), c),
+    _push("c1", "out"), _push("c1", "in"),
+]
+
+SCRIPTS = {"hello": (_hello, HELLO_SCRIPT), "chain": (_chain, CHAIN_SCRIPT)}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_swaps_rebinds_removes_and_re_adds_give_what_an_uncached_run_gives(name):
+    build, steps = SCRIPTS[name]
+    cached = _run_script(build, steps, cached=True)
+    assert cached == _run_script(build, steps, cached=False)
+    outcomes = cached[0]
+    assert any(o.startswith("swap ") for o in outcomes)
+    assert any(o.startswith(("TypeMismatch", "CrossBindingExists")) for o in outcomes)
+    assert "NoneType" in outcomes
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_after_a_refused_swap_every_invoke_gives_what_an_uncached_run_gives(name):
+    build, steps = SCRIPTS[name]
+    target = ("server", ("ServerImpl", "2.0")) if name == "hello" else ("c1", ("NodeImpl", "2.0"))
+    refused = [lambda a, c, k: _refused_swap(a, c, *target)]
+    # the first steps load through every component; the refused swap loads the new
+    # content through the swapped info module before its check fails
+    faulted = steps[:2] + refused + steps[2:] + refused + steps
+    cached = _run_script(build, faulted, cached=True)
+    assert cached == _run_script(build, faulted, cached=False)
+    assert cached[0][2].startswith("InvariantViolation: post-swap check refused")
+
+
+def test_a_warm_invoke_defines_nothing_and_a_swap_reaches_the_new_module(monkeypatch):
+    arch, corpus, _ = build_architecture("hello_v1.fractal.xml", "hello_swap")
+    runtime.invoke(arch, "client", "s", "handler")
+    counts = Counter()
+    count_calls(monkeypatch, ResourceModule, "define", counts)
+    runtime.invoke(arch, "client", "s", "handler")
+    assert counts["define"] == 0
+    record = runtime.swap_implementation(arch, "server", ("ServerImpl", "2.0"), corpus)
+    after = runtime.invoke(arch, "client", "s", "handler")
+    assert after.rt_type.defined_by == record.new_module != record.old_content.defined_by
+    assert after.rt_type is record.new_content

@@ -75,12 +75,29 @@ def test_the_guards_are_the_ifs_that_raise_or_return_an_error():
         raise KeyError(x)
     if x == 4:
         print(x)
+    if x == 5:
+        if y:
+            return x
+        raise KeyError(x)
     return x
 '''
     found = mutants.guards(source, ERRORS)
-    assert [(line, start, col) for line, start, col, _, _ in found] == [(2, 2, 7), (4, 4, 7)]
+    # a block that does other work before its raise is a guard too
+    assert [(line, start, col) for line, start, col, _, _ in found] == [
+        (2, 2, 7), (4, 4, 7), (11, 11, 7), (16, 16, 7)]
     assert [source.splitlines()[line - 1].strip() for line, *_ in found] == [
-        b"if x < 0:", b"if x == 0:"]
+        b"if x < 0:", b"if x == 0:", b"if x == 3:", b"if x == 5:"]
+
+
+def test_the_package_refusals_that_do_work_before_they_raise_are_guards():
+    errors = mutants.error_names()
+    found = set()
+    for name in ("adl.py", "corpus.py"):
+        source = (mutants.ROOT / mutants.PACKAGE / name).read_bytes()
+        lines = source.splitlines()
+        found |= {(name, lines[line - 1].strip()) for line, *_ in mutants.guards(source, errors)}
+    assert {("adl.py", b"if self.name in seen:"), ("adl.py", b"if tag not in found:"),
+            ("corpus.py", b"if not colon:")} <= found
 
 
 def test_a_mutant_parses_and_has_only_its_guard_test_replaced_by_false():

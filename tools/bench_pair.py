@@ -11,7 +11,12 @@ so neither side runs from stale bytecode. Each pair then runs
 checkout: the parent first in pairs 1, 3, 5, ..., the change first in the
 others. A run whose last line does not read ``"correct": true`` stops the
 script with exit code 1, and nothing is written. Each pair's end-to-end
-metrics are printed as they come, then each side's medians.
+metrics are printed as they come, then each side's medians, then the gain
+rule per metric: how many pairs the change won (a tie counts for neither),
+in the ``better`` direction the parent's ``BENCHMARK.json`` gives, each
+side's quartiles, and whether a gain may be claimed. It may when the change
+won at least nine tenths of the pairs and its median beats the parent's by
+more than the distance between the parent's quartiles.
 
 It writes ``BENCH_<W>_<NAME>_before.json`` (the parent) and
 ``BENCH_<W>_<NAME>_after.json`` (the change): each is the run record that
@@ -76,6 +81,34 @@ def show(label: str, metrics: dict[str, float]) -> str:
     return f"{label:8s} " + " ".join(f"{name}={metrics[name]:.6g}" for name in METRICS)
 
 
+def directions(checkout: Path) -> dict[str, str]:
+    """Each end-to-end metric's ``better`` direction, ``lower`` or ``higher``."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, each within the range of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def gain_rule(name: str, better: str, before: list[float], after: list[float]) -> str:
+    """One line: the pairs the change won, each side's quartiles, and whether a gain may
+    be claimed."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+    ties = sum(a == b for b, a in zip(before, after))
+    (b1, bm, b3), (a1, am, a3) = quartiles(before), quartiles(after)
+    holds = wins >= 0.9 * len(before) and sign * (am - bm) > b3 - b1
+    return (f"{name} ({better} is better): change won {wins} of {len(before)} pairs "
+            f"({ties} tied); quartiles before {b1:.6g} {bm:.6g} {b3:.6g}, "
+            f"after {a1:.6g} {am:.6g} {a3:.6g}; "
+            + ("a gain may be claimed" if holds else "no gain may be claimed"))
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.pairs < 1:
@@ -93,11 +126,16 @@ def main(argv=None) -> int:
         for side in ("before", "after"):
             print("  " + show(side, metrics_of(records[side][-1])))
 
+    runs = {side: [metrics_of(r) for r in records[side]] for side in sides}
     print("medians")
     for side in ("before", "after"):
-        runs = [metrics_of(r) for r in records[side]]
-        print("  " + show(side, {name: statistics.median(m[name] for m in runs)
+        print("  " + show(side, {name: statistics.median(m[name] for m in runs[side])
                                  for name in METRICS}))
+    print("gain rule")
+    better = directions(args.parent)
+    for name in METRICS:
+        before, after = ([m[name] for m in runs[side]] for side in ("before", "after"))
+        print("  " + gain_rule(name, better[name], before, after))
     for side in ("before", "after"):
         ranked = sorted(records[side], key=lambda r: metrics_of(r)["op_p50_ms"])
         median_run = ranked[(len(ranked) - 1) // 2]

@@ -1,9 +1,10 @@
 """Switch off each guard of the package, one at a time, and list the ones no test notices.
 
-A guard is an ``if <test>:`` statement in ``src/reconfig`` whose body is one
-``raise ...``, or ends in ``return <Error>(...)`` where ``<Error>`` is a class
-that ``errors.py`` defines or a built-in exception. A mutant replaces the test
-with ``False``, so the refusal can never happen; the tier-1
+A guard is an ``if <test>:`` statement in ``src/reconfig`` whose body ends in
+``raise ...`` or in ``return <Error>(...)``, where ``<Error>`` is a class that
+``errors.py`` defines or a built-in exception; what the body does before does
+not matter. A mutant replaces the test with ``False``, so the refusal can
+never happen; the tier-1
 suite (without the benchmark smoke test) then runs against it under a
 timeout. A mutant that makes the suite fail or time out is killed; one that
 passes survives, and the guard it switched off is pinned by no test.
@@ -49,10 +50,11 @@ def error_names() -> set[str]:
 
 
 def _refuses(body: list[ast.stmt], errors: set[str]) -> bool:
-    """Whether a block is one ``raise``, or ends in ``return <Error>(...)``."""
-    if len(body) == 1 and isinstance(body[0], ast.Raise):
-        return True
+    """Whether a block ends in ``raise`` or in ``return <Error>(...)``, whatever it does
+    first."""
     last = body[-1]
+    if isinstance(last, ast.Raise):
+        return True
     return (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
             and isinstance(last.value.func, ast.Name) and last.value.func.id in errors)
 
