@@ -13,7 +13,10 @@ one resource module that defines it, and a load is delegated through it;
 the version imported is that module's export, not a second record. Like a
 loader recording each class it resolved, an info module remembers each type
 a load through it returned, and answers the same name again from that memo;
-a refused load is not remembered, so it is refused again. Whoever
+a refused load is not remembered, so it is refused again. The memo saves
+work only on a repeated load of one name through one info module between
+two rewrites of its imports: each call repeats its hops' loads, while a
+build loads most names once per module. Whoever
 plans an info module picks its providers: it is created from a planned
 ``{name: (version, provider)}`` table (build and add), and ``rewire_import``
 replaces an existing one's table (swap). Both check, by one helper, that
